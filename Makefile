@@ -11,9 +11,9 @@ BENCH_OVER ?= 25
 # their allocation count regresses by more than ALLOC_OVER percent
 # (allocs are deterministic, so this stays strict even on noisy CI).
 ALLOC_OVER ?= 10
-ALLOC_GATE ?= EpochSolve|PlanRepair|FrontierMoveRepair|StreamIngest|MetricsObserve|ColdPlanBuild
+ALLOC_GATE ?= EpochSolve|PlanRepair|FrontierMoveRepair|StreamIngest|WindowFreeze|MetricsObserve|ColdPlanBuild
 
-.PHONY: all build vet fmt-check test examples bench bench-smoke bench-baseline bench-compare bench-gate profile
+.PHONY: all build vet fmt-check test test-bench examples bench bench-smoke bench-baseline bench-compare bench-gate profile
 
 all: vet fmt-check build test
 
@@ -37,6 +37,14 @@ examples:
 
 test:
 	$(GO) test ./...
+
+# bench/ (tomobench, the end-to-end benchmark) is a module of its own
+# that imports this module's internal/ packages, so `go test ./...`
+# above does not descend into it: vet and test it here, or an internal
+# API drift breaks the benchmark silently.
+test-bench:
+	$(GO) -C bench vet ./...
+	$(GO) -C bench test ./...
 
 # Full benchmark run, recorded as a dated JSON snapshot so the perf
 # trajectory is tracked from PR to PR (see DESIGN.md reference table).

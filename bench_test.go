@@ -303,6 +303,35 @@ func BenchmarkGoodCount(b *testing.B) {
 	})
 }
 
+// The streaming-store benchmarks run at the paper's scale: 1500 paths
+// over a 1000-interval window, a fifth of the paths congested per
+// interval.
+const streamBenchPaths, streamBenchWindow = 1500, 1000
+
+func streamBenchPool(rng *rand.Rand) []*bitset.Set {
+	pool := make([]*bitset.Set, 64)
+	for i := range pool {
+		s := bitset.New(streamBenchPaths)
+		for p := 0; p < streamBenchPaths; p++ {
+			if rng.Intn(5) == 0 {
+				s.Add(p)
+			}
+		}
+		pool[i] = s
+	}
+	return pool
+}
+
+// warmStreamWindow returns a full window past its first lap: every ring
+// slot and per-path mask exists, so what follows is steady state.
+func warmStreamWindow(pool []*bitset.Set) *stream.Window {
+	w := stream.NewWindow(streamBenchPaths, streamBenchWindow)
+	for i := 0; i < 2*streamBenchWindow; i++ {
+		w.Add(pool[i%len(pool)])
+	}
+	return w
+}
+
 // BenchmarkStreamIngest measures the streaming store's steady-state
 // ingest path at the paper's path-universe scale: each Add evicts the
 // oldest interval of a full ring and must not allocate (the ring and
@@ -310,27 +339,10 @@ func BenchmarkGoodCount(b *testing.B) {
 // queries are benchmarked alongside since the solver loop issues them
 // against the same layout.
 func BenchmarkStreamIngest(b *testing.B) {
-	const numPaths, window = 1500, 1000
 	rng := rand.New(rand.NewSource(1))
-	pool := make([]*bitset.Set, 64)
-	for i := range pool {
-		s := bitset.New(numPaths)
-		for p := 0; p < numPaths; p++ {
-			if rng.Intn(5) == 0 {
-				s.Add(p)
-			}
-		}
-		pool[i] = s
-	}
-	newWarmWindow := func() *stream.Window {
-		w := stream.NewWindow(numPaths, window)
-		for i := 0; i < 2*window; i++ { // wrap the ring: steady state
-			w.Add(pool[i%len(pool)])
-		}
-		return w
-	}
+	pool := streamBenchPool(rng)
 	b.Run("add-evict", func(b *testing.B) {
-		w := newWarmWindow()
+		w := warmStreamWindow(pool)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -348,7 +360,7 @@ func BenchmarkStreamIngest(b *testing.B) {
 			b.Fatal(err)
 		}
 		defer wl.Close()
-		w := newWarmWindow()
+		w := warmStreamWindow(pool)
 		w.SetLog(wl)
 		batch := make([]*bitset.Set, 1)
 		b.ReportAllocs()
@@ -362,12 +374,12 @@ func BenchmarkStreamIngest(b *testing.B) {
 		b.StopTimer()
 		b.ReportMetric(float64(w.T()), "window-intervals")
 	})
-	paths := bitset.New(numPaths)
+	paths := bitset.New(streamBenchPaths)
 	for paths.Count() < 8 {
-		paths.Add(rng.Intn(numPaths))
+		paths.Add(rng.Intn(streamBenchPaths))
 	}
 	b.Run("windowed-goodcount", func(b *testing.B) {
-		w := newWarmWindow()
+		w := warmStreamWindow(pool)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -375,13 +387,55 @@ func BenchmarkStreamIngest(b *testing.B) {
 		}
 	})
 	b.Run("windowed-allcongested", func(b *testing.B) {
-		w := newWarmWindow()
+		w := warmStreamWindow(pool)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			w.AllCongestedCount(paths)
 		}
 	})
+}
+
+// BenchmarkWindowFreeze measures what an epoch pays to freeze the live
+// window (stream.Window.Clone, copy-on-write): the freeze alone — the
+// row-pointer table, mask headers and counters, a fixed handful of
+// allocations whatever the window holds — and the freeze followed by
+// the one Add every interval brings on the stride path, which replaces
+// one row and copies one mask per path it touches. Under the alloc gate
+// so a freeze can never quietly grow back into a deep copy.
+func BenchmarkWindowFreeze(b *testing.B) {
+	var frozen *stream.Window // kept reachable, like a published snapshot
+	pool := streamBenchPool(rand.New(rand.NewSource(1)))
+	// A daemon freezes into memory the collector has already recycled;
+	// a cold benchmark heap would instead charge every freeze ≈ 15 page
+	// faults (3× the copy itself at short -benchtime). Grow the heap
+	// past what a GC cycle of freezes needs, once.
+	warmHeap := func(w *stream.Window) {
+		for i := 0; i < 256; i++ {
+			frozen = w.Clone()
+		}
+		runtime.GC()
+	}
+	b.Run("clone", func(b *testing.B) {
+		w := warmStreamWindow(pool)
+		warmHeap(w)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			frozen = w.Clone()
+		}
+	})
+	b.Run("clone+add", func(b *testing.B) {
+		w := warmStreamWindow(pool)
+		warmHeap(w)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			frozen = w.Clone()
+			w.Add(pool[i%len(pool)])
+		}
+	})
+	runtime.KeepAlive(frozen)
 }
 
 // BenchmarkShardedEpochSolve measures one streaming epoch of the

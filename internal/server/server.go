@@ -8,12 +8,18 @@
 //
 //   - Ingest serializes on one mutex guarding the live stream.Window;
 //     batches are applied atomically with respect to snapshots.
-//   - The solver loop clones the window under that mutex (cheap, O(state))
-//     and runs the estimator on the frozen clone off-lock, so a slow
-//     solve never blocks ingest.
+//   - The solver loop freezes the window under that mutex — a
+//     copy-on-write stream.Window.Clone: O(paths + capacity) words
+//     copied, every row and mask shared — and runs the estimator on the
+//     frozen clone off-lock, so a slow solve never blocks ingest. A
+//     freeze writes its source's ownership marks, so the mutex must
+//     exclude ingest and every other freeze of the live window (it
+//     does; stream.Sharded locks per ring to the same end).
 //   - Each solve publishes an immutable Snapshot — the estimate, the
 //     frozen window it was computed over, and a monotonically increasing
-//     epoch — via an atomic pointer swap. Queries load the pointer once
+//     epoch — via an atomic pointer swap. Nothing ever adds to a
+//     published window, and the live window copies before it writes
+//     anything the two still share, so the snapshot never changes. Queries load the pointer once
 //     and answer entirely from that snapshot, so every response is
 //     internally consistent with exactly one epoch and queries never
 //     block ingest or the solver.
@@ -869,13 +875,14 @@ func (s *Server) Recompute(ctx context.Context) *Snapshot {
 		return drained // error/cancelled snapshot; checkpoints were requeued
 	}
 	s.mu.Lock()
-	w := s.win.CloneStore()
-	s.mu.Unlock()
-	if drained != nil && drained.SeqHigh == w.Seq() {
+	if drained != nil && drained.SeqHigh == s.win.Seq() {
 		// The newest checkpoint was the live state: the drain already
-		// published this epoch.
+		// published this epoch, and there is nothing to freeze.
+		s.mu.Unlock()
 		return drained
 	}
+	w := s.win.CloneStore()
+	s.mu.Unlock()
 	start := time.Now()
 	var est *estimator.Estimate
 	var info estimator.SolveInfo
@@ -1116,12 +1123,12 @@ func (s *Server) recomputeSharded(ctx context.Context) *Snapshot {
 	if derr != nil {
 		return drained // error/cancelled snapshot; checkpoints handled per contract
 	}
-	full := s.shardedWin.Clone()
-	if drained != nil && drained.SeqHigh == full.Seq() {
+	if drained != nil && drained.SeqHigh == s.shardedWin.Seq() {
 		// The newest checkpoint was the live state: the drain already
-		// published this epoch.
+		// published this epoch, and there is nothing to freeze.
 		return drained
 	}
+	full := s.shardedWin.Clone()
 	start := time.Now()
 	solves := make([]ShardSolve, len(s.shardStates))
 	durs := make([]time.Duration, len(s.shardStates))

@@ -1,0 +1,316 @@
+package stream
+
+import (
+	"fmt"
+	"math/rand"
+	"sync"
+	"testing"
+
+	"repro/internal/bitset"
+)
+
+// refWindow is the deep-copy oracle of the copy-on-write tests: the
+// live intervals as a plain slice, cloned by copying every one, queried
+// by scanning. It shares nothing with anything, so whatever a freeze
+// leaks between a window and its clones shows up as a difference.
+type refWindow struct {
+	numPaths, capacity int
+	seq                uint64
+	live               []*bitset.Set // oldest first
+}
+
+func (r *refWindow) add(congested *bitset.Set) {
+	row := bitset.New(r.numPaths)
+	congested.ForEach(func(p int) bool {
+		if p < r.numPaths {
+			row.Add(p)
+		}
+		return true
+	})
+	if len(r.live) == r.capacity {
+		r.live = r.live[1:]
+	}
+	r.live = append(r.live, row)
+	r.seq++
+}
+
+func (r *refWindow) clone() *refWindow {
+	c := *r
+	c.live = make([]*bitset.Set, len(r.live))
+	for i, row := range r.live {
+		c.live[i] = row.Clone()
+	}
+	return &c
+}
+
+// goodCount and allCongestedCount follow the observe.Store contract:
+// paths outside the universe are always good, never congested.
+func (r *refWindow) goodCount(paths *bitset.Set) int {
+	n := 0
+	for _, row := range r.live {
+		if !row.Intersects(paths) {
+			n++
+		}
+	}
+	return n
+}
+
+func (r *refWindow) allCongestedCount(paths *bitset.Set) int {
+	n := 0
+	for _, row := range r.live {
+		if paths.SubsetOf(row) {
+			n++
+		}
+	}
+	return n
+}
+
+func (r *refWindow) congestedFraction(p int) float64 {
+	if len(r.live) == 0 {
+		return 0
+	}
+	n := 0
+	for _, row := range r.live {
+		if row.Contains(p) {
+			n++
+		}
+	}
+	return float64(n) / float64(len(r.live))
+}
+
+// checkAgainstRef compares everything the solver and the HTTP layer
+// read off a store — T, Seq, each live row, per-path fractions, joint
+// counts over random path sets (crossing shards, reaching past the
+// universe) and the always-good set — and describes the first
+// difference.
+func checkAgainstRef(rng *rand.Rand, got Store, ref *refWindow) error {
+	if got.T() != len(ref.live) || got.Seq() != ref.seq {
+		return fmt.Errorf("T/Seq = %d/%d, want %d/%d", got.T(), got.Seq(), len(ref.live), ref.seq)
+	}
+	for t, row := range ref.live {
+		if c := got.CongestedAt(t); !c.Equal(row) {
+			return fmt.Errorf("CongestedAt(%d) = %s, want %s", t, c, row)
+		}
+	}
+	for p := 0; p < ref.numPaths; p++ {
+		if g, w := got.CongestedFraction(p), ref.congestedFraction(p); g != w {
+			return fmt.Errorf("CongestedFraction(%d) = %v, want %v", p, g, w)
+		}
+	}
+	for q := 0; q < 6; q++ {
+		paths := bitset.New(ref.numPaths + 3)
+		for p := 0; p < ref.numPaths+3; p++ {
+			if rng.Intn(1+ref.numPaths/3) == 0 {
+				paths.Add(p)
+			}
+		}
+		if g, w := got.GoodCount(paths), ref.goodCount(paths); g != w {
+			return fmt.Errorf("GoodCount(%s) = %d, want %d", paths, g, w)
+		}
+		if g, w := got.AllCongestedCount(paths), ref.allCongestedCount(paths); g != w {
+			return fmt.Errorf("AllCongestedCount(%s) = %d, want %d", paths, g, w)
+		}
+	}
+	for _, tol := range []float64{0, 0.1} {
+		want := bitset.New(ref.numPaths)
+		for p := 0; p < ref.numPaths; p++ {
+			if ref.congestedFraction(p) <= tol {
+				want.Add(p)
+			}
+		}
+		if g := got.AlwaysGoodPaths(tol); !g.Equal(want) {
+			return fmt.Errorf("AlwaysGoodPaths(%v) = %s, want %s", tol, g, want)
+		}
+	}
+	return nil
+}
+
+// The copy-on-write tests run on a 70-interval ring — two ring words,
+// neither a word multiple nor a power of two, so slots, words and laps
+// all disagree — over 37 paths.
+const freezePaths, freezeCap = 37, 70
+
+func randomInterval(rng *rand.Rand, numPaths int) *bitset.Set {
+	s := bitset.New(numPaths + 2)
+	for p := 0; p < numPaths+2; p++ { // includes out-of-universe indices
+		if rng.Intn(6) == 0 {
+			s.Add(p)
+		}
+	}
+	return s
+}
+
+// Random interleavings of Add, Clone, Add-on-a-clone and ResetSeq over
+// several laps of a small ring: after every step, every retained store
+// — the original, clones, clones of clones, written or not — must still
+// answer exactly like its own deep-copied reference. A freeze that let
+// a write through to shared storage fails here on the other side.
+func testFreezeMatchesDeepCopy(t *testing.T, seed int64, newStore func(rng *rand.Rand) Store) {
+	const numPaths, capacity, steps, maxRetained = freezePaths, freezeCap, 12 * freezeCap, 7
+	rng := rand.New(rand.NewSource(seed))
+	type pair struct {
+		got Store
+		ref *refWindow
+	}
+	fresh := func() pair {
+		return pair{newStore(rng), &refWindow{numPaths: numPaths, capacity: capacity}}
+	}
+	pairs := []pair{fresh()}
+	for step := 0; step < steps; step++ {
+		i := rng.Intn(len(pairs))
+		switch op := rng.Intn(10); {
+		case op < 6: // the first pair is the long-lived window: it must lap
+			if op < 4 {
+				i = 0
+			}
+			obs := randomInterval(rng, numPaths)
+			pairs[i].got.Add(obs)
+			pairs[i].ref.add(obs)
+		case op < 9:
+			pairs = append(pairs, pair{pairs[i].got.CloneStore(), pairs[i].ref.clone()})
+		default:
+			// ResetSeq is only legal on an empty store: rebase a fresh one
+			// (after freezing it, so the rebase must not leak back either).
+			p := fresh()
+			pairs = append(pairs, pair{p.got.CloneStore(), p.ref.clone()})
+			seq := uint64(rng.Intn(5 * capacity))
+			p.got.ResetSeq(seq)
+			p.ref.seq = seq
+			pairs = append(pairs, p)
+		}
+		for len(pairs) > maxRetained {
+			drop := 1 + rng.Intn(len(pairs)-1)
+			pairs = append(pairs[:drop], pairs[drop+1:]...)
+		}
+		for k, p := range pairs {
+			if err := checkAgainstRef(rng, p.got, p.ref); err != nil {
+				t.Fatalf("seed %d step %d store %d/%d: %v", seed, step, k, len(pairs), err)
+			}
+		}
+	}
+	if laps := pairs[0].ref.seq / capacity; laps < 3 {
+		t.Fatalf("long-lived window made only %d laps of the ring", laps)
+	}
+}
+
+func TestWindowFreezeMatchesDeepCopy(t *testing.T) {
+	for seed := int64(1); seed <= 4; seed++ {
+		testFreezeMatchesDeepCopy(t, seed, func(*rand.Rand) Store { return NewWindow(freezePaths, freezeCap) })
+	}
+}
+
+func TestShardedFreezeMatchesDeepCopy(t *testing.T) {
+	for seed := int64(1); seed <= 4; seed++ {
+		testFreezeMatchesDeepCopy(t, seed, func(rng *rand.Rand) Store {
+			return NewSharded(freezePaths, freezeCap, randomShardMap(rng, freezePaths, 3), 3)
+		})
+	}
+}
+
+// Readers hammer a growing chain of frozen clones while the live store
+// keeps ingesting and freezing (run under -race in CI): a frozen clone
+// shares its rows and masks with the live store, so any in-place write
+// the freeze failed to divert is a data race here and a wrong answer
+// against the clone's reference.
+func testFrozenChainUnderIngest(t *testing.T, live Store) {
+	const numPaths, capacity, freezes, readers = freezePaths, freezeCap, 120, 4
+	type frozen struct {
+		got Store
+		ref *refWindow
+	}
+	feeds := make([]chan frozen, readers)
+	var wg sync.WaitGroup
+	for g := range feeds {
+		feeds[g] = make(chan frozen)
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(100 + g)))
+			var chain []frozen
+			for f := range feeds[g] {
+				chain = append(chain, f)
+				if len(chain) > 8 {
+					chain = chain[1:]
+				}
+				for _, c := range chain {
+					if err := checkAgainstRef(rng, c.got, c.ref); err != nil {
+						t.Errorf("reader %d: frozen clone at seq %d changed: %v", g, c.ref.seq, err)
+						return
+					}
+				}
+			}
+		}(g)
+	}
+	rng := rand.New(rand.NewSource(7))
+	ref := &refWindow{numPaths: numPaths, capacity: capacity}
+	for f := 0; f < freezes; f++ {
+		for k := rng.Intn(4); k >= 0; k-- {
+			obs := randomInterval(rng, numPaths)
+			live.Add(obs)
+			ref.add(obs)
+		}
+		// One freeze per reader: freezes of one store are serialized (the
+		// documented rule), reads of the results are not.
+		for g := range feeds {
+			select {
+			case feeds[g] <- frozen{live.CloneStore(), ref.clone()}:
+			default: // reader still busy with its chain: keep ingesting
+			}
+		}
+	}
+	for g := range feeds {
+		close(feeds[g])
+	}
+	wg.Wait()
+	if err := checkAgainstRef(rng, live, ref); err != nil {
+		t.Fatalf("live store diverged: %v", err)
+	}
+}
+
+func TestWindowFrozenChainUnderIngest(t *testing.T) {
+	testFrozenChainUnderIngest(t, NewWindow(freezePaths, freezeCap))
+}
+
+func TestShardedFrozenChainUnderIngest(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	testFrozenChainUnderIngest(t, NewSharded(freezePaths, freezeCap, randomShardMap(rng, freezePaths, 3), 3))
+}
+
+// A freeze writes the ring it freezes, and the two kinds of freeze hold
+// different locks: Clone the ingest lock, CloneShard one ring lock. With
+// nothing else synchronizing them (no ingest in flight, each goroutine
+// doing only its own kind) they must still exclude each other on the
+// ring — under -race this fails if Clone stops taking the ring locks.
+func TestShardedCloneExcludesCloneShard(t *testing.T) {
+	const numPaths, capacity, shards = freezePaths, freezeCap, 3
+	rng := rand.New(rand.NewSource(5))
+	sh := NewSharded(numPaths, capacity, randomShardMap(rng, numPaths, shards), shards)
+	ref := &refWindow{numPaths: numPaths, capacity: capacity}
+	for i := 0; i < capacity+9; i++ {
+		obs := randomInterval(rng, numPaths)
+		sh.Add(obs)
+		ref.add(obs)
+	}
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		rng := rand.New(rand.NewSource(6))
+		for i := 0; i < 200; i++ {
+			if err := checkAgainstRef(rng, sh.Clone(), ref); err != nil {
+				t.Errorf("whole-store freeze %d: %v", i, err)
+				return
+			}
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 200; i++ {
+			if ring := sh.CloneShard(i % shards); ring.Seq() != ref.seq || ring.T() != capacity {
+				t.Errorf("shard freeze %d: Seq/T = %d/%d, want %d/%d", i, ring.Seq(), ring.T(), ref.seq, capacity)
+				return
+			}
+		}
+	}()
+	wg.Wait()
+}

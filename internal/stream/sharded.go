@@ -34,8 +34,9 @@ type Store interface {
 	Seq() uint64
 	// Cap returns the window capacity in intervals.
 	Cap() int
-	// CloneStore returns an independent deep copy (a frozen snapshot
-	// safe for concurrent readers).
+	// CloneStore freezes the store: it returns an independent
+	// copy-on-write snapshot, safe for concurrent readers (see
+	// Window.Clone for what is shared and for the locking rule).
 	CloneStore() Store
 }
 
@@ -63,10 +64,13 @@ var (
 // of the batch under that shard's own ring lock, and CloneShard takes
 // only its shard's ring lock — so a shard solver cloning its ring
 // waits for at most its own shard's slice of an in-flight batch, never
-// for the whole multi-shard application. Whole-store reads (Clone,
-// Seq, T) coordinate on the ingest lock. The remaining query surface
-// (GoodCount, CongestedAt, …) stays caller-synchronized: the server
-// only issues those against frozen clones.
+// for the whole multi-shard application. A freeze writes the ring it
+// freezes (Window.Clone), so Clone — which holds the ingest lock for
+// batch atomicity — also takes each ring lock around that ring's
+// freeze; lock order is ingestMu → ringMu[s] everywhere. T coordinates
+// on the ingest lock, Seq on shard 0's ring lock. The remaining query
+// surface (GoodCount, CongestedAt, …) stays caller-synchronized: the
+// server only issues those against frozen clones.
 //
 // When the partition is unknown (a nil mapping or a single shard),
 // Sharded degrades to exactly one ring and delegates to it.
@@ -76,8 +80,9 @@ type Sharded struct {
 	shards   []*Window
 
 	// ingestMu serializes writers (and whole-store snapshots against
-	// them); ringMu[s] guards shard s's ring state. Writers take
-	// ingestMu then each ringMu in turn; readers take exactly one.
+	// them); ringMu[s] guards shard s's ring state, including the
+	// ownership marks a freeze drops. Writers and Clone take ingestMu
+	// then each ringMu in turn; CloneShard and Seq take exactly one.
 	ingestMu sync.Mutex
 	ringMu   []sync.Mutex
 
@@ -154,9 +159,9 @@ func (sh *Sharded) ShardOf(p int) int {
 // must hold the shard's ring lock (use CloneShard for a frozen copy).
 func (sh *Sharded) Shard(s int) *Window { return sh.shards[s] }
 
-// CloneShard returns a frozen deep copy of shard s's ring, taking only
-// that shard's ring lock: a shard solver snapshotting its input waits
-// for at most its own shard's slice of an in-flight ingest batch.
+// CloneShard freezes shard s's ring (Window.Clone), taking only that
+// shard's ring lock: a shard solver snapshotting its input waits for at
+// most its own shard's slice of an in-flight ingest batch.
 func (sh *Sharded) CloneShard(s int) *Window {
 	sh.ringMu[s].Lock()
 	defer sh.ringMu[s].Unlock()
@@ -365,8 +370,10 @@ func (sh *Sharded) AlwaysGoodPaths(tol float64) *bitset.Set {
 	return out
 }
 
-// Clone returns an independent deep copy of every ring, taken under
-// the ingest lock so the copy observes a batch-atomic lockstep state.
+// Clone freezes every ring (Window.Clone) under the ingest lock, so the
+// copy observes a batch-atomic lockstep state. Each ring is frozen
+// under its own ring lock as well: a freeze writes its source, and
+// CloneShard holds only the ring lock.
 func (sh *Sharded) Clone() *Sharded {
 	sh.ingestMu.Lock()
 	defer sh.ingestMu.Unlock()
@@ -379,7 +386,9 @@ func (sh *Sharded) Clone() *Sharded {
 		routing:  make([]*bitset.Set, len(sh.shards)),
 	}
 	for i, w := range sh.shards {
+		sh.ringMu[i].Lock()
 		c.shards[i] = w.Clone()
+		sh.ringMu[i].Unlock()
 		c.routing[i] = bitset.New(sh.numPaths)
 	}
 	return c

@@ -25,6 +25,16 @@
 // and safe for concurrent readers; Add must be serialized against them
 // by the caller (the server does so with a mutex, publishing frozen
 // Clones for query traffic).
+//
+// Clone is a copy-on-write freeze, not a deep copy: the clone gets its
+// own row-pointer table, mask headers and congestion counters
+// (O(paths + capacity) words) and shares every row bitset and every
+// per-path mask with its source. Each window tracks which rows and
+// masks it has written since it was last frozen; the first write to
+// anything else replaces that one row or copies that one mask, so
+// shared storage is never written by either side. A clone that is never
+// added to — every snapshot the server publishes — is therefore
+// immutable for good, whatever its source goes on to ingest.
 package stream
 
 import (
@@ -56,6 +66,14 @@ type Window struct {
 	// so a never-congested path costs nothing.
 	cong [][]uint64
 
+	// ownRow (over ring slots) and ownCong (over paths) mark the rows
+	// and masks this window has written since it was last frozen: only
+	// those are private and may be written in place. Everything else
+	// may be shared with a clone (or the clone's source) and is replaced
+	// or copied on first write. Clone clears the source's marks and
+	// hands the clone empty ones.
+	ownRow, ownCong []uint64
+
 	count int    // live intervals, ≤ capacity
 	seq   uint64 // total intervals ever added
 
@@ -85,6 +103,8 @@ func NewWindow(numPaths, capacity int) *Window {
 		rows:      make([]*bitset.Set, capacity),
 		congCount: make([]int, numPaths),
 		cong:      make([][]uint64, numPaths),
+		ownRow:    make([]uint64, (capacity+wordBits-1)/wordBits),
+		ownCong:   make([]uint64, (numPaths+wordBits-1)/wordBits),
 	}
 }
 
@@ -98,15 +118,21 @@ func (w *Window) slotOf(s uint64) int { return int(s % uint64(w.ringBits())) }
 // Add appends one interval's congested-path set, evicting the oldest
 // interval when the window is full. Indices outside the path universe
 // are dropped, matching observe.Recorder. The set is copied; steady
-// state (after the first lap of the ring) allocates nothing.
+// state (after the first lap of the ring, with no Clone in between)
+// allocates nothing, and the first Add after a Clone allocates one row
+// plus one mask per path it touches.
 func (w *Window) Add(congested *bitset.Set) {
 	if w.count == w.capacity {
 		w.evict()
 	}
-	row := w.rows[w.seq%uint64(w.capacity)]
-	if row == nil {
+	ri := int(w.seq % uint64(w.capacity))
+	row := w.rows[ri]
+	if rw, rb := ri/wordBits, uint64(1)<<uint(ri%wordBits); w.ownRow[rw]&rb == 0 {
+		// Empty slot, or a row a snapshot may still read: it is being
+		// overwritten anyway, so replace it rather than copy it.
 		row = bitset.New(w.numPaths)
-		w.rows[w.seq%uint64(w.capacity)] = row
+		w.rows[ri] = row
+		w.ownRow[rw] |= rb
 	} else {
 		row.Clear()
 	}
@@ -118,16 +144,28 @@ func (w *Window) Add(congested *bitset.Set) {
 		}
 		row.Add(p)
 		w.congCount[p]++
-		m := w.cong[p]
-		for len(m) <= wi {
-			m = append(m, 0)
-		}
-		m[wi] |= bit
-		w.cong[p] = m
+		w.ownedMask(p, wi)[wi] |= bit
 		return true
 	})
 	w.count++
 	w.seq++
+}
+
+// ownedMask returns path p's mask, private to this window and at least
+// wi+1 words long: a mask not written since the last freeze is copied
+// first — at full ring capacity, so extending it afterwards is a
+// re-slice over zeroed spare words, never a reallocation.
+func (w *Window) ownedMask(p, wi int) []uint64 {
+	m := w.cong[p]
+	if pw, pb := p/wordBits, uint64(1)<<uint(p%wordBits); w.ownCong[pw]&pb == 0 {
+		m = append(make([]uint64, 0, w.ringWords), m...)
+		w.ownCong[pw] |= pb
+	}
+	if len(m) <= wi {
+		m = m[:wi+1]
+	}
+	w.cong[p] = m
+	return m
 }
 
 // evict removes the oldest interval: its bit is cleared in the mask of
@@ -139,7 +177,7 @@ func (w *Window) evict() {
 	wi, bit := slot/wordBits, uint64(1)<<uint(slot%wordBits)
 	w.rows[s%uint64(w.capacity)].ForEach(func(p int) bool {
 		w.congCount[p]--
-		w.cong[p][wi] &^= bit
+		w.ownedMask(p, wi)[wi] &^= bit
 		return true
 	})
 	w.count--
@@ -322,30 +360,39 @@ func setBitRange(sc []uint64, lo, hi int) {
 	sc[hw] |= hiMask
 }
 
-// Clone returns an independent deep copy of the window. The server's
-// solver loop clones the live window under the ingest lock and computes
-// over the frozen copy, so queries and ingest never contend with the
-// solver.
+// Clone freezes the window: it returns an independent copy, safe for
+// any number of concurrent readers, that may itself be added to. The
+// copy is structural — the row-pointer table, the mask headers and the
+// congestion counters are copied (O(paths + capacity) words, a fixed
+// handful of allocations), every row and mask is shared — and both
+// sides copy on their first write to anything shared (see the package
+// comment), so neither ever observes the other's later Adds.
+//
+// Clone writes its source (it drops the source's ownership marks), so
+// callers must exclude Add and other Clones of the same window for its
+// duration; readers of either side need no exclusion. The server's
+// solver loop freezes the live window under the ingest lock and
+// computes over the frozen copy, so queries and ingest never contend
+// with the solver.
 func (w *Window) Clone() *Window {
-	c := &Window{
+	// Zeroed by loops, not clear(): the race detector cannot see clear's
+	// memclr, and these writes are why a freeze must exclude its peers.
+	for i := range w.ownRow {
+		w.ownRow[i] = 0
+	}
+	for i := range w.ownCong {
+		w.ownCong[i] = 0
+	}
+	return &Window{
 		numPaths:  w.numPaths,
 		capacity:  w.capacity,
 		ringWords: w.ringWords,
-		rows:      make([]*bitset.Set, len(w.rows)),
+		rows:      append([]*bitset.Set(nil), w.rows...),
 		congCount: append([]int(nil), w.congCount...),
-		cong:      make([][]uint64, len(w.cong)),
+		cong:      append([][]uint64(nil), w.cong...),
+		ownRow:    make([]uint64, len(w.ownRow)),
+		ownCong:   make([]uint64, len(w.ownCong)),
 		count:     w.count,
 		seq:       w.seq,
 	}
-	for i, r := range w.rows {
-		if r != nil {
-			c.rows[i] = r.Clone()
-		}
-	}
-	for p, m := range w.cong {
-		if m != nil {
-			c.cong[p] = append([]uint64(nil), m...)
-		}
-	}
-	return c
 }
