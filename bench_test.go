@@ -787,33 +787,21 @@ func BenchmarkFrontierMoveRepair(b *testing.B) {
 
 // BenchmarkColdPlanBuild measures the full structural phase — subset
 // enumeration, seed rows, augmentation, identifiability reduction and
-// QR — from scratch at the Small-sparse scale: the serial build against
-// the gang-parallel build at GOMAXPROCS workers. The outputs are
-// bit-identical (the metamorphic concurrency suite in internal/core
-// pins the full plan across worker counts); only the wall clock and the
-// per-build allocation count differ.
+// QR — from scratch at the Small-sparse scale. The sub-benchmark keeps
+// the name its BENCH_baseline.json entry and the ALLOC_GATE were
+// recorded under.
 func BenchmarkColdPlanBuild(b *testing.B) {
 	top, cfg, base, _ := planRepairFixture(b)
 	ctx := context.Background()
-	for _, bc := range []struct {
-		name string
-		conc int
-	}{
-		{"serial", 1},
-		{"parallel", runtime.GOMAXPROCS(0)},
-	} {
-		b.Run(bc.name, func(b *testing.B) {
-			c := cfg
-			c.Concurrency = bc.conc
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, _, err := core.ComputePlanned(ctx, top, base, c, nil); err != nil {
-					b.Fatal(err)
-				}
+	b.Run("serial", func(b *testing.B) {
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, _, err := core.ComputePlanned(ctx, top, base, cfg, nil); err != nil {
+				b.Fatal(err)
 			}
-		})
-	}
+		}
+	})
 }
 
 // BenchmarkEpochSolveBatch measures draining a lag burst of K window

@@ -16,10 +16,6 @@
 //	-maxsubset K                Correlation-complete subset-size knob (default 2)
 //	-workers N                  parallel trial workers; output is bit-identical
 //	                            to serial (default 0 = all CPUs, 1 = serial)
-//	-concurrency N              solver workers inside each trial; output is
-//	                            bit-identical to serial (default 0: all CPUs
-//	                            when trials are serial, else serial; 1 = serial,
-//	                            -1 = all CPUs)
 package main
 
 import (
@@ -37,7 +33,6 @@ func main() {
 	tol := flag.Float64("tol", 0.02, "always-good congested-fraction tolerance")
 	maxSubset := flag.Int("maxsubset", 2, "Correlation-complete max subset size (the paper's resource knob)")
 	workers := flag.Int("workers", 0, "parallel trial workers (0/-1 = all CPUs, 1 = serial); output is bit-identical to serial")
-	concurrency := flag.Int("concurrency", 0, "solver workers inside each trial (0 = auto, 1 = serial, -1 = all CPUs); output is bit-identical to serial")
 	flag.Usage = usage
 	flag.Parse()
 	if flag.NArg() != 1 {
@@ -63,7 +58,6 @@ func main() {
 		AlwaysGoodTol: *tol,
 		MaxSubsetSize: *maxSubset,
 		Workers:       *workers,
-		Concurrency:   *concurrency,
 	}
 
 	artifact := flag.Arg(0)

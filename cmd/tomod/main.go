@@ -68,17 +68,10 @@
 // the last merged snapshot; a restarted worker replays its per-shard
 // WALs and the coordinator streams it the missed suffix before ingest
 // resumes. /v1/status carries the per-worker placement and health.
-//
-// Load-generator mode drives simulated netsim intervals at a running
-// daemon (the topology must be the same file/generation):
-//
-//	tomod -loadgen -topology topo.json -target http://localhost:9900 \
-//	      -intervals 10000 -batch 100 -scenario random
 package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"log/slog"
@@ -94,59 +87,78 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/estimator"
 	"repro/internal/experiment"
-	"repro/internal/netsim"
 	"repro/internal/server"
 	"repro/internal/telemetry"
 	"repro/internal/topology"
 	"repro/internal/wal"
 )
 
+// options is the daemon's whole flag surface; TestFlagSurface pins the
+// names and defaults.
+type options struct {
+	topoPath, gen, scaleName string
+	genSeed                  int64
+
+	listen, role, peers, workerID string
+	window                        int
+	recompute                     time.Duration
+	algo                          string
+	maxSubset                     int
+	tol                           float64
+	numRepair                     bool
+	epochEvery                    int
+
+	walDir, walFsync string
+	walEvery         time.Duration
+	walSegBytes      int64
+
+	timeouts httpTimeouts
+
+	logFormat, logLevel string
+	pprofOn             bool
+	debugAddr           string
+}
+
+// register declares every flag on fs, bound to o.
+func (o *options) register(fs *flag.FlagSet) {
+	fs.StringVar(&o.topoPath, "topology", "", "topology JSON file (cmd/topogen format)")
+	fs.StringVar(&o.gen, "gen", "", "generate a topology instead: brite or sparse")
+	fs.StringVar(&o.scaleName, "scale", "small", "generated-topology scale: small, medium, or paper")
+	fs.Int64Var(&o.genSeed, "genseed", 1, "generated-topology seed")
+
+	fs.StringVar(&o.listen, "listen", ":9900", "HTTP listen address")
+	fs.StringVar(&o.role, "role", "standalone", "process role: standalone, coordinator, or worker")
+	fs.StringVar(&o.peers, "peers", "", "coordinator: comma-separated worker base URLs; shard k lives on peer k mod N")
+	fs.StringVar(&o.workerID, "worker-id", "", "worker: placement identity to enforce (empty = adopt the coordinator's)")
+	fs.IntVar(&o.window, "window", 1000, "sliding-window capacity in intervals")
+	fs.DurationVar(&o.recompute, "recompute", 2*time.Second, "solver recompute cadence")
+	fs.StringVar(&o.algo, "algo", estimator.CorrelationComplete, "epoch estimator (see /v1/estimators)")
+	fs.IntVar(&o.maxSubset, "maxsubset", 2, "Correlation-complete max subset size")
+	fs.Float64Var(&o.tol, "tol", 0.02, "always-good congested-fraction tolerance")
+	fs.BoolVar(&o.numRepair, "numerical-plan-repair", false, "enable tier-2 numerical plan repair across good-link frontier moves (numerically, not bitwise, equivalent to a rebuild)")
+	fs.IntVar(&o.epochEvery, "epoch-every", 0, "also publish one epoch per N ingested intervals (0 = time-based only)")
+
+	fs.StringVar(&o.walDir, "wal-dir", "", "write-ahead log directory for durable ingest (empty = no durability)")
+	fs.StringVar(&o.walFsync, "wal-fsync", "interval", "WAL fsync policy: batch, interval, or off")
+	fs.DurationVar(&o.walEvery, "wal-fsync-every", 100*time.Millisecond, "background fsync cadence with -wal-fsync=interval")
+	fs.Int64Var(&o.walSegBytes, "wal-segment-bytes", 8<<20, "WAL segment rotation size")
+
+	fs.DurationVar(&o.timeouts.readHeader, "read-header-timeout", 5*time.Second, "http.Server ReadHeaderTimeout (slowloris guard)")
+	fs.DurationVar(&o.timeouts.read, "read-timeout", time.Minute, "http.Server ReadTimeout (whole request, incl. body)")
+	fs.DurationVar(&o.timeouts.idle, "idle-timeout", 2*time.Minute, "http.Server IdleTimeout for keep-alive connections")
+
+	fs.StringVar(&o.logFormat, "log-format", "text", "log output format: text or json")
+	fs.StringVar(&o.logLevel, "log-level", "info", "minimum log level: debug, info, warn, or error")
+	fs.BoolVar(&o.pprofOn, "pprof", false, "mount net/http/pprof under /debug/pprof/ on the main listener")
+	fs.StringVar(&o.debugAddr, "debug-addr", "", "separate listen address for pprof and /metrics (implies profiling regardless of -pprof)")
+}
+
 func main() {
-	var (
-		topoPath  = flag.String("topology", "", "topology JSON file (cmd/topogen format)")
-		gen       = flag.String("gen", "", "generate a topology instead: brite or sparse")
-		scaleName = flag.String("scale", "small", "generated-topology scale: small, medium, or paper")
-		genSeed   = flag.Int64("genseed", 1, "generated-topology seed")
-
-		listen      = flag.String("listen", ":9900", "serve: HTTP listen address")
-		role        = flag.String("role", "standalone", "serve: process role: standalone, coordinator, or worker")
-		peers       = flag.String("peers", "", "coordinator: comma-separated worker base URLs; shard k lives on peer k mod N")
-		workerID    = flag.String("worker-id", "", "worker: placement identity to enforce (empty = adopt the coordinator's)")
-		window      = flag.Int("window", 1000, "serve: sliding-window capacity in intervals")
-		recompute   = flag.Duration("recompute", 2*time.Second, "serve: solver recompute cadence")
-		algo        = flag.String("algo", estimator.CorrelationComplete, "serve: epoch estimator (see /v1/estimators)")
-		concurrency = flag.Int("concurrency", 0, "serve: solver workers per epoch (0/-1 = all CPUs, 1 = serial)")
-		maxSubset   = flag.Int("maxsubset", 2, "serve: Correlation-complete max subset size")
-		tol         = flag.Float64("tol", 0.02, "serve: always-good congested-fraction tolerance")
-		numRepair   = flag.Bool("numerical-plan-repair", false, "serve: enable tier-2 numerical plan repair across good-link frontier moves (numerically, not bitwise, equivalent to a rebuild)")
-		epochEvery  = flag.Int("epoch-every", 0, "serve: also publish one epoch per N ingested intervals (0 = time-based only)")
-
-		walDir      = flag.String("wal-dir", "", "serve: write-ahead log directory for durable ingest (empty = no durability)")
-		walFsync    = flag.String("wal-fsync", "interval", "serve: WAL fsync policy: batch, interval, or off")
-		walEvery    = flag.Duration("wal-fsync-every", 100*time.Millisecond, "serve: background fsync cadence with -wal-fsync=interval")
-		walSegBytes = flag.Int64("wal-segment-bytes", 8<<20, "serve: WAL segment rotation size")
-
-		readHeaderTimeout = flag.Duration("read-header-timeout", 5*time.Second, "serve: http.Server ReadHeaderTimeout (slowloris guard)")
-		readTimeout       = flag.Duration("read-timeout", time.Minute, "serve: http.Server ReadTimeout (whole request, incl. body)")
-		idleTimeout       = flag.Duration("idle-timeout", 2*time.Minute, "serve: http.Server IdleTimeout for keep-alive connections")
-
-		logFormat = flag.String("log-format", "text", "log output format: text or json")
-		logLevel  = flag.String("log-level", "info", "minimum log level: debug, info, warn, or error")
-		pprofOn   = flag.Bool("pprof", false, "serve: mount net/http/pprof under /debug/pprof/ on the main listener")
-		debugAddr = flag.String("debug-addr", "", "serve: separate listen address for pprof and /metrics (implies profiling regardless of -pprof)")
-
-		loadgen   = flag.Bool("loadgen", false, "run as load generator instead of serving")
-		target    = flag.String("target", "http://localhost:9900", "loadgen: base URL of the daemon")
-		intervals = flag.Int("intervals", 10000, "loadgen: intervals to simulate and send")
-		batch     = flag.Int("batch", 100, "loadgen: intervals per POST")
-		scenario  = flag.String("scenario", "random", "loadgen: congestion scenario: random, concentrated, or noindep")
-		packets   = flag.Int("packets", 1000, "loadgen: probe packets per path per interval")
-		perfect   = flag.Bool("perfect", false, "loadgen: perfect E2E monitoring (skip probe sampling)")
-		simSeed   = flag.Int64("seed", 1, "loadgen: simulation seed")
-	)
+	var o options
+	o.register(flag.CommandLine)
 	flag.Parse()
 
-	logger, err := buildLogger(os.Stderr, *logFormat, *logLevel)
+	logger, err := buildLogger(os.Stderr, o.logFormat, o.logLevel)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "tomod: %v\n", err)
 		os.Exit(1)
@@ -155,91 +167,67 @@ func main() {
 	// Config.Logger, but stray library logs should match too.
 	slog.SetDefault(logger)
 
-	top, err := loadTopology(*topoPath, *gen, *scaleName, *genSeed)
+	top, err := loadTopology(o.topoPath, o.gen, o.scaleName, o.genSeed)
 	if err != nil {
 		fatal(logger, err)
 	}
 	logger.Info("topology loaded",
 		"links", top.NumLinks(), "paths", top.NumPaths(), "corr_sets", len(top.CorrSets))
 
-	if *loadgen {
-		scen, err := parseScenario(*scenario)
-		if err != nil {
-			fatal(logger, err)
-		}
-		simCfg := netsim.DefaultConfig(scen)
-		simCfg.PacketsPerPath = *packets
-		simCfg.PerfectE2E = *perfect
-		if err := runLoadGen(logger, top, server.LoadConfig{
-			Target:    *target,
-			Intervals: *intervals,
-			BatchSize: *batch,
-			Seed:      *simSeed,
-			Sim:       simCfg,
-		}); err != nil {
-			fatal(logger, err)
-		}
-		return
-	}
-
-	switch *role {
+	switch o.role {
 	case "standalone", "coordinator", "worker":
 	default:
-		fatal(logger, fmt.Errorf("unknown -role %q (want standalone, coordinator, or worker)", *role))
+		fatal(logger, fmt.Errorf("unknown -role %q (want standalone, coordinator, or worker)", o.role))
 	}
 
-	if *role == "worker" {
+	listeners := serveOpts{
+		listen:    o.listen,
+		debugAddr: o.debugAddr,
+		pprof:     o.pprofOn,
+		timeouts:  o.timeouts,
+	}
+	if o.role == "worker" {
 		wk := cluster.NewWorker(cluster.WorkerConfig{
-			ID:       *workerID,
+			ID:       o.workerID,
 			Topology: top,
-			WALDir:   *walDir,
+			WALDir:   o.walDir,
 			Logger:   logger,
 		})
 		defer wk.Close()
 		logger.Info("starting worker",
-			"listen", *listen, "worker_id", *workerID, "wal_dir", *walDir)
-		if err := runHTTP(logger, wk.Handler(), serveOpts{
-			listen:    *listen,
-			debugAddr: *debugAddr,
-			pprof:     *pprofOn,
-			timeouts: httpTimeouts{
-				readHeader: *readHeaderTimeout,
-				read:       *readTimeout,
-				idle:       *idleTimeout,
-			},
-		}); err != nil {
+			"listen", o.listen, "worker_id", o.workerID, "wal_dir", o.walDir)
+		if err := runHTTP(logger, wk.Handler(), listeners); err != nil {
 			fatal(logger, err)
 		}
 		return
 	}
 
 	cfg := server.Config{
-		WindowSize:     *window,
-		RecomputeEvery: *recompute,
-		Algo:           *algo,
-		EpochEvery:     *epochEvery,
+		WindowSize:     o.window,
+		RecomputeEvery: o.recompute,
+		Algo:           o.algo,
+		EpochEvery:     o.epochEvery,
 		Logger:         logger,
 		SolverOpts: []estimator.Option{
-			estimator.WithMaxSubsetSize(*maxSubset),
-			estimator.WithAlwaysGoodTol(*tol),
-			estimator.WithConcurrency(*concurrency),
-			estimator.WithNumericalPlanRepair(*numRepair),
+			estimator.WithMaxSubsetSize(o.maxSubset),
+			estimator.WithAlwaysGoodTol(o.tol),
+			estimator.WithNumericalPlanRepair(o.numRepair),
 		},
 	}
-	if *walDir != "" {
-		policy, err := wal.ParseSyncPolicy(*walFsync)
+	if o.walDir != "" {
+		policy, err := wal.ParseSyncPolicy(o.walFsync)
 		if err != nil {
 			fatal(logger, err)
 		}
 		cfg.WAL = wal.Options{
-			Dir:          *walDir,
+			Dir:          o.walDir,
 			Policy:       policy,
-			SyncEvery:    *walEvery,
-			SegmentBytes: *walSegBytes,
+			SyncEvery:    o.walEvery,
+			SegmentBytes: o.walSegBytes,
 		}
 	}
-	if *role == "coordinator" {
-		specs, err := parsePeers(*peers)
+	if o.role == "coordinator" {
+		specs, err := parsePeers(o.peers)
 		if err != nil {
 			fatal(logger, err)
 		}
@@ -268,40 +256,29 @@ func main() {
 		}
 		cfg.Backend = coord
 	}
-	timeouts := httpTimeouts{
-		readHeader: *readHeaderTimeout,
-		read:       *readTimeout,
-		idle:       *idleTimeout,
-	}
 	// One startup line with the effective configuration, so a log scrape
 	// answers "what was this instance actually running with".
 	goVersion, revision := server.BuildInfo()
 	logger.Info("starting",
-		"listen", *listen,
-		"role", *role,
-		"peers", *peers,
-		"debug_addr", *debugAddr,
-		"pprof", *pprofOn || *debugAddr != "",
+		"listen", o.listen,
+		"role", o.role,
+		"peers", o.peers,
+		"debug_addr", o.debugAddr,
+		"pprof", o.pprofOn || o.debugAddr != "",
 		"algo", cfg.Algo,
 		"window", cfg.WindowSize,
 		"recompute", cfg.RecomputeEvery.String(),
 		"epoch_every", cfg.EpochEvery,
-		"max_subset", *maxSubset,
-		"tol", *tol,
-		"concurrency", *concurrency,
-		"wal_dir", *walDir,
-		"wal_fsync", *walFsync,
-		"log_format", *logFormat,
-		"log_level", *logLevel,
+		"max_subset", o.maxSubset,
+		"tol", o.tol,
+		"wal_dir", o.walDir,
+		"wal_fsync", o.walFsync,
+		"log_format", o.logFormat,
+		"log_level", o.logLevel,
 		"go_version", goVersion,
 		"revision", revision,
 	)
-	if err := serve(logger, top, cfg, serveOpts{
-		listen:    *listen,
-		debugAddr: *debugAddr,
-		pprof:     *pprofOn,
-		timeouts:  timeouts,
-	}); err != nil {
+	if err := serve(logger, top, cfg, listeners); err != nil {
 		fatal(logger, err)
 	}
 }
@@ -539,48 +516,4 @@ func logMetricTotals(logger *slog.Logger) {
 		args = append(args, name, totals[name])
 	}
 	logger.Info("metrics snapshot", args...)
-}
-
-// runLoadGen drives the simulator at the target and prints throughput
-// plus the daemon's final status.
-func runLoadGen(logger *slog.Logger, top *topology.Topology, cfg server.LoadConfig) error {
-	ctx, cancel := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer cancel()
-	logger.Info("driving load",
-		"intervals", cfg.Intervals, "target", cfg.Target, "batch", cfg.BatchSize)
-	stats, err := server.RunLoadGen(ctx, top, cfg)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("sent %d intervals in %d batches over %.2fs (%.0f intervals/s)\n",
-		stats.Intervals, stats.Batches, stats.Elapsed.Seconds(), stats.IntervalsPerSec())
-
-	resp, err := http.Get(strings.TrimSuffix(cfg.Target, "/") + "/v1/status")
-	if err != nil {
-		return fmt.Errorf("fetching final status: %w", err)
-	}
-	defer resp.Body.Close()
-	var env server.Envelope
-	if err := json.NewDecoder(resp.Body).Decode(&env); err != nil {
-		return fmt.Errorf("decoding final status: %w", err)
-	}
-	if env.Error != nil {
-		return fmt.Errorf("final status: %s: %s", env.Error.Code, env.Error.Message)
-	}
-	out, _ := json.MarshalIndent(json.RawMessage(env.Data), "", "  ")
-	fmt.Printf("server status: %s\n", out)
-	return nil
-}
-
-func parseScenario(name string) (netsim.Scenario, error) {
-	switch name {
-	case "random":
-		return netsim.RandomCongestion, nil
-	case "concentrated":
-		return netsim.ConcentratedCongestion, nil
-	case "noindep":
-		return netsim.NoIndependence, nil
-	default:
-		return 0, fmt.Errorf("unknown -scenario %q (want random, concentrated, or noindep)", name)
-	}
 }

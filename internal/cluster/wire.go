@@ -364,7 +364,6 @@ func settingsOptions(st estimator.Settings) []estimator.Option {
 		estimator.WithMaxSubsetSize(st.MaxSubsetSize),
 		estimator.WithAlwaysGoodTol(st.AlwaysGoodTol),
 		estimator.WithMaxEnumPathSets(st.MaxEnumPathSets),
-		estimator.WithConcurrency(st.Concurrency),
 		estimator.WithPairsPerLink(st.PairsPerLink),
 		estimator.WithGlobalPairs(st.GlobalPairs),
 		estimator.WithSweeps(st.Sweeps),

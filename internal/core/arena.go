@@ -1,21 +1,20 @@
 package core
 
 import (
-	"context"
-	"runtime/pprof"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/bitset"
 )
 
-// rowScratch is one worker's slab of reusable buffers for the
-// structural phase: everything a row decomposition, a seed-set
-// computation or a candidate evaluation needs that is not retained by
-// the plan. Each worker of the build gang owns exactly one rowScratch,
-// so the parallel phases run without synchronization or per-candidate
-// allocation; the serial phases use worker 0's.
-type rowScratch struct {
+// buildArena pools every scratch allocation of a cold plan build:
+// everything a row decomposition, a seed-set computation or a candidate
+// evaluation needs that is not retained by the plan. It is taken from a
+// process-wide pool per build and returned when the build completes, so
+// a steady-state rebuild allocates (almost) only the retained plan.
+// Nothing in a released arena may alias plan state.
+type buildArena struct {
+	numLinks, numPaths, numCorrSets int
+
 	links    *bitset.Set   // Links(P) accumulator (link universe)
 	perSet   []*bitset.Set // corrSet -> per-set subset scratch, stamped
 	mark     []int         // stamp marks for perSet first-encounter
@@ -26,159 +25,50 @@ type rowScratch struct {
 	keyBuf   []byte
 	pathBuf  *bitset.Set // candidate path set (path universe)
 	chosen   []int
-	colsSlab []int // per-chunk decomposition storage, offsets in colsRef
 	eligible []int
 	comboIdx []int
 	comp     *bitset.Set // seed-set complement Ē (link universe)
 	paths    *bitset.Set // Paths(Ē) accumulator (path universe)
-}
-
-// colsRef locates one precomputed row decomposition inside a worker's
-// colsSlab. ok is false when the decomposition referenced a subset
-// outside the frozen universe.
-type colsRef struct {
-	worker, lo, hi int
-	ok             bool
-}
-
-// candidate is one speculative augmentation candidate: the chosen path
-// IDs (a slice of the arena's chosenSlab), the precomputed row
-// decomposition, and the verdicts evaluated against round-start state.
-type candidate struct {
-	choLo, choHi int
-	ref          colsRef
-	used         bool // path set already selected at round start
-	inSpan       bool // row already in the row space at round start
-}
-
-// buildArena pools every scratch allocation of a cold plan build. It is
-// taken from a process-wide pool per build and returned when the build
-// completes, so a steady-state rebuild allocates (almost) only the
-// retained plan. Nothing in a released arena may alias plan state.
-type buildArena struct {
-	numLinks, numPaths, numCorrSets int
-
-	workers    []rowScratch
-	covered    *bitset.Set
-	one        *bitset.Set
-	entries    [][]subsetEntry // per-corrSet enumeration output
-	seedRefs   []colsRef
-	cands      []candidate
-	chosenSlab []int
-	pathsBuf   []int
-	iterIdx    []int
-	order      []int
-	weights    []int
-	rowBuf     []float64
-	usedKeys   map[string]bool
+	covered  *bitset.Set
+	one      *bitset.Set
+	pathsBuf []int
+	iterIdx  []int
+	order    []int
+	weights  []int
+	rowBuf   []float64
+	usedKeys map[string]bool
 }
 
 var arenaPool = sync.Pool{New: func() any { return &buildArena{usedKeys: map[string]bool{}} }}
 
-// prepare sizes the arena for a topology and worker count, reusing
-// buffers whenever the dimensions match the previous build.
-func (ar *buildArena) prepare(numLinks, numPaths, numCorrSets, workers int) {
-	if ar.numLinks != numLinks || ar.numPaths != numPaths || ar.numCorrSets != numCorrSets {
-		ar.numLinks, ar.numPaths, ar.numCorrSets = numLinks, numPaths, numCorrSets
-		ar.workers = nil
-		ar.covered = bitset.New(numLinks)
-		ar.one = bitset.New(numPaths)
-		ar.entries = make([][]subsetEntry, numCorrSets)
+// prepare sizes the arena for a topology, reusing buffers whenever the
+// dimensions match the previous build.
+func (ar *buildArena) prepare(numLinks, numPaths, numCorrSets int) {
+	if ar.numLinks == numLinks && ar.numPaths == numPaths && ar.numCorrSets == numCorrSets {
+		return
 	}
-	for len(ar.workers) < workers {
-		ar.workers = append(ar.workers, rowScratch{
-			links:   bitset.New(numLinks),
-			comp:    bitset.New(numLinks),
-			pathBuf: bitset.New(numPaths),
-			paths:   bitset.New(numPaths),
-			perSet:  make([]*bitset.Set, numCorrSets),
-			mark:    make([]int, numCorrSets),
-		})
-	}
+	ar.numLinks, ar.numPaths, ar.numCorrSets = numLinks, numPaths, numCorrSets
+	ar.links = bitset.New(numLinks)
+	ar.comp = bitset.New(numLinks)
+	ar.covered = bitset.New(numLinks)
+	ar.pathBuf = bitset.New(numPaths)
+	ar.paths = bitset.New(numPaths)
+	ar.one = bitset.New(numPaths)
+	ar.perSet = make([]*bitset.Set, numCorrSets)
+	ar.mark = make([]int, numCorrSets)
+	ar.stamp = 0
 }
 
-// release returns the arena to the pool, dropping references to
-// anything the just-built plan retains.
+// release returns the arena to the pool.
 func (ar *buildArena) release() {
-	for i := range ar.entries {
-		es := ar.entries[i]
-		for j := range es {
-			es[j] = subsetEntry{}
-		}
-		ar.entries[i] = es[:0]
-	}
 	clear(ar.usedKeys)
 	arenaPool.Put(ar)
 }
 
-// gang is a phase-scoped pool of build workers. Unlike parallel.For it
-// amortizes goroutine startup across the many small dispatches of the
-// augmentation loop: workers park between rounds and pull indices off a
-// shared atomic counter, so a dispatch costs two channel operations per
-// worker instead of a spawn. The owner participates as the last worker.
-// Dispatches establish happens-before via the kick/done channels, so
-// fn(w, i) may freely read state written by the owner between rounds as
-// long as it only writes state owned by index i or by worker w.
-type gang struct {
-	n      int // total workers, including the owner
-	kick   chan struct{}
-	done   chan struct{}
-	next   atomic.Int64
-	hi     int64
-	fn     func(w, i int)
-	labels context.Context // current stage labels, applied per round
-}
-
-func newGang(n int) *gang {
-	g := &gang{n: n, kick: make(chan struct{}, n-1), done: make(chan struct{}, n-1)}
-	for w := 0; w < n-1; w++ {
-		go func(w int) {
-			for range g.kick {
-				if g.labels != nil {
-					pprof.SetGoroutineLabels(g.labels)
-				}
-				g.loop(w)
-				g.done <- struct{}{}
-			}
-		}(w)
-	}
-	return g
-}
-
-func (g *gang) loop(w int) {
-	fn, hi := g.fn, g.hi
-	for {
-		i := g.next.Add(1) - 1
-		if i >= hi {
-			return
-		}
-		fn(w, int(i))
-	}
-}
-
-// run executes fn(w, i) for every i in [lo, hi) across the gang, with w
-// in [0, n) identifying the executing worker. It returns when all
-// indices have completed. Which worker runs which index is
-// scheduling-dependent; fn's observable output must depend only on i.
-func (g *gang) run(lo, hi int, fn func(w, i int)) {
-	g.fn = fn
-	g.hi = int64(hi)
-	g.next.Store(int64(lo))
-	for w := 0; w < g.n-1; w++ {
-		g.kick <- struct{}{}
-	}
-	g.loop(g.n - 1) // the owner works too
-	for w := 0; w < g.n-1; w++ {
-		<-g.done
-	}
-	g.fn = nil
-}
-
-func (g *gang) stop() { close(g.kick) }
-
-// comboIter streams the non-empty subsets of a path list in exactly the
-// order of enumerateSubsetsOfPaths — increasing size, lexicographic
-// combinations within a size — without allocating per candidate.
+// comboIter streams the non-empty subsets of a path list in increasing
+// size, lexicographic combinations within a size, without allocating
+// per candidate. (arena_test.go holds the closure form it replaced as
+// its executable specification.)
 type comboIter struct {
 	paths []int
 	size  int
@@ -224,8 +114,8 @@ func (it *comboIter) appendChosen(dst []int) []int {
 	return dst
 }
 
-// nextCombo advances idx to the next k-combination of {0..n-1} in the
-// order of enumCombos, reporting false after the last one.
+// nextCombo advances idx to the next k-combination of {0..n-1} in
+// lexicographic order, reporting false after the last one.
 func nextCombo(idx []int, n int) bool {
 	k := len(idx)
 	i := k - 1

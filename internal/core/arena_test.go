@@ -2,9 +2,48 @@ package core
 
 import (
 	"fmt"
-	"sync/atomic"
 	"testing"
 )
+
+// enumerateSubsetsOfPaths yields the non-empty subsets of the given
+// path IDs in increasing size (single paths first, then pairs, …).
+// fn returns false to stop. It is the closure form comboIter replaced,
+// kept as its executable specification.
+func enumerateSubsetsOfPaths(paths []int, fn func(chosen []int) bool) {
+	n := len(paths)
+	stop := false
+	for size := 1; size <= n && !stop; size++ {
+		enumCombos(n, size, func(idx []int) {
+			if stop {
+				return
+			}
+			chosen := make([]int, size)
+			for k, i := range idx {
+				chosen[k] = paths[i]
+			}
+			if !fn(chosen) {
+				stop = true
+			}
+		})
+	}
+}
+
+// enumCombos invokes fn with each k-combination of {0..n-1}.
+func enumCombos(n, k int, fn func(idx []int)) {
+	if k > n || k <= 0 {
+		return
+	}
+	idx := make([]int, k)
+	for i := range idx {
+		idx[i] = i
+	}
+	for {
+		fn(idx)
+		if !nextCombo(idx, n) {
+			return
+		}
+	}
+}
 
 // comboIter must stream candidates in exactly the order of
 // enumerateSubsetsOfPaths — the augmentation loop's selection depends
@@ -37,33 +76,5 @@ func TestComboIterMatchesEnumerateSubsetsOfPaths(t *testing.T) {
 				t.Fatalf("paths %v: subset %d = %v, want %v", paths, i, got[i], want[i])
 			}
 		}
-	}
-}
-
-// The gang must run every index exactly once per dispatch, with worker
-// ids inside [0, n), across repeated rounds on the same workers.
-func TestGangRunsEveryIndexOnce(t *testing.T) {
-	g := newGang(4)
-	defer g.stop()
-	for round := 0; round < 50; round++ {
-		hits := make([]atomic.Int32, 37)
-		g.run(0, len(hits), func(w, i int) {
-			if w < 0 || w >= 4 {
-				panic("worker id out of range")
-			}
-			hits[i].Add(1)
-		})
-		for i := range hits {
-			if n := hits[i].Load(); n != 1 {
-				t.Fatalf("round %d: index %d ran %d times", round, i, n)
-			}
-		}
-	}
-	// Empty and single-index dispatches must also terminate.
-	g.run(5, 5, func(w, i int) { t.Fatal("empty range dispatched") })
-	ran := false
-	g.run(3, 4, func(w, i int) { ran = i == 3 })
-	if !ran {
-		t.Fatal("single-index dispatch did not run")
 	}
 }

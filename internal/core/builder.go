@@ -7,21 +7,14 @@ import (
 	"repro/internal/bitset"
 	"repro/internal/linalg"
 	"repro/internal/observe"
-	"repro/internal/parallel"
 	"repro/internal/topology"
 )
 
-// builder carries the state of one Correlation-complete run.
-//
-// The structural phase is parallel-inside-one-shard: subset enumeration
-// and cover computation fan per correlation set, seed-set isolation and
-// seed-row decomposition fan per subset, and the augmentation loop
-// evaluates candidate path sets speculatively in chunks — all against
-// round-start state, with a serial merge/commit step preserving the
-// exact registration and selection order of the serial run. The result
-// is bit-identical at every Config.Concurrency; the metamorphic suite
-// in core_test.go pins the full plan (subset universe, path sets, rows,
-// QR) across worker counts.
+// builder carries the state of one Correlation-complete run. Every
+// phase registers, decomposes and commits in place, in one fixed order:
+// the index a subset receives and the order path sets are selected in
+// feed the augmentation loop's tie-breaking, so they decide the plan
+// (TestPlanFingerprintGolden pins both).
 type builder struct {
 	top *topology.Topology
 	rec observe.Store
@@ -53,16 +46,10 @@ type builder struct {
 
 	nullspace *linalg.Matrix
 
-	// Parallel build machinery: the resolved worker count, the pooled
-	// scratch arena (per-worker slabs plus owner buffers) and the
-	// lazily started worker gang. close() releases both; only buildPlan
-	// calls it — builders driven phase-by-phase in tests simply don't
-	// recycle.
-	workers int
-	arena   *buildArena
-	gang    *gang
-	stage   context.Context
-	closed  bool
+	// arena is the pooled scratch of this build. close() returns it;
+	// only buildPlan calls that — builders driven phase-by-phase in
+	// tests simply don't recycle.
+	arena *buildArena
 }
 
 type subsetEntry struct {
@@ -74,14 +61,13 @@ type subsetEntry struct {
 
 func newBuilder(top *topology.Topology, rec observe.Store, cfg Config) *builder {
 	b := &builder{
-		top:     top,
-		rec:     rec,
-		cfg:     cfg,
-		index:   map[string]int{},
-		workers: parallel.Resolve(cfg.Concurrency),
+		top:   top,
+		rec:   rec,
+		cfg:   cfg,
+		index: map[string]int{},
 	}
 	b.arena = arenaPool.Get().(*buildArena)
-	b.arena.prepare(top.NumLinks(), top.NumPaths(), len(top.CorrSets), b.workers)
+	b.arena.prepare(top.NumLinks(), top.NumPaths(), len(top.CorrSets))
 	b.usedKeys = b.arena.usedKeys
 	b.alwaysGoodPaths = rec.AlwaysGoodPaths(cfg.AlwaysGoodTol)
 	if cfg.RestrictCorrSets == nil {
@@ -113,57 +99,31 @@ func newBuilder(top *topology.Topology, rec observe.Store, cfg Config) *builder 
 	return b
 }
 
-// close stops the worker gang and returns the scratch arena to the
-// pool. Idempotent; nothing the built plan retains lives in either.
+// close returns the scratch arena to the pool. Idempotent; nothing the
+// built plan retains lives in it.
 func (b *builder) close() {
-	if b.closed {
+	if b.arena == nil {
 		return
-	}
-	b.closed = true
-	if b.gang != nil {
-		b.gang.stop()
-		b.gang = nil
 	}
 	b.usedKeys = nil
 	b.arena.release()
 	b.arena = nil
 }
 
-// dispatch fans fn(w, i) over [lo, hi) with w identifying the executing
-// worker's scratch slab. Serial builders run a plain loop as worker 0;
-// parallel builders use the gang (started on first use), whose channel
-// handshake makes everything the owner wrote before dispatch visible to
-// fn and everything fn wrote visible after.
-func (b *builder) dispatch(lo, hi int, fn func(w, i int)) {
-	if hi <= lo {
-		return
-	}
-	if b.workers <= 1 {
-		for i := lo; i < hi; i++ {
-			fn(0, i)
-		}
-		return
-	}
-	if b.gang == nil {
-		b.gang = newGang(b.workers)
-		b.gang.labels = b.stage
-	}
-	b.gang.run(lo, hi, fn)
-}
-
 // lookupOrRegister resolves a correlation subset to its index in Ê,
 // registering it if new (and not frozen). The lookup goes through the
-// worker's key buffer so the common post-freeze case allocates nothing.
-func (b *builder) lookupOrRegister(sc *rowScratch, links *bitset.Set, corrSet int) (int, bool) {
-	sc.keyBuf = links.AppendKey(sc.keyBuf[:0])
-	if i, ok := b.index[string(sc.keyBuf)]; ok {
+// arena's key buffer so the common post-freeze case allocates nothing.
+func (b *builder) lookupOrRegister(links *bitset.Set, corrSet int) (int, bool) {
+	ar := b.arena
+	ar.keyBuf = links.AppendKey(ar.keyBuf[:0])
+	if i, ok := b.index[string(ar.keyBuf)]; ok {
 		return i, true
 	}
 	if b.frozen {
 		return -1, false
 	}
 	i := len(b.subsets)
-	b.index[string(sc.keyBuf)] = i
+	b.index[string(ar.keyBuf)] = i
 	b.subsets = append(b.subsets, subsetEntry{
 		links:   links.Clone(),
 		corrSet: corrSet,
@@ -180,141 +140,116 @@ func (b *builder) lookupOrRegister(sc *rowScratch, links *bitset.Set, corrSet in
 // fresh subset receives feeds the augmentation loop's tie-breaking, so
 // it must be deterministic. ok is false when the system is frozen and
 // the equation references an unregistered subset. The returned slice
-// aliases sc.cols.
-func (b *builder) decompose(sc *rowScratch, links *bitset.Set) (cols []int, ok bool) {
-	sc.stamp++
-	sc.setOrder = sc.setOrder[:0]
-	sc.cols = sc.cols[:0]
+// aliases the arena's cols buffer.
+func (b *builder) decompose(links *bitset.Set) (cols []int, ok bool) {
+	ar := b.arena
+	ar.stamp++
+	ar.setOrder = ar.setOrder[:0]
+	ar.cols = ar.cols[:0]
 	links.ForEach(func(li int) bool {
 		if !b.potLinks.Contains(li) {
 			return true // always-good link: factor 1, drops out
 		}
 		c := b.top.CorrSetOf(li)
-		if sc.mark[c] != sc.stamp {
-			sc.mark[c] = sc.stamp
-			if sc.perSet[c] == nil {
-				sc.perSet[c] = bitset.New(b.top.NumLinks())
+		if ar.mark[c] != ar.stamp {
+			ar.mark[c] = ar.stamp
+			if ar.perSet[c] == nil {
+				ar.perSet[c] = bitset.New(b.top.NumLinks())
 			} else {
-				sc.perSet[c].Clear()
+				ar.perSet[c].Clear()
 			}
-			sc.setOrder = append(sc.setOrder, c)
+			ar.setOrder = append(ar.setOrder, c)
 		}
-		sc.perSet[c].Add(li)
+		ar.perSet[c].Add(li)
 		return true
 	})
-	for _, c := range sc.setOrder {
-		i, regOK := b.lookupOrRegister(sc, sc.perSet[c], c)
+	for _, c := range ar.setOrder {
+		i, regOK := b.lookupOrRegister(ar.perSet[c], c)
 		if !regOK {
 			return nil, false
 		}
-		sc.cols = append(sc.cols, i)
+		ar.cols = append(ar.cols, i)
 	}
-	sort.Ints(sc.cols)
-	return sc.cols, true
+	sort.Ints(ar.cols)
+	return ar.cols, true
 }
 
-// rowForSet decomposes the equation of path set P (as a bitset).
-func (b *builder) rowForSet(sc *rowScratch, pathSet *bitset.Set) ([]int, bool) {
-	sc.links.Clear()
+// rowFor decomposes the equation of path set P (as a bitset).
+func (b *builder) rowFor(pathSet *bitset.Set) ([]int, bool) {
+	links := b.arena.links
+	links.Clear()
 	pathSet.ForEach(func(pi int) bool {
-		sc.links.UnionWith(b.top.PathLinks(pi))
+		links.UnionWith(b.top.PathLinks(pi))
 		return true
 	})
-	return b.decompose(sc, sc.links)
+	return b.decompose(links)
 }
 
 // rowForPaths decomposes the equation of a path set given as explicit
-// path IDs, skipping the path-bitset detour of rowForSet.
-func (b *builder) rowForPaths(sc *rowScratch, chosen []int) ([]int, bool) {
-	sc.links.Clear()
+// path IDs, skipping the path-bitset detour of rowFor.
+func (b *builder) rowForPaths(chosen []int) ([]int, bool) {
+	links := b.arena.links
+	links.Clear()
 	for _, p := range chosen {
-		sc.links.UnionWith(b.top.PathLinks(p))
+		links.UnionWith(b.top.PathLinks(p))
 	}
-	return b.decompose(sc, sc.links)
-}
-
-// rowFor is the single-caller convenience over worker 0's scratch,
-// kept for the serial registration sweeps.
-func (b *builder) rowFor(pathSet *bitset.Set) (cols []int, ok bool) {
-	return b.rowForSet(&b.arena.workers[0], pathSet)
+	return b.decompose(links)
 }
 
 // enumerate builds the unknown universe Ê: all potentially congested
 // correlation subsets of size ≤ MaxSubsetSize over covered links
 // (Algorithm 1's input list), enriched with every subset appearing in a
 // seed or single-path equation so those rows stay expressible.
-//
-// The per-correlation-set enumeration — combo generation plus each
-// subset's Paths(E) cover, the dominant topology-query cost — fans
-// across the gang into per-set output lists; the serial merge then
-// registers them in correlation-set order, which is exactly the
-// first-encounter order of the serial loop (correlation sets partition
-// the links, so no subset can appear under two sets).
 func (b *builder) enumerate(ctx context.Context) error {
-	setStage(b, "enumerate")
-	covered := b.arena.covered
+	setStage("enumerate")
+	ar := b.arena
+	covered := ar.covered
 	covered.Clear()
 	for e := 0; e < b.top.NumLinks(); e++ {
 		if !b.top.LinkPaths(e).IsEmpty() {
 			covered.Add(e)
 		}
 	}
-	entries := b.arena.entries
-	b.dispatch(0, len(b.corrSets), func(w, k int) {
-		out := entries[k][:0]
-		defer func() { entries[k] = out }()
-		if ctx.Err() != nil {
-			return
+	// Correlation sets partition the links, so no subset can appear
+	// under two sets and every combination below registers a new entry.
+	for _, ci := range b.corrSets {
+		if err := ctx.Err(); err != nil {
+			return err
 		}
-		sc := &b.arena.workers[w]
-		ci := b.corrSets[k]
-		sc.eligible = sc.eligible[:0]
+		ar.eligible = ar.eligible[:0]
 		for _, li := range b.top.CorrSetLinks(ci) {
 			if b.potLinks.Contains(li) && covered.Contains(li) {
-				sc.eligible = append(sc.eligible, li)
+				ar.eligible = append(ar.eligible, li)
 			}
-		}
-		if len(sc.eligible) == 0 {
-			return
 		}
 		limit := b.cfg.MaxSubsetSize
-		if limit <= 0 || limit > len(sc.eligible) {
-			limit = len(sc.eligible)
+		if limit <= 0 || limit > len(ar.eligible) {
+			limit = len(ar.eligible)
 		}
 		for size := 1; size <= limit; size++ {
-			sc.comboIdx = sc.comboIdx[:0]
+			ar.comboIdx = ar.comboIdx[:0]
 			for j := 0; j < size; j++ {
-				sc.comboIdx = append(sc.comboIdx, j)
+				ar.comboIdx = append(ar.comboIdx, j)
 			}
 			for {
-				links := bitset.New(b.top.NumLinks())
-				for _, x := range sc.comboIdx {
-					links.Add(sc.eligible[x])
+				ar.links.Clear()
+				for _, x := range ar.comboIdx {
+					ar.links.Add(ar.eligible[x])
 				}
-				out = append(out, subsetEntry{links: links, corrSet: ci, cover: b.top.PathsOf(links)})
-				if !nextCombo(sc.comboIdx, len(sc.eligible)) {
+				b.lookupOrRegister(ar.links, ci)
+				if !nextCombo(ar.comboIdx, len(ar.eligible)) {
 					break
 				}
 			}
 		}
-	})
+	}
 	if err := ctx.Err(); err != nil {
 		return err
-	}
-	for k := range b.corrSets {
-		for _, e := range entries[k] {
-			key := e.links.Key()
-			if _, dup := b.index[key]; dup {
-				continue // unreachable: correlation sets partition the links
-			}
-			b.index[key] = len(b.subsets)
-			b.subsets = append(b.subsets, e)
-		}
 	}
 	// Register the subsets of the per-path equations so the
 	// augmentation loop can use single-path rows (cheap and low-noise).
 	if !b.cfg.DisableSinglePathRegistration {
-		one := b.arena.one
+		one := ar.one
 		for p := 0; p < b.top.NumPaths(); p++ {
 			if b.restrictPaths != nil && !b.restrictPaths.Contains(p) {
 				continue // another shard's path
@@ -333,30 +268,26 @@ func (b *builder) enumerate(ctx context.Context) error {
 	// which in turn need their own seed sets; iterate to a fixpoint
 	// (bounded: each round can only add subsets that appear in some
 	// equation).
-	// The per-subset seed-set computation only reads the immutable
-	// topology and potLinks and writes its own slot, so each round fans
-	// out across the gang; the serial rowFor sweep that follows keeps
-	// registration order — and thus the whole run — deterministic.
-	setStage(b, "seeds")
+	setStage("seeds")
 	for round, done := 0, 0; done < len(b.subsets) && round < 8; round++ {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
 		start := done
 		done = len(b.subsets)
-		b.dispatch(start, done, b.computeSeedSet)
 		for i := start; i < done; i++ {
-			if !b.subsets[i].seedSet.IsEmpty() {
-				b.rowFor(b.subsets[i].seedSet) // may register new subsets
+			b.computeSeedSet(i)
+			if seedSet := b.subsets[i].seedSet; !seedSet.IsEmpty() {
+				b.rowFor(seedSet) // may register new subsets
 			}
 		}
 	}
 	// Any subsets registered in the final round still need a seed set.
-	b.dispatch(0, len(b.subsets), func(w, i int) {
+	for i := range b.subsets {
 		if b.subsets[i].seedSet == nil {
-			b.computeSeedSet(w, i)
+			b.computeSeedSet(i)
 		}
-	})
+	}
 	b.frozen = true
 	return ctx.Err()
 }
@@ -365,29 +296,29 @@ func (b *builder) enumerate(ctx context.Context) error {
 // Paths(E) \ Paths(Ē), where Ē is the potentially congested complement
 // within E's correlation set. Scratch-backed: only the retained seedSet
 // itself is allocated.
-func (b *builder) computeSeedSet(w, i int) {
-	sc := &b.arena.workers[w]
+func (b *builder) computeSeedSet(i int) {
+	ar := b.arena
 	s := &b.subsets[i]
-	sc.comp.Clear()
+	ar.comp.Clear()
 	for _, li := range b.top.CorrSetLinks(s.corrSet) {
 		if b.potLinks.Contains(li) && !s.links.Contains(li) {
-			sc.comp.Add(li)
+			ar.comp.Add(li)
 		}
 	}
-	sc.paths.Clear()
-	sc.comp.ForEach(func(li int) bool {
-		sc.paths.UnionWith(b.top.LinkPaths(li))
+	ar.paths.Clear()
+	ar.comp.ForEach(func(li int) bool {
+		ar.paths.UnionWith(b.top.LinkPaths(li))
 		return true
 	})
-	s.seedSet = s.cover.Difference(sc.paths)
+	s.seedSet = s.cover.Difference(ar.paths)
 }
 
-// addPathSet appends a selected path set and its row. cols must be
-// owned by the caller (not scratch).
+// addPathSet selects a path set: it appends copies of p and of its row
+// (both may be scratch) and marks p used.
 func (b *builder) addPathSet(p *bitset.Set, cols []int) {
 	b.pathSets = append(b.pathSets, p.Clone())
 	b.usedKeys[p.Key()] = true
-	b.rows = append(b.rows, cols)
+	b.rows = append(b.rows, append([]int(nil), cols...))
 }
 
 // denseRow expands a column-index row into a dense vector over Ê. The
@@ -410,48 +341,25 @@ func (b *builder) denseRow(cols []int) []float64 {
 	return r
 }
 
-// seed performs Algorithm 1 lines 1–7: one path set per subset, then
-// the initial null space. The per-subset row decompositions are
-// precomputed across the gang — after the freeze they are pure reads —
-// and committed serially in subset order, identical to the serial loop.
+// seed performs Algorithm 1 lines 1–7: one path set per subset, in
+// subset order, then the initial null space.
 func (b *builder) seed(ctx context.Context) error {
-	setStage(b, "seeds")
+	setStage("seeds")
 	ar := b.arena
-	if cap(ar.seedRefs) < len(b.subsets) {
-		ar.seedRefs = make([]colsRef, len(b.subsets))
-	}
-	refs := ar.seedRefs[:len(b.subsets)]
-	for w := range ar.workers {
-		ar.workers[w].colsSlab = ar.workers[w].colsSlab[:0]
-	}
-	b.dispatch(0, len(b.subsets), func(w, i int) {
-		refs[i] = colsRef{}
-		s := &b.subsets[i]
-		if s.seedSet.IsEmpty() {
-			return
-		}
-		sc := &ar.workers[w]
-		cols, ok := b.rowForSet(sc, s.seedSet)
-		if !ok {
-			return
-		}
-		lo := len(sc.colsSlab)
-		sc.colsSlab = append(sc.colsSlab, cols...)
-		refs[i] = colsRef{worker: w, lo: lo, hi: len(sc.colsSlab), ok: true}
-	})
-	sc0 := &ar.workers[0]
 	for i := range b.subsets {
-		s := &b.subsets[i]
-		if s.seedSet.IsEmpty() {
+		seedSet := b.subsets[i].seedSet
+		if seedSet.IsEmpty() {
 			continue
 		}
-		sc0.keyBuf = s.seedSet.AppendKey(sc0.keyBuf[:0])
-		if b.usedKeys[string(sc0.keyBuf)] || !refs[i].ok {
+		ar.keyBuf = seedSet.AppendKey(ar.keyBuf[:0])
+		if b.usedKeys[string(ar.keyBuf)] {
 			continue
 		}
-		ws := &ar.workers[refs[i].worker]
-		cols := append([]int(nil), ws.colsSlab[refs[i].lo:refs[i].hi]...)
-		b.addPathSet(s.seedSet, cols)
+		cols, ok := b.rowFor(seedSet)
+		if !ok {
+			continue
+		}
+		b.addPathSet(seedSet, cols)
 	}
 	if err := ctx.Err(); err != nil {
 		return err
@@ -470,17 +378,8 @@ func (b *builder) seed(ctx context.Context) error {
 // whose row leaves the current row space, preferring subsets whose
 // null-space row has the largest Hamming weight, and update the null
 // space with Algorithm 2 after each addition.
-//
-// Candidate evaluation — the hot path of large solves — is
-// speculative: chunks of upcoming candidates are decomposed and
-// rank-checked in parallel against round-start state (the frozen
-// universe, the used-set, the current null space), then a serial scan
-// commits the first passing candidate in enumeration order. Until a
-// commit nothing the evaluation reads changes, and a commit ends the
-// round, so the candidate chosen — and with it pathSets, rows and the
-// eventual QR — is exactly the serial run's.
 func (b *builder) augment(ctx context.Context) error {
-	setStage(b, "augment")
+	setStage("augment")
 	ar := b.arena
 	maxEnum := b.cfg.MaxEnumPathSets
 	if maxEnum <= 0 {
@@ -519,9 +418,10 @@ func (b *builder) augment(ctx context.Context) error {
 
 // augmentSubset scans one subset's candidate path sets (subsets of its
 // isolation paths, in increasing size, capped at maxEnum) for the first
-// whose equation leaves the current row space, and commits it. Serial
-// builders stream candidates one at a time; parallel builders evaluate
-// them speculatively in growing chunks.
+// that is not yet selected, whose equation decomposes within the frozen
+// universe and whose row leaves the current row space, and commits it:
+// append the path set and its row, mark it used, and fold the equation
+// into the null space (Algorithm 2).
 func (b *builder) augmentSubset(ctx context.Context, s *subsetEntry, maxEnum int) (bool, error) {
 	ar := b.arena
 	ar.pathsBuf = s.seedSet.AppendIndices(ar.pathsBuf[:0])
@@ -529,145 +429,32 @@ func (b *builder) augmentSubset(ctx context.Context, s *subsetEntry, maxEnum int
 	it.reset(ar.pathsBuf, ar.iterIdx)
 	defer func() { ar.iterIdx = it.idx[:0] }()
 
-	if b.workers <= 1 {
-		sc := &ar.workers[0]
-		sc.colsSlab = sc.colsSlab[:0]
-		for budget := maxEnum; budget > 0 && it.next(); budget-- {
-			if err := ctx.Err(); err != nil {
-				return false, err
-			}
-			sc.chosen = it.appendChosen(sc.chosen[:0])
-			var c candidate
-			sc.colsSlab = sc.colsSlab[:0]
-			b.evalCandidate(sc, 0, &c, sc.chosen)
-			if c.used || !c.ref.ok || c.inSpan {
-				continue
-			}
-			b.commit(sc.chosen, &c)
-			return true, nil
-		}
-		return false, nil
-	}
-
-	// Speculative chunks: small first (an early hit wastes little),
-	// doubling while the subset keeps missing.
-	chunk := b.workers
-	for produced := 0; produced < maxEnum; {
+	for budget := maxEnum; budget > 0 && it.next(); budget-- {
 		if err := ctx.Err(); err != nil {
 			return false, err
 		}
-		ar.cands = ar.cands[:0]
-		ar.chosenSlab = ar.chosenSlab[:0]
-		for len(ar.cands) < chunk && produced < maxEnum && it.next() {
-			lo := len(ar.chosenSlab)
-			ar.chosenSlab = it.appendChosen(ar.chosenSlab)
-			ar.cands = append(ar.cands, candidate{choLo: lo, choHi: len(ar.chosenSlab)})
-			produced++
+		ar.chosen = it.appendChosen(ar.chosen[:0])
+		ar.pathBuf.Clear()
+		for _, p := range ar.chosen {
+			ar.pathBuf.Add(p)
 		}
-		if len(ar.cands) == 0 {
-			return false, nil
+		ar.keyBuf = ar.pathBuf.AppendKey(ar.keyBuf[:0])
+		if b.usedKeys[string(ar.keyBuf)] {
+			continue
 		}
-		for w := range ar.workers {
-			ar.workers[w].colsSlab = ar.workers[w].colsSlab[:0]
+		cols, ok := b.rowForPaths(ar.chosen)
+		if !ok {
+			continue
 		}
-		cands := ar.cands
-		b.dispatch(0, len(cands), func(w, i int) {
-			c := &cands[i]
-			b.evalCandidate(&ar.workers[w], w, c, ar.chosenSlab[c.choLo:c.choHi])
-		})
-		for i := range cands {
-			c := &cands[i]
-			if c.used || !c.ref.ok || c.inSpan {
-				continue
-			}
-			b.commit(ar.chosenSlab[c.choLo:c.choHi], c)
-			return true, nil
+		if len(ar.rn) < b.nullspace.Cols {
+			ar.rn = make([]float64, b.nullspace.Cols)
 		}
-		if chunk < 8*b.workers {
-			chunk *= 2
+		if linalg.InRowSpaceSparse(b.nullspace, cols, ar.rn) {
+			continue
 		}
+		b.addPathSet(ar.pathBuf, cols)
+		linalg.NullSpaceUpdateInPlace(b.nullspace, b.denseRow(cols))
+		return true, nil
 	}
 	return false, nil
-}
-
-// evalCandidate computes one candidate's verdicts against round-start
-// state: is its path set already selected, does its equation decompose
-// within the frozen universe, and does its row stay inside the current
-// row space. Pure reads on builder state; writes only worker scratch
-// and the candidate's own slot.
-func (b *builder) evalCandidate(sc *rowScratch, w int, c *candidate, chosen []int) {
-	sc.pathBuf.Clear()
-	for _, p := range chosen {
-		sc.pathBuf.Add(p)
-	}
-	sc.keyBuf = sc.pathBuf.AppendKey(sc.keyBuf[:0])
-	if b.usedKeys[string(sc.keyBuf)] {
-		c.used = true
-		return
-	}
-	cols, ok := b.rowForPaths(sc, chosen)
-	if !ok {
-		return
-	}
-	lo := len(sc.colsSlab)
-	sc.colsSlab = append(sc.colsSlab, cols...)
-	c.ref = colsRef{worker: w, lo: lo, hi: len(sc.colsSlab), ok: true}
-	if len(sc.rn) < b.nullspace.Cols {
-		sc.rn = make([]float64, b.nullspace.Cols)
-	}
-	c.inSpan = linalg.InRowSpaceSparse(b.nullspace, cols, sc.rn)
-}
-
-// commit selects a candidate: append its path set and row, mark it
-// used, and fold its equation into the null space (Algorithm 2). The
-// commit order is the serial enumeration order by construction.
-func (b *builder) commit(chosen []int, c *candidate) {
-	ws := &b.arena.workers[c.ref.worker]
-	cols := append([]int(nil), ws.colsSlab[c.ref.lo:c.ref.hi]...)
-	p := bitset.FromIndices(b.top.NumPaths(), chosen...)
-	b.pathSets = append(b.pathSets, p)
-	b.usedKeys[p.Key()] = true
-	b.rows = append(b.rows, cols)
-	linalg.NullSpaceUpdateInPlace(b.nullspace, b.denseRow(cols))
-}
-
-// enumerateSubsetsOfPaths yields the non-empty subsets of the given
-// path IDs in increasing size (single paths first, then pairs, …).
-// fn returns false to stop. comboIter streams the same order without
-// allocating; this closure form remains as its executable
-// specification (the equivalence is unit-tested).
-func enumerateSubsetsOfPaths(paths []int, fn func(chosen []int) bool) {
-	n := len(paths)
-	stop := false
-	for size := 1; size <= n && !stop; size++ {
-		enumCombos(n, size, func(idx []int) {
-			if stop {
-				return
-			}
-			chosen := make([]int, size)
-			for k, i := range idx {
-				chosen[k] = paths[i]
-			}
-			if !fn(chosen) {
-				stop = true
-			}
-		})
-	}
-}
-
-// enumCombos invokes fn with each k-combination of {0..n-1}.
-func enumCombos(n, k int, fn func(idx []int)) {
-	if k > n || k <= 0 {
-		return
-	}
-	idx := make([]int, k)
-	for i := range idx {
-		idx[i] = i
-	}
-	for {
-		fn(idx)
-		if !nextCombo(idx, n) {
-			return
-		}
-	}
 }

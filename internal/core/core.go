@@ -59,18 +59,15 @@ type Config struct {
 	// 0 means the default of 128.
 	MaxEnumPathSets int
 
-	// RegisterSinglePaths also registers the correlation subsets
-	// appearing in per-path equations, enriching the unknown universe
-	// that augmentation rows may reference. Default true (disable only
-	// in tests).
+	// DisableSinglePathRegistration skips registering the correlation
+	// subsets appearing in per-path equations, which by default enrich
+	// the unknown universe that augmentation rows may reference. Set
+	// only in tests.
 	DisableSinglePathRegistration bool
 
-	// Concurrency bounds the worker goroutines used for the per-subset
-	// coverage and isolation-path-set computation of the enumeration
-	// phase (the dominant topology-query cost on large instances). The
-	// result is bit-identical to the serial path: workers write only
-	// their own subset's slot. 0 (the default) and negative use
-	// GOMAXPROCS; 1 is the explicit serial opt-out.
+	// Concurrency does nothing.
+	//
+	// Deprecated: ignored; kept until bench/ stops naming it.
 	Concurrency int
 
 	// RestrictCorrSets restricts the solve to the listed correlation

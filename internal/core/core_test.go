@@ -338,42 +338,3 @@ func TestFallbackForUncoveredLink(t *testing.T) {
 		t.Fatalf("covered link: p=%v exact=%v", p, exact)
 	}
 }
-
-func TestComputeConcurrencyDeterministic(t *testing.T) {
-	// The Concurrency knob must not change a single bit of the result:
-	// workers only fill per-subset slots, and every ordering decision
-	// (registration, selection, solving) stays serial.
-	top, rec := simulateFig1Case1(t, 0.3, 0.4, 0.2, 800, 13)
-	// Concurrency 1 is the explicit serial opt-out: 0 now defaults to
-	// GOMAXPROCS, so the baseline must pin the true serial path.
-	serial, err := Compute(context.Background(), top, rec, Config{MaxSubsetSize: 2, Concurrency: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{0, 2, 4, -1} {
-		par, err := Compute(context.Background(), top, rec, Config{MaxSubsetSize: 2, Concurrency: workers})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(par.Subsets) != len(serial.Subsets) || par.Rank != serial.Rank || par.Nullity != serial.Nullity {
-			t.Fatalf("workers=%d: system shape diverged", workers)
-		}
-		for i := range serial.Subsets {
-			s, p := serial.Subsets[i], par.Subsets[i]
-			if !s.Links.Equal(p.Links) || s.Identifiable != p.Identifiable {
-				t.Fatalf("workers=%d: subset %d diverged", workers, i)
-			}
-			if s.Identifiable && s.GoodProb != p.GoodProb {
-				t.Fatalf("workers=%d: subset %d prob %v != %v", workers, i, p.GoodProb, s.GoodProb)
-			}
-		}
-		if len(par.PathSets) != len(serial.PathSets) {
-			t.Fatalf("workers=%d: selected %d path sets, serial %d", workers, len(par.PathSets), len(serial.PathSets))
-		}
-		for i := range serial.PathSets {
-			if !par.PathSets[i].Equal(serial.PathSets[i]) {
-				t.Fatalf("workers=%d: path set %d diverged", workers, i)
-			}
-		}
-	}
-}

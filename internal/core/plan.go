@@ -209,7 +209,7 @@ func buildPlan(ctx context.Context, top *topology.Topology, rec observe.Store, c
 	if err := b.augment(ctx); err != nil {
 		return nil, err
 	}
-	setStage(b, "qr")
+	setStage("qr")
 	return b.plan(ctx)
 }
 
@@ -398,14 +398,13 @@ func ComputePlannedBatch(ctx context.Context, top *topology.Topology, recs []obs
 	return results, infos, plan, nil
 }
 
-// configsEqual compares two solver configurations field by field
+// configsEqual compares every field that shapes a solve
 // (RestrictCorrSets element-wise).
 func configsEqual(a, b Config) bool {
 	if a.MaxSubsetSize != b.MaxSubsetSize ||
 		a.AlwaysGoodTol != b.AlwaysGoodTol ||
 		a.MaxEnumPathSets != b.MaxEnumPathSets ||
 		a.DisableSinglePathRegistration != b.DisableSinglePathRegistration ||
-		a.Concurrency != b.Concurrency ||
 		a.DisablePlanRepair != b.DisablePlanRepair ||
 		a.NumericalPlanRepair != b.NumericalPlanRepair ||
 		a.NumericalRepairMaxFrac != b.NumericalRepairMaxFrac ||
@@ -659,7 +658,7 @@ func (pl *Plan) solveScratch() (x, qtb []float64) {
 // solve over the retained factorization. It is the shared tail of the
 // warm, repaired and cold paths.
 func (pl *Plan) solveEpoch(ctx context.Context, rec observe.Store) (*Result, error) {
-	setStage(nil, "solve")
+	setStage("solve")
 	defer clearStage()
 	res := pl.resultShell(rec)
 	nCols := len(pl.subsets)
@@ -695,7 +694,7 @@ func (pl *Plan) solveEpoch(ctx context.Context, rec observe.Store) (*Result, err
 // the same store (linalg guarantees the batched solve's per-vector
 // arithmetic is the sequential solve's).
 func (pl *Plan) SolveEpochBatch(ctx context.Context, recs []observe.Store) ([]*Result, error) {
-	setStage(nil, "solve")
+	setStage("solve")
 	defer clearStage()
 	if err := ctx.Err(); err != nil {
 		return nil, err

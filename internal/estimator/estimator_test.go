@@ -277,7 +277,6 @@ func TestOptionValidation(t *testing.T) {
 		estimator.WithAlwaysGoodTol(-0.1),
 		estimator.WithAlwaysGoodTol(1),
 		estimator.WithMaxEnumPathSets(-1),
-		estimator.WithConcurrency(-2),
 		estimator.WithPairsPerLink(-1),
 		estimator.WithGlobalPairs(-2),
 		estimator.WithSweeps(-1),
@@ -299,8 +298,6 @@ func TestOptionValidation(t *testing.T) {
 	if _, err := estimator.Apply(
 		estimator.WithMaxSubsetSize(0),
 		estimator.WithAlwaysGoodTol(0),
-		estimator.WithConcurrency(-1),
-		estimator.WithConcurrency(1),
 		estimator.WithGlobalPairs(-1),
 	); err != nil {
 		t.Fatal(err)

@@ -22,7 +22,6 @@ func metamorphicOpts() []estimator.Option {
 	return []estimator.Option{
 		estimator.WithMaxSubsetSize(2),
 		estimator.WithAlwaysGoodTol(0.02),
-		estimator.WithConcurrency(1),
 		estimator.WithSeed(11),
 	}
 }

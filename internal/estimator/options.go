@@ -17,9 +17,6 @@ type Settings struct {
 	// MaxEnumPathSets caps the per-subset candidate enumeration of the
 	// augmentation loop; 0 means the solver default.
 	MaxEnumPathSets int
-	// Concurrency bounds solver worker goroutines: 0 and negative mean
-	// all CPUs, 1 is the explicit serial opt-out.
-	Concurrency int
 	// PairsPerLink and GlobalPairs size the Independence baseline's
 	// sampled path-pair equations; 0 means the algorithm defaults.
 	PairsPerLink int
@@ -47,8 +44,7 @@ type Settings struct {
 }
 
 // DefaultSettings mirrors the configuration of the paper's experiments:
-// subsets up to size two, strict always-good definition, solver
-// parallelism across all CPUs.
+// subsets up to size two, strict always-good definition.
 func DefaultSettings() Settings {
 	return Settings{MaxSubsetSize: 2}
 }
@@ -110,18 +106,11 @@ func WithMaxEnumPathSets(n int) Option {
 	}
 }
 
-// WithConcurrency bounds the solver's worker goroutines. 0 and -1 mean
-// all CPUs, 1 means serial, n > 1 means exactly n workers; other
-// negative values are invalid. Results are bit-identical at every
-// setting.
-func WithConcurrency(n int) Option {
-	return func(s *Settings) error {
-		if n < -1 {
-			return fmt.Errorf("estimator: WithConcurrency(%d): use -1 or 0 for all CPUs, 1 for serial, or a positive worker count", n)
-		}
-		s.Concurrency = n
-		return nil
-	}
+// WithConcurrency does nothing.
+//
+// Deprecated: ignored; kept until bench/ stops naming it.
+func WithConcurrency(int) Option {
+	return func(*Settings) error { return nil }
 }
 
 // WithPairsPerLink sets how many path pairs per link the Independence

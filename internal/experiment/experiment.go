@@ -8,7 +8,6 @@ package experiment
 import (
 	"fmt"
 	"math/rand"
-	"runtime"
 
 	"repro/internal/brite"
 	"repro/internal/core"
@@ -98,15 +97,6 @@ type Config struct {
 	// scheduling. 0 (the default) and negative use all CPUs; 1 is the
 	// explicit serial opt-out.
 	Workers int
-
-	// Concurrency is passed through to core.Config.Concurrency: the
-	// worker count inside each Correlation-complete run (bit-identical
-	// to serial). It multiplies with Workers, so when it is left at 0
-	// and trials fan out in parallel, each trial's solver runs serially
-	// instead of oversubscribing every CPU per trial; with a serial
-	// trial loop (Workers = 1) the 0 default resolves to all CPUs.
-	// 1 is the explicit serial opt-out; negative forces all CPUs.
-	Concurrency int
 }
 
 // DefaultConfig returns the configuration used by EXPERIMENTS.md.
@@ -188,21 +178,6 @@ func runSim(cfg Config, top *topology.Topology, scen netsim.Scenario, nonStation
 		coreCf: core.Config{
 			MaxSubsetSize: cfg.MaxSubsetSize,
 			AlwaysGoodTol: cfg.AlwaysGoodTol,
-			Concurrency:   cfg.solverConcurrency(),
 		},
 	}, nil
-}
-
-// solverConcurrency resolves the per-trial solver worker count: an
-// explicit setting wins; the 0 default becomes serial when the trial
-// loop itself is parallel (Workers != 1 means all CPUs are already
-// busy running trials) and all-CPUs when the trial loop is serial.
-func (c Config) solverConcurrency() int {
-	if c.Concurrency != 0 {
-		return c.Concurrency
-	}
-	if c.Workers != 1 {
-		return 1
-	}
-	return runtime.GOMAXPROCS(0)
 }

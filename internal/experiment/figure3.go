@@ -44,9 +44,7 @@ func fig3Scenarios() []fig3Scenario {
 }
 
 // newInferenceAlgorithms instantiates the three algorithms under the
-// shared configuration. BayesianCorrelation's inner solver concurrency
-// goes through the same resolution as every other per-trial solve so a
-// parallel trial fan-out does not oversubscribe the CPUs.
+// shared configuration.
 func newInferenceAlgorithms(cfg Config) []inference.Algorithm {
 	return []inference.Algorithm{
 		inference.NewSparsity(),
@@ -57,7 +55,6 @@ func newInferenceAlgorithms(cfg Config) []inference.Algorithm {
 		inference.NewBayesianCorrelation(core.Config{
 			MaxSubsetSize: cfg.MaxSubsetSize,
 			AlwaysGoodTol: cfg.AlwaysGoodTol,
-			Concurrency:   cfg.solverConcurrency(),
 		}),
 	}
 }

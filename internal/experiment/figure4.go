@@ -56,7 +56,6 @@ func (c Config) estimatorOptions() []estimator.Option {
 	return []estimator.Option{
 		estimator.WithMaxSubsetSize(c.MaxSubsetSize),
 		estimator.WithAlwaysGoodTol(c.AlwaysGoodTol),
-		estimator.WithConcurrency(c.solverConcurrency()),
 		estimator.WithSeed(c.Seed),
 	}
 }

@@ -1,8 +1,8 @@
-// Package parallel provides the bounded, deterministic worker pools
-// shared by the solver and the experiment engine. The contract that
-// makes parallel runs bit-identical to serial ones lives here: fn(i)
-// must only write state owned by index i, and anything
-// ordering-sensitive stays with the caller.
+// Package parallel provides the bounded, deterministic worker pool of
+// the experiment engine. The contract that makes parallel runs
+// bit-identical to serial ones lives here: fn(i) must only write state
+// owned by index i, and anything ordering-sensitive stays with the
+// caller.
 package parallel
 
 import (
@@ -25,70 +25,12 @@ func workerCount(workers, n int) int {
 	return workers
 }
 
-// Resolve returns the effective worker count for a knob value without
-// clamping to an item count: 0 and negative mean GOMAXPROCS.
-func Resolve(workers int) int {
-	if workers <= 0 {
-		return runtime.GOMAXPROCS(0)
-	}
-	return workers
-}
-
-// For runs fn(i) for every i in [start, end) on at most workers
-// goroutines. 1 worker degenerates to a plain serial loop; 0 or
-// negative uses all CPUs.
-func For(workers, start, end int, fn func(i int)) {
-	if workerCount(workers, end-start) <= 1 {
-		for i := start; i < end; i++ {
-			fn(i)
-		}
-		return
-	}
-	forPool(workerCount(workers, end-start), start, end, func(i int) bool {
-		fn(i)
-		return true
-	})
-}
-
-// ForWorker is For with a worker identity: fn(w, i) runs with w in
-// [0, workers) unique to the executing goroutine, so fn can use
-// per-worker scratch slabs without synchronization. Which worker
-// handles which index is scheduling-dependent — fn's observable output
-// must depend only on i, never on w. 1 worker degenerates to a serial
-// loop with w = 0.
-func ForWorker(workers, start, end int, fn func(w, i int)) {
-	wc := workerCount(workers, end-start)
-	if wc <= 1 {
-		for i := start; i < end; i++ {
-			fn(0, i)
-		}
-		return
-	}
-	var wg sync.WaitGroup
-	next := make(chan int)
-	for w := 0; w < wc; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := range next {
-				fn(w, i)
-			}
-		}(w)
-	}
-	for i := start; i < end; i++ {
-		next <- i
-	}
-	close(next)
-	wg.Wait()
-}
-
 // ForErr runs fn(i) for i in [0, n) on at most workers goroutines
-// (resolved like For: 0 or negative = all CPUs, 1 = serial) and
-// returns the error of the lowest failing index, matching the serial
-// loop's error precedence (an index below the first failure always ran
-// before it was dispatched, so its error is always collected). After
-// any failure no new indices are dispatched; already-running calls
-// finish.
+// (0 or negative = all CPUs, 1 = serial) and returns the error of the
+// lowest failing index, matching the serial loop's error precedence (an
+// index below the first failure always ran before it was dispatched, so
+// its error is always collected). After any failure no new indices are
+// dispatched; already-running calls finish.
 func ForErr(workers, n int, fn func(i int) error) error {
 	if workerCount(workers, n) <= 1 {
 		for i := 0; i < n; i++ {
@@ -100,7 +42,7 @@ func ForErr(workers, n int, fn func(i int) error) error {
 	}
 	errs := make([]error, n)
 	var failed atomic.Bool
-	forPool(workerCount(workers, n), 0, n, func(i int) bool {
+	forPool(workerCount(workers, n), n, func(i int) bool {
 		if err := fn(i); err != nil {
 			errs[i] = err
 			failed.Store(true)
@@ -115,9 +57,9 @@ func ForErr(workers, n int, fn func(i int) error) error {
 	return nil
 }
 
-// forPool feeds [start, end) to workers goroutines in index order.
+// forPool feeds [0, n) to workers goroutines in index order.
 // fn returning false stops the dispatch of further indices.
-func forPool(workers, start, end int, fn func(i int) bool) {
+func forPool(workers, n int, fn func(i int) bool) {
 	var wg sync.WaitGroup
 	var stopped atomic.Bool
 	next := make(chan int)
@@ -132,7 +74,7 @@ func forPool(workers, start, end int, fn func(i int) bool) {
 			}
 		}()
 	}
-	for i := start; i < end && !stopped.Load(); i++ {
+	for i := 0; i < n && !stopped.Load(); i++ {
 		next <- i
 	}
 	close(next)

@@ -8,24 +8,28 @@ import (
 
 func TestForCoversEveryIndexOnce(t *testing.T) {
 	for _, workers := range []int{0, 1, 3, -1, 100} {
-		counts := make([]int32, 50)
-		For(workers, 10, 50, func(i int) {
+		counts := make([]int32, 40)
+		if err := ForErr(workers, len(counts), func(i int) error {
 			atomic.AddInt32(&counts[i], 1)
-		})
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
 		for i, c := range counts {
-			want := int32(0)
-			if i >= 10 {
-				want = 1
-			}
-			if c != want {
-				t.Fatalf("workers=%d: index %d ran %d times, want %d", workers, i, c, want)
+			if c != 1 {
+				t.Fatalf("workers=%d: index %d ran %d times, want 1", workers, i, c)
 			}
 		}
 	}
 }
 
 func TestForEmptyRange(t *testing.T) {
-	For(4, 3, 3, func(i int) { t.Fatal("fn called on empty range") })
+	if err := ForErr(4, 0, func(i int) error {
+		t.Error("fn called on empty range")
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func TestForErrLowestIndexWins(t *testing.T) {

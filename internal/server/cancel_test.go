@@ -74,7 +74,6 @@ func TestEpochSolveCancellation(t *testing.T) {
 		SolverOpts: []estimator.Option{
 			estimator.WithMaxSubsetSize(3),
 			estimator.WithAlwaysGoodTol(0.02),
-			estimator.WithConcurrency(1),
 		},
 	}
 	s := newServer(t, top, cfg)
@@ -142,7 +141,6 @@ func TestCloseCancelsInflightSolve(t *testing.T) {
 		SolverOpts: []estimator.Option{
 			estimator.WithMaxSubsetSize(3),
 			estimator.WithAlwaysGoodTol(0.02),
-			estimator.WithConcurrency(1),
 		},
 	})
 	ingestSimulated(t, s, top, 600)

@@ -194,7 +194,7 @@ func TestEndToEndStreaming(t *testing.T) {
 	// Drive 10k intervals at the server over HTTP.
 	simCfg := netsim.DefaultConfig(netsim.RandomCongestion)
 	simCfg.PerfectE2E = true
-	loadCfg := LoadConfig{
+	loadCfg := loadConfig{
 		Target:    ts.URL,
 		Intervals: totalIntervals,
 		BatchSize: 250,
@@ -202,7 +202,7 @@ func TestEndToEndStreaming(t *testing.T) {
 		Sim:       simCfg,
 		Client:    ts.Client(),
 	}
-	stats, err := RunLoadGen(context.Background(), top, loadCfg)
+	sent, err := runLoadGen(context.Background(), top, loadCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,8 +211,8 @@ func TestEndToEndStreaming(t *testing.T) {
 	for _, msg := range readerErrs {
 		t.Error(msg)
 	}
-	if stats.Intervals != totalIntervals {
-		t.Fatalf("loadgen sent %d intervals, want %d", stats.Intervals, totalIntervals)
+	if sent != totalIntervals {
+		t.Fatalf("loadgen sent %d intervals, want %d", sent, totalIntervals)
 	}
 
 	// Final synchronous epoch over the fully ingested window.
@@ -341,7 +341,7 @@ func TestQueryEndpoints(t *testing.T) {
 	// Ingest a little traffic and solve one epoch synchronously.
 	simCfg := netsim.DefaultConfig(netsim.RandomCongestion)
 	simCfg.PerfectE2E = true
-	if _, err := RunLoadGen(context.Background(), top, LoadConfig{
+	if _, err := runLoadGen(context.Background(), top, loadConfig{
 		Target: ts.URL, Intervals: 150, BatchSize: 40, Seed: 7, Sim: simCfg, Client: ts.Client(),
 	}); err != nil {
 		t.Fatal(err)

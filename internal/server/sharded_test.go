@@ -151,7 +151,7 @@ func TestEndToEndShardedStreaming(t *testing.T) {
 	// Drive simulated intervals at the server over HTTP.
 	simCfg := netsim.DefaultConfig(netsim.RandomCongestion)
 	simCfg.PerfectE2E = true
-	loadCfg := LoadConfig{
+	loadCfg := loadConfig{
 		Target:    ts.URL,
 		Intervals: totalIntervals,
 		BatchSize: 100,
@@ -159,7 +159,7 @@ func TestEndToEndShardedStreaming(t *testing.T) {
 		Sim:       simCfg,
 		Client:    ts.Client(),
 	}
-	stats, err := RunLoadGen(context.Background(), top, loadCfg)
+	sent, err := runLoadGen(context.Background(), top, loadCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,8 +168,8 @@ func TestEndToEndShardedStreaming(t *testing.T) {
 	for _, msg := range readerErrs {
 		t.Error(msg)
 	}
-	if stats.Intervals != totalIntervals {
-		t.Fatalf("loadgen sent %d intervals, want %d", stats.Intervals, totalIntervals)
+	if sent != totalIntervals {
+		t.Fatalf("loadgen sent %d intervals, want %d", sent, totalIntervals)
 	}
 
 	// Final synchronous epoch: every shard solved at the same sequence.

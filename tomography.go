@@ -49,7 +49,6 @@
 package tomography
 
 import (
-	"context"
 	"math/rand"
 
 	"repro/internal/bitset"
@@ -189,9 +188,6 @@ var (
 	// WithMaxEnumPathSets caps the per-subset candidate enumeration of
 	// the Correlation-complete augmentation loop.
 	WithMaxEnumPathSets = estimator.WithMaxEnumPathSets
-	// WithConcurrency bounds solver workers: 0/-1 = all CPUs, 1 =
-	// serial; results are bit-identical at every setting.
-	WithConcurrency = estimator.WithConcurrency
 	// WithPairsPerLink sizes the Independence baseline's per-link
 	// path-pair sampling.
 	WithPairsPerLink = estimator.WithPairsPerLink
@@ -205,7 +201,7 @@ var (
 )
 
 // ---------------------------------------------------------------------
-// Congestion Probability Computation (direct, pre-registry forms)
+// Algorithm configurations and the Correlation-complete result
 // ---------------------------------------------------------------------
 
 // ProbabilityConfig tunes the Correlation-complete algorithm; the
@@ -222,44 +218,8 @@ func DefaultProbabilityConfig() ProbabilityConfig { return core.DefaultConfig() 
 // Estimate.Detail.
 type ProbabilityResult = core.Result
 
-// ComputeProbabilities runs the Correlation-complete algorithm
-// (Algorithms 1 and 2 of the paper) over the recorded observations —
-// a full-period Recorder or a live SlidingWindow.
-//
-// Deprecated: use NewEstimator("correlation-complete") and Estimate,
-// which add context cancellation and the unified result shape; this
-// wrapper remains for one release (see MIGRATION.md).
-func ComputeProbabilities(top *Topology, obs ObservationStore, cfg ProbabilityConfig) (*ProbabilityResult, error) {
-	return core.Compute(context.Background(), top, obs, cfg)
-}
-
-// LinkProbabilities holds per-link congestion probability estimates
-// from one of the baseline algorithms.
-type LinkProbabilities = probcalc.LinkResult
-
 // IndependenceConfig tunes the Independence baseline.
 type IndependenceConfig = probcalc.IndependenceConfig
-
-// ComputeProbabilitiesIndependence runs the Independence baseline
-// (CLINK's Probability Computation step [11]).
-//
-// Deprecated: use NewEstimator("independence") and Estimate; this
-// wrapper remains for one release (see MIGRATION.md).
-func ComputeProbabilitiesIndependence(top *Topology, obs ObservationStore, cfg IndependenceConfig) (*LinkProbabilities, error) {
-	return probcalc.Independence(context.Background(), top, obs, cfg)
-}
-
-// HeuristicConfig tunes the Correlation-heuristic baseline.
-type HeuristicConfig = probcalc.HeuristicConfig
-
-// ComputeProbabilitiesHeuristic runs the Correlation-heuristic baseline
-// of [9].
-//
-// Deprecated: use NewEstimator("correlation-heuristic") and Estimate;
-// this wrapper remains for one release (see MIGRATION.md).
-func ComputeProbabilitiesHeuristic(top *Topology, obs ObservationStore, cfg HeuristicConfig) (*LinkProbabilities, error) {
-	return probcalc.CorrelationHeuristic(context.Background(), top, obs, cfg)
-}
 
 // ---------------------------------------------------------------------
 // Boolean Inference (the problem the paper argues against)

@@ -28,11 +28,15 @@ func TestFacadeEndToEnd(t *testing.T) {
 		}
 		rec.Add(congPaths)
 	}
-	res, err := ComputeProbabilities(top, rec, DefaultProbabilityConfig())
+	est, err := NewEstimator("correlation-complete")
 	if err != nil {
 		t.Fatal(err)
 	}
-	joint, ok := res.CongestedProb(SetOf(top.NumLinks(), 1, 2))
+	res, err := est.Estimate(context.Background(), top, rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	joint, ok := res.Detail.CongestedProb(SetOf(top.NumLinks(), 1, 2))
 	if !ok {
 		t.Fatal("pair should be identifiable")
 	}
@@ -103,14 +107,6 @@ func TestFacadeSimulationAndInference(t *testing.T) {
 			t.Fatalf("%s returned nil", alg.Name())
 		}
 	}
-
-	// Baseline probability computations run through the facade too.
-	if _, err := ComputeProbabilitiesIndependence(top, rec, IndependenceConfig{AlwaysGoodTol: 0.02}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ComputeProbabilitiesHeuristic(top, rec, HeuristicConfig{AlwaysGoodTol: 0.02}); err != nil {
-		t.Fatal(err)
-	}
 }
 
 // TestFacadeEstimatorRegistry drives the unified API end to end: every
@@ -143,8 +139,7 @@ func TestFacadeEstimatorRegistry(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := est.Estimate(context.Background(), top, rec,
-			WithMaxSubsetSize(2), WithConcurrency(1))
+		res, err := est.Estimate(context.Background(), top, rec, WithMaxSubsetSize(2))
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
