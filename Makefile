@@ -13,7 +13,7 @@ BENCH_OVER ?= 25
 ALLOC_OVER ?= 10
 ALLOC_GATE ?= EpochSolve|PlanRepair|FrontierMoveRepair|StreamIngest|WindowFreeze|MetricsObserve|ColdPlanBuild
 
-.PHONY: all build vet fmt-check test test-bench examples bench bench-smoke bench-baseline bench-compare bench-gate profile
+.PHONY: all build vet fmt-check test test-bench smoke examples bench bench-smoke bench-baseline bench-compare bench-gate profile
 
 all: vet fmt-check build test
 
@@ -45,6 +45,14 @@ test:
 test-bench:
 	$(GO) -C bench vet ./...
 	$(GO) -C bench test ./...
+
+# End-to-end smoke: tomobench's Small()-scale pass drives real tomod
+# daemons (all four workloads) and exits 1 on any failed operation or
+# on a served estimate that disagrees with the offline reference —
+# what test-bench, which only proves bench/ compiles against the
+# internal API, cannot see.
+smoke:
+	$(GO) run -C bench ./tomobench -smoke
 
 # Full benchmark run, recorded as a dated JSON snapshot so the perf
 # trajectory is tracked from PR to PR (see DESIGN.md reference table).

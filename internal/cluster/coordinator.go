@@ -356,13 +356,10 @@ func (c *Coordinator) SolveShard(ctx context.Context, shard int, _ *stream.Windo
 		SeqHigh: resp.SeqHigh,
 		T:       resp.T,
 		Info: estimator.SolveInfo{
-			Warm:            resp.Warm,
-			Repaired:        resp.Repaired,
-			RepairedNumeric: resp.RepairedNumeric,
-			RepairFailed:    resp.RepairFailed,
-			BuildTime:       time.Duration(resp.BuildNs),
-			RepairTime:      time.Duration(resp.RepairNs),
-			SolveTime:       time.Duration(resp.SolveNs),
+			Tier:       resp.Tier,
+			BuildTime:  time.Duration(resp.BuildNs),
+			RepairTime: time.Duration(resp.RepairNs),
+			SolveTime:  time.Duration(resp.SolveNs),
 		},
 	}, nil
 }

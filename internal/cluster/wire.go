@@ -173,16 +173,13 @@ type WireSubset struct {
 // block — the exported fields core.MergeResults reads — plus the
 // sequence it was solved at and how the worker's warm plan served.
 type ShardResultResponse struct {
-	Shard           int    `json:"shard"`
-	SeqHigh         uint64 `json:"seq_high"`
-	T               int    `json:"t"`
-	Warm            bool   `json:"warm"`
-	Repaired        bool   `json:"repaired"`
-	RepairedNumeric bool   `json:"repaired_numeric,omitempty"`
-	RepairFailed    bool   `json:"repair_failed,omitempty"`
-	BuildNs         int64  `json:"build_ns,omitempty"`
-	RepairNs        int64  `json:"repair_ns,omitempty"`
-	SolveNs         int64  `json:"solve_ns,omitempty"`
+	Shard   int    `json:"shard"`
+	SeqHigh uint64 `json:"seq_high"`
+	T       int    `json:"t"`
+	core.Tier
+	BuildNs  int64 `json:"build_ns,omitempty"`
+	RepairNs int64 `json:"repair_ns,omitempty"`
+	SolveNs  int64 `json:"solve_ns,omitempty"`
 
 	Subsets     []WireSubset `json:"subsets"`
 	PathSets    [][]int      `json:"path_sets"`
@@ -216,21 +213,18 @@ func Fingerprint(top *topology.Topology) string {
 // encodeResult flattens a shard's solved block for the wire.
 func encodeResult(shard int, seqHigh uint64, t int, res *core.Result, info estimator.SolveInfo) *ShardResultResponse {
 	out := &ShardResultResponse{
-		Shard:           shard,
-		SeqHigh:         seqHigh,
-		T:               t,
-		Warm:            info.Warm,
-		Repaired:        info.Repaired,
-		RepairedNumeric: info.RepairedNumeric,
-		RepairFailed:    info.RepairFailed,
-		BuildNs:         info.BuildTime.Nanoseconds(),
-		RepairNs:        info.RepairTime.Nanoseconds(),
-		SolveNs:         info.SolveTime.Nanoseconds(),
-		Subsets:         make([]WireSubset, len(res.Subsets)),
-		PathSets:        make([][]int, len(res.PathSets)),
-		Rank:            res.Rank,
-		Nullity:         res.Nullity,
-		ClampedRows:     res.ClampedRows,
+		Shard:       shard,
+		SeqHigh:     seqHigh,
+		T:           t,
+		Tier:        info.Tier,
+		BuildNs:     info.BuildTime.Nanoseconds(),
+		RepairNs:    info.RepairTime.Nanoseconds(),
+		SolveNs:     info.SolveTime.Nanoseconds(),
+		Subsets:     make([]WireSubset, len(res.Subsets)),
+		PathSets:    make([][]int, len(res.PathSets)),
+		Rank:        res.Rank,
+		Nullity:     res.Nullity,
+		ClampedRows: res.ClampedRows,
 	}
 	for i, sub := range res.Subsets {
 		ws := WireSubset{
@@ -368,7 +362,6 @@ func settingsOptions(st estimator.Settings) []estimator.Option {
 		estimator.WithGlobalPairs(st.GlobalPairs),
 		estimator.WithSweeps(st.Sweeps),
 		estimator.WithSeed(st.Seed),
-		estimator.WithPlanRepair(!st.DisablePlanRepair),
 		estimator.WithNumericalPlanRepair(st.NumericalPlanRepair),
 		estimator.WithNumericalRepairMaxFrac(st.NumericalRepairMaxFrac),
 	}

@@ -3,8 +3,12 @@ package cluster
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"math"
 	"math/rand"
+	"os"
+	"sort"
+	"strings"
 	"testing"
 
 	"repro/internal/bitset"
@@ -140,5 +144,42 @@ func TestResultWireRoundTrip(t *testing.T) {
 		if math.Float64bits(wp) != math.Float64bits(gp) || wx != gx {
 			t.Fatalf("link %d: merged estimate over wire blocks (%v,%v) != local (%v,%v)", e, gp, gx, wp, wx)
 		}
+	}
+}
+
+// TestShardResultJSONShape pins the top-level key set of the c1 result
+// body, fully populated and zero, against
+// testdata/result_shape.golden — the wire twin of the server's
+// TestStatusJSONShape.
+func TestShardResultJSONShape(t *testing.T) {
+	info := estimator.SolveInfo{BuildTime: 1, RepairTime: 1, SolveTime: 1}
+	info.Warm, info.Repaired, info.RepairedNumeric, info.RepairFailed = true, true, true, true
+	full := encodeResult(1, 1, 1, core.NewShardResult(nil, nil, 1, 1, 1), info)
+	var got strings.Builder
+	for _, c := range []struct {
+		name string
+		body *ShardResultResponse
+	}{{"ShardResultResponse populated", full}, {"ShardResultResponse zero", &ShardResultResponse{}}} {
+		raw, err := json.Marshal(c.body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var obj map[string]json.RawMessage
+		if err := json.Unmarshal(raw, &obj); err != nil {
+			t.Fatal(err)
+		}
+		keys := make([]string, 0, len(obj))
+		for k := range obj {
+			keys = append(keys, k)
+		}
+		sort.Strings(keys)
+		fmt.Fprintf(&got, "== %s\n%s\n", c.name, strings.Join(keys, "\n"))
+	}
+	want, err := os.ReadFile("testdata/result_shape.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.String() != string(want) {
+		t.Errorf("c1 result body shape changed; if intended, update testdata/result_shape.golden and MIGRATION.md.\ngot:\n%swant:\n%s", got.String(), want)
 	}
 }

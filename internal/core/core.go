@@ -83,8 +83,8 @@ type Config struct {
 	// ComputePlanned attempts when the always-good path set drifts (see
 	// Plan.Repair): with it set, any drift falls back to the
 	// from-scratch rebuild. Results are bit-identical either way; the
-	// knob exists as an operational escape hatch and for the repair ≡
-	// rebuild property tests.
+	// knob exists as the rebuild reference of the repair ≡ rebuild
+	// property tests and is not reachable from estimator.Settings.
 	DisablePlanRepair bool
 
 	// NumericalPlanRepair enables the tier-2 repair (Plan.RepairNumeric)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"time"
 
 	"repro/internal/bitset"
@@ -53,23 +54,6 @@ type Plan struct {
 	repairs    int
 	numRepairs int
 
-	// repairFailed records that this epoch's repair attempt lost — the
-	// drift was outside every repair tier's class — so the caller can
-	// distinguish "cold because drift was unrepairable" from "cold
-	// because topology/config changed". Carried onto the fresh plan the
-	// rebuild produces, together with the attempt's duration in
-	// lastRepair.
-	repairFailed bool
-
-	// Per-epoch stage durations, reset at the top of each
-	// ComputePlanned call and read back through StageTimes: how long
-	// the structural rebuild, the Repair re-key and the shared solve
-	// tail took for the epoch this plan just served. Telemetry-only —
-	// nothing in the solve depends on them.
-	lastBuild  time.Duration
-	lastRepair time.Duration
-	lastSolve  time.Duration
-
 	// Solve plan: the surviving equations and unknowns after the
 	// iterative identifiability reduction, and the retained QR
 	// factorization of the reduced 0/1 system.
@@ -77,15 +61,12 @@ type Plan struct {
 	colMap     []int
 	qr         *linalg.QR // nil when no column survived
 
-	// Per-epoch solve scratch, reused so the warm path allocates only
-	// the returned Result: rhs holds the right-hand sides, x the
-	// solution, qtb the Qᵀ·b workspace; the batch slabs serve
-	// SolveEpochBatch the same way.
-	rhs []float64
-	x   []float64
-	qtb []float64
-
+	// Solve scratch, reused so a warm epoch allocates only the returned
+	// Result: batchSlab holds the run's right-hand sides and solutions
+	// back to back, batchVecs the slice headers over it, batchScratch
+	// the Qᵀ·b workspace.
 	batchSlab    []float64
+	batchVecs    [][]float64
 	batchScratch []float64
 }
 
@@ -97,25 +78,6 @@ func (pl *Plan) RepairCount() int { return pl.repairs }
 // NumericRepairCount returns how many frontier moves this plan absorbed
 // via the tier-2 RepairNumeric patch rather than a rebuild.
 func (pl *Plan) NumericRepairCount() int { return pl.numRepairs }
-
-// RepairFailed reports whether the epoch this plan last served fell
-// back to a cold rebuild after a repair attempt lost — as opposed to a
-// cold epoch caused by a topology/config change, where no repair was
-// attempted. On a fresh plan the flag (and the attempt's duration in
-// StageTimes' repair slot) is carried over from the invalidated
-// predecessor.
-func (pl *Plan) RepairFailed() bool { return pl.repairFailed }
-
-// StageTimes returns how long the last ComputePlanned epoch spent in
-// each stage: the cold structural rebuild (zero on warm epochs), the
-// Repair re-key (zero unless drift was absorbed), and the shared solve
-// tail. Batched drains (ComputePlannedBatch) report the build of the
-// last cold rebuild and the aggregate duration of the last flushed
-// multi-RHS solve — per-epoch attribution doesn't exist there by
-// construction.
-func (pl *Plan) StageTimes() (build, repair, solve time.Duration) {
-	return pl.lastBuild, pl.lastRepair, pl.lastSolve
-}
 
 // Compute runs the Correlation-complete algorithm over the recorded
 // observations. rec may be any observation store — an observe.Recorder
@@ -134,65 +96,22 @@ func Compute(ctx context.Context, top *topology.Topology, rec observe.Store, cfg
 	return res, err
 }
 
-// ComputePlanned is Compute with warm starts: it returns the result
-// together with the plan that produced it. When prev is still valid for
-// this epoch — same topology, same config, and an unchanged always-good
-// path set — the structural phases (enumeration, seeding, augmentation,
-// identifiability, factorization) are skipped entirely and prev's
-// factorization and null-space verdicts are carried forward; the
-// returned plan is then prev itself, which is how callers observe that
-// the warm path ran. When the always-good set has drifted, Repair is
-// attempted first: a drift that provably leaves the structural phase
-// unchanged is absorbed in O(Δ) and the retained factorization keeps
-// serving (prev is again returned, with RepairCount incremented). With
-// Config.NumericalPlanRepair set, a frontier move that tier-1 rejects
-// is then offered to RepairNumeric, which patches the factorization
-// column-by-column (NumericRepairCount increments; results are
-// numerically, not bitwise, equivalent to the rebuild skipped).
-// Otherwise the from-scratch path runs and a fresh plan is returned.
-// Warm, tier-1-repaired and cold paths all share the final solve code,
-// so their results are bit-identical by construction.
+// ComputePlanned is Compute with warm starts — ComputePlannedBatch over
+// the single store rec: it returns the result together with the plan
+// that produced it. The returned plan is prev itself when prev served
+// the epoch (unchanged always-good set, or a drift a repair tier
+// absorbed: RepairCount / NumericRepairCount increment), a fresh plan
+// after a cold rebuild.
 func ComputePlanned(ctx context.Context, top *topology.Topology, rec observe.Store, cfg Config, prev *Plan) (*Result, *Plan, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if rec.NumPaths() != top.NumPaths() {
-		return nil, nil, fmt.Errorf("core: recorder has %d paths, topology has %d", rec.NumPaths(), top.NumPaths())
-	}
-	if prev != nil {
-		prev.lastBuild, prev.lastRepair, prev.lastSolve = 0, 0, 0
-		if prev.reusable(top, rec, cfg) {
-			start := time.Now()
-			res, err := prev.solveEpoch(ctx, rec)
-			prev.lastSolve = time.Since(start)
-			if err != nil {
-				return nil, nil, err
-			}
-			return res, prev, nil
-		}
-	}
-	start := time.Now()
-	plan, err := buildPlan(ctx, top, rec, cfg)
+	var (
+		result [1]*Result
+		info   [1]EpochInfo
+	)
+	plan, err := advance(ctx, top, []observe.Store{rec}, cfg, prev, result[:], info[:])
 	if err != nil {
 		return nil, nil, err
 	}
-	plan.lastBuild = time.Since(start)
-	if prev != nil {
-		// The failed repair attempt's cost belongs to this epoch: carry
-		// its duration (zero when no repair was attempted) and verdict
-		// onto the plan that actually serves the epoch, so stage timing
-		// doesn't silently drop exactly the epochs where repair was
-		// tried and lost.
-		plan.lastRepair = prev.lastRepair
-		plan.repairFailed = prev.repairFailed
-	}
-	start = time.Now()
-	res, err := plan.solveEpoch(ctx, rec)
-	if err != nil {
-		return nil, nil, err
-	}
-	plan.lastSolve = time.Since(start)
-	return res, plan, nil
+	return result[0], plan, nil
 }
 
 // buildPlan runs the full structural phase from scratch.
@@ -213,36 +132,44 @@ func buildPlan(ctx context.Context, top *topology.Topology, rec observe.Store, c
 	return b.plan(ctx)
 }
 
-// reusable reports whether the plan can serve this epoch: the
-// topology and config must match, and the store's always-good path set
-// (within the plan's restriction) must either be unchanged or drift
-// within a repair tier's class — tier-1 Repair's provably
-// structure-preserving (bit-identical) re-key first, then, when
-// enabled, tier-2 RepairNumeric's factorization patch across frontier
-// moves.
-func (pl *Plan) reusable(top *topology.Topology, rec observe.Store, cfg Config) bool {
-	pl.lastRepair, pl.repairFailed = 0, false
+// reusable tries to carry the plan onto rec's epoch and reports how in
+// info (Warm is the verdict): the topology and config must match, and
+// the store's always-good path set (within the plan's restriction) must
+// either be unchanged or drift within a repair tier's class — tier-1
+// Repair's provably structure-preserving (bit-identical) re-key first,
+// then, when enabled, tier-2 RepairNumeric's factorization patch across
+// frontier moves. drain runs before a tier-2 attempt, the one step that
+// rewrites the retained factorization: stores already accepted against
+// the pre-patch state must be solved first.
+func (pl *Plan) reusable(top *topology.Topology, rec observe.Store, cfg Config, drain func() error) (info EpochInfo, err error) {
 	if pl.top != top || !configsEqual(pl.cfg, cfg) {
-		return false
+		return info, nil
 	}
 	good := rec.AlwaysGoodPaths(cfg.AlwaysGoodTol)
 	if pl.restrict != nil {
 		good = good.Intersect(pl.restrict)
 	}
 	if good.Key() == pl.goodKey {
-		return true
+		info.Warm = true
+		return info, nil
 	}
 	if cfg.DisablePlanRepair {
-		return false
+		return info, nil
 	}
 	start := time.Now()
-	ok := pl.Repair(good)
-	if !ok && cfg.NumericalPlanRepair {
-		ok = pl.RepairNumeric(good)
+	info.Repaired = pl.Repair(good)
+	info.RepairTime = time.Since(start)
+	if !info.Repaired && cfg.NumericalPlanRepair {
+		if err := drain(); err != nil {
+			return info, err
+		}
+		start = time.Now()
+		info.RepairedNumeric = pl.RepairNumeric(good)
+		info.RepairTime += time.Since(start)
 	}
-	pl.lastRepair = time.Since(start)
-	pl.repairFailed = !ok
-	return ok
+	info.Warm = info.Repaired || info.RepairedNumeric
+	info.RepairFailed = !info.Warm
+	return info, nil
 }
 
 // Repair attempts to absorb a drift of the always-good path set into
@@ -289,113 +216,131 @@ func (pl *Plan) Repair(good *bitset.Set) bool {
 	return true
 }
 
-// EpochInfo describes how one epoch of a batched solve used the
-// carried-forward plan: Warm means the structural phase was skipped,
-// Repaired that the plan additionally absorbed an always-good drift
-// via the tier-1 re-key, RepairedNumeric that the tier-2 factorization
-// patch absorbed a frontier move, and RepairFailed that a cold rebuild
-// ran because a repair attempt lost (rather than because topology or
-// config changed).
+// Tier says which path through the plan served an epoch: Warm means
+// the structural phase was skipped, Repaired that the plan additionally
+// absorbed an always-good drift via the tier-1 re-key, RepairedNumeric
+// that the tier-2 factorization patch absorbed a frontier move (only
+// with Config.NumericalPlanRepair), and RepairFailed that a cold
+// rebuild ran because a repair attempt lost (rather than because
+// topology or config changed, where none is attempted). It is the
+// record every layer above embeds — snapshots, /v1/status, /v1/epochs,
+// the cluster wire — hence the JSON keys.
+type Tier struct {
+	Warm            bool `json:"warm"`
+	Repaired        bool `json:"repaired"`
+	RepairedNumeric bool `json:"repaired_numeric"`
+	RepairFailed    bool `json:"repair_failed,omitempty"`
+}
+
+// EpochInfo is what ComputePlannedBatch reports per store: the tier
+// that served the epoch and its stage durations. BuildTime (the cold
+// structural rebuild; zero on warm epochs) and RepairTime (the repair
+// attempt — tier-1 re-key, tier-2 patch, or a failed probe that fell
+// back cold; zero when the always-good set held) belong to the store
+// by construction. SolveTime is the shared solve tail: a run of
+// plan-compatible stores is solved in one multi-RHS call whose duration
+// is split evenly across the run, so it is exact for a run of one.
+// Telemetry only — nothing in the solve depends on the durations.
 type EpochInfo struct {
-	Warm            bool
-	Repaired        bool
-	RepairedNumeric bool
-	RepairFailed    bool
+	Tier
+	BuildTime  time.Duration
+	RepairTime time.Duration
+	SolveTime  time.Duration
 }
 
 // ComputePlannedBatch solves one epoch per store, carrying the plan
-// across them exactly like sequential ComputePlanned calls would —
-// warm-starting while the always-good set holds, repairing across
-// structure-preserving drift, rebuilding otherwise — but draining each
-// maximal run of plan-compatible stores through one batched multi-RHS
-// solve. This is how a lag burst of queued window snapshots catches up:
-// K epochs cost one set of right-hand sides plus a single batched
-// back-substitution instead of K full solve tails. Results are
-// bit-identical, store for store, to the sequential path; infos
-// reports per store how the plan served it.
+// across them: per store, prev (then whichever plan served the previous
+// store) is reused when it is still valid — same topology, same config,
+// an unchanged always-good path set — so the structural phases
+// (enumeration, seeding, augmentation, identifiability, factorization)
+// are skipped and the retained factorization is re-solved against fresh
+// frequencies. When the always-good set has drifted, Repair is attempted
+// first: a drift that provably leaves the structural phase unchanged is
+// absorbed in O(Δ). With Config.NumericalPlanRepair set, a frontier
+// move that tier-1 rejects is then offered to RepairNumeric, which
+// patches the factorization column by column (results are numerically,
+// not bitwise, equivalent to the rebuild skipped). Otherwise the
+// from-scratch path runs and a fresh plan takes over.
+//
+// Each maximal run of plan-compatible stores drains through one batched
+// multi-RHS solve, which is how a lag burst of queued window snapshots
+// catches up: K epochs cost K right-hand sides plus a single batched
+// back-substitution. Warm, tier-1-repaired and cold epochs all share
+// that tail, and linalg pins its per-vector arithmetic independent of
+// K, so results are bit-identical however the stores are grouped into
+// calls. infos reports per store how the plan served it; the returned
+// plan is the one that served the last store (prev itself if it served
+// them all).
 func ComputePlannedBatch(ctx context.Context, top *topology.Topology, recs []observe.Store, cfg Config, prev *Plan) ([]*Result, []EpochInfo, *Plan, error) {
+	results := make([]*Result, len(recs))
+	infos := make([]EpochInfo, len(recs))
+	plan, err := advance(ctx, top, recs, cfg, prev, results, infos)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	return results, infos, plan, nil
+}
+
+// advance is ComputePlannedBatch writing into caller-owned results and
+// infos (one slot per store) — the only place a plan is carried,
+// repaired, rebuilt or solved against.
+func advance(ctx context.Context, top *topology.Topology, recs []observe.Store, cfg Config, prev *Plan, results []*Result, infos []EpochInfo) (*Plan, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	results := make([]*Result, len(recs))
-	infos := make([]EpochInfo, len(recs))
 	plan := prev
-	var pending []observe.Store // contiguous run reusing `plan`
+	run := 0 // recs[i-run:i] await the solve tail against plan
+	// flush solves the pending run ending before store end. A tier-1
+	// repair inside the run is sound: Repair only re-keys the plan —
+	// structure, rows and factorization are untouched — so earlier
+	// stores of the run still solve over exactly the state their own
+	// call would have used.
 	flush := func(end int) error {
-		if len(pending) == 0 {
+		if run == 0 {
 			return nil
 		}
-		// A tier-1 repair inside the pending run is sound: Repair only
-		// re-keys the plan — structure, rows and factorization are
-		// untouched — so earlier stores of the run still solve over
-		// exactly the state their own sequential solve would have used.
-		// A tier-2 repair is not (it rewrites the factorization), which
-		// is why the loop below drains the run before attempting one.
 		start := time.Now()
-		batch, err := plan.SolveEpochBatch(ctx, pending)
-		if err != nil {
+		if err := plan.solveEpochs(ctx, recs[end-run:end], results[end-run:end]); err != nil {
 			return err
 		}
-		plan.lastSolve = time.Since(start)
-		copy(results[end-len(pending):end], batch)
-		pending = pending[:0]
+		share := time.Since(start) / time.Duration(run)
+		for i := end - run; i < end; i++ {
+			infos[i].SolveTime = share
+		}
+		run = 0
 		return nil
 	}
 	for i, rec := range recs {
 		if rec.NumPaths() != top.NumPaths() {
-			return nil, nil, nil, fmt.Errorf("core: recorder has %d paths, topology has %d", rec.NumPaths(), top.NumPaths())
+			return nil, fmt.Errorf("core: recorder has %d paths, topology has %d", rec.NumPaths(), top.NumPaths())
 		}
 		if plan != nil {
-			// With tier-2 enabled, any always-good drift may rewrite the
-			// retained factorization in place; the pending run must be
-			// solved against the pre-repair state first, exactly as the
-			// sequential chain would have.
-			if cfg.NumericalPlanRepair && !cfg.DisablePlanRepair && len(pending) > 0 &&
-				plan.top == top && configsEqual(plan.cfg, cfg) {
-				good := rec.AlwaysGoodPaths(cfg.AlwaysGoodTol)
-				if plan.restrict != nil {
-					good = good.Intersect(plan.restrict)
-				}
-				if good.Key() != plan.goodKey {
-					if err := flush(i); err != nil {
-						return nil, nil, nil, err
-					}
-				}
+			var err error
+			if infos[i], err = plan.reusable(top, rec, cfg, func() error { return flush(i) }); err != nil {
+				return nil, err
 			}
-			repairs, numeric := plan.RepairCount(), plan.NumericRepairCount()
-			if plan.reusable(top, rec, cfg) {
-				infos[i] = EpochInfo{
-					Warm:            true,
-					Repaired:        plan.RepairCount() > repairs,
-					RepairedNumeric: plan.NumericRepairCount() > numeric,
-				}
-				pending = append(pending, rec)
+			if infos[i].Warm {
+				run++
 				continue
 			}
 		}
 		if err := flush(i); err != nil {
-			return nil, nil, nil, err
+			return nil, err
 		}
+		// A failed repair attempt's verdict and duration stay on this
+		// store's info: its cost belongs to the epoch that rebuilt.
 		start := time.Now()
 		fresh, err := buildPlan(ctx, top, rec, cfg)
 		if err != nil {
-			return nil, nil, nil, err
+			return nil, err
 		}
-		fresh.lastBuild = time.Since(start)
-		if plan != nil {
-			// Same carry as ComputePlanned: a failed repair attempt's
-			// duration and verdict travel onto the fresh plan.
-			fresh.lastRepair = plan.lastRepair
-			fresh.repairFailed = plan.repairFailed
-			infos[i].RepairFailed = plan.repairFailed
-		}
-		plan = fresh
-		pending = append(pending, rec)
+		infos[i].BuildTime = time.Since(start)
+		plan, run = fresh, 1
 	}
 	if err := flush(len(recs)); err != nil {
-		return nil, nil, nil, err
+		return nil, err
 	}
-	return results, infos, plan, nil
+	return plan, nil
 }
 
 // configsEqual compares every field that shapes a solve
@@ -639,103 +584,46 @@ func (pl *Plan) fillSolution(res *Result, x []float64) {
 	}
 }
 
-// solveScratch returns the plan's reusable solution and Qᵀb buffers,
-// growing them on first use so the steady-state epoch solve allocates
-// nothing beyond the returned Result.
-func (pl *Plan) solveScratch() (x, qtb []float64) {
-	m, n := pl.qr.Dims()
-	if cap(pl.x) < n {
-		pl.x = make([]float64, n)
-	}
-	if cap(pl.qtb) < m {
-		pl.qtb = make([]float64, m)
-	}
-	return pl.x[:n], pl.qtb[:m]
-}
-
-// solveEpoch runs the data half of a solve against the plan: fresh
-// empirical frequencies for the surviving equations, one least-squares
-// solve over the retained factorization. It is the shared tail of the
-// warm, repaired and cold paths.
-func (pl *Plan) solveEpoch(ctx context.Context, rec observe.Store) (*Result, error) {
+// solveEpochs runs the data half of a solve — the shared tail of
+// the warm, repaired and cold paths — for one epoch per store, writing
+// results[i] for recs[i]: fresh empirical frequencies for the surviving
+// equations of each, then a single batched multi-RHS back-substitution
+// over the retained factorization. Every store must describe the
+// always-good path set the plan was built (or repaired) for; advance
+// checks that per store. Each result is independent of how many stores
+// share the call (linalg guarantees the batched solve's per-vector
+// arithmetic is the single solve's).
+func (pl *Plan) solveEpochs(ctx context.Context, recs []observe.Store, results []*Result) error {
 	setStage("solve")
 	defer clearStage()
-	res := pl.resultShell(rec)
-	nCols := len(pl.subsets)
-	if len(pl.rows) == 0 {
-		res.Nullity = nCols
-		return res, nil
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	rhs, clamped := pl.buildRHS(rec, pl.rhs)
-	pl.rhs = rhs
-	res.ClampedRows = clamped
-	if len(pl.colMap) == 0 {
-		res.Rank = 0
-		res.Nullity = nCols
-		return res, nil
-	}
-	x, qtb := pl.solveScratch()
-	if err := pl.qr.SolveLeastSquaresInto(x, rhs, qtb); err != nil {
-		return nil, err // unreachable: full column rank was verified at plan time
-	}
-	pl.fillSolution(res, x)
-	return res, nil
-}
-
-// SolveEpochBatch solves one epoch per store against the retained
-// factorization, draining all of them through a single batched
-// multi-RHS back-substitution. Every store must describe the same
-// always-good path set the plan was built (or repaired) for — the
-// caller checks reusability per store, exactly as ComputePlanned would
-// — and each result is bit-identical to a sequential solveEpoch over
-// the same store (linalg guarantees the batched solve's per-vector
-// arithmetic is the sequential solve's).
-func (pl *Plan) SolveEpochBatch(ctx context.Context, recs []observe.Store) ([]*Result, error) {
-	setStage("solve")
-	defer clearStage()
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	results := make([]*Result, len(recs))
-	if len(pl.rows) == 0 || len(pl.colMap) == 0 {
-		for i, rec := range recs {
-			res, err := pl.solveEpoch(ctx, rec)
-			if err != nil {
-				return nil, err
-			}
-			results[i] = res
-		}
-		return results, nil
-	}
-	m, n := pl.qr.Dims()
 	K := len(recs)
-	if cap(pl.batchSlab) < K*(m+n) {
-		pl.batchSlab = make([]float64, K*(m+n))
+	m, n := 0, 0
+	if len(pl.colMap) > 0 {
+		m, n = pl.qr.Dims()
 	}
-	if cap(pl.batchScratch) < K*m {
-		pl.batchScratch = make([]float64, K*m)
-	}
-	slab := pl.batchSlab[:K*(m+n)]
-	rhss := make([][]float64, K)
-	xs := make([][]float64, K)
+	slab := slices.Grow(pl.batchSlab[:0], K*(m+n))[:K*(m+n)]
+	vecs := slices.Grow(pl.batchVecs[:0], 2*K)[:2*K]
+	pl.batchSlab, pl.batchVecs = slab, vecs
+	rhss, xs := vecs[:K], vecs[K:]
 	for i, rec := range recs {
 		if err := ctx.Err(); err != nil {
-			return nil, err
+			return err
 		}
-		results[i] = pl.resultShell(rec)
-		rhs, clamped := pl.buildRHS(rec, slab[i*m:i*m:(i+1)*m])
-		rhss[i] = rhs
+		res := pl.resultShell(rec)
+		rhss[i], res.ClampedRows = pl.buildRHS(rec, slab[i*m:i*m:(i+1)*m])
 		xs[i] = slab[K*m+i*n : K*m+(i+1)*n]
-		results[i].ClampedRows = clamped
+		res.Nullity = len(pl.subsets) // until fillSolution says otherwise
+		results[i] = res
 	}
-	if err := pl.qr.SolveLeastSquaresBatchInto(xs, rhss, pl.batchScratch[:K*m]); err != nil {
-		return nil, err // unreachable: full column rank was verified at plan time
+	if n == 0 {
+		return nil // no equations, or no identifiable unknown: nothing to solve
+	}
+	pl.batchScratch = slices.Grow(pl.batchScratch[:0], K*m)[:K*m]
+	if err := pl.qr.SolveLeastSquaresBatchInto(xs, rhss, pl.batchScratch); err != nil {
+		return err // unreachable: full column rank was verified at plan time
 	}
 	for i := range recs {
 		pl.fillSolution(results[i], xs[i])
 	}
-	return results, nil
+	return nil
 }

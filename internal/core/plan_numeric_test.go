@@ -229,20 +229,17 @@ func TestNumericalRepairRankLossFallsBack(t *testing.T) {
 	// The retained equations now reference unknowns {0} and {1} with
 	// fewer independent equations than unknowns.
 	addIntervals(true)
-	res, next, err := ComputePlanned(context.Background(), top, w, cfg, plan)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res, info, next := computeOne(t, top, w, cfg, plan)
 	if next == plan {
 		t.Fatal("rank-breaking frontier move was absorbed instead of rebuilt")
 	}
 	if next.NumericRepairCount() != 0 {
 		t.Fatal("fresh plan reports a numeric repair")
 	}
-	if !next.RepairFailed() {
-		t.Fatal("fresh plan does not record the failed repair attempt")
+	if info.Warm || !info.RepairFailed {
+		t.Fatalf("rebuilt epoch does not record the failed repair attempt: %+v", info)
 	}
-	if _, rep, _ := next.StageTimes(); rep <= 0 {
+	if info.RepairTime <= 0 {
 		t.Fatal("failed repair attempt's duration was discarded")
 	}
 	cold, err := Compute(context.Background(), top, w, cfg)
@@ -263,14 +260,11 @@ func TestNumericalRepairDeltaGate(t *testing.T) {
 	declined := false
 	for epoch := 0; epoch < 12; epoch++ {
 		driftEpoch(w, rng, top.NumPaths(), 100, epoch%5 == 3)
-		res, next, err := ComputePlanned(context.Background(), top, w, cfg, plan)
-		if err != nil {
-			t.Fatal(err)
-		}
+		res, info, next := computeOne(t, top, w, cfg, plan)
 		if next.NumericRepairCount() != 0 {
 			t.Fatalf("epoch %d: Δ gate of 1e-9 admitted a patch", epoch)
 		}
-		if plan != nil && next != plan && next.RepairFailed() {
+		if plan != nil && next != plan && info.RepairFailed {
 			declined = true
 		}
 		cold, err := Compute(context.Background(), top, w, cfg)
@@ -286,9 +280,8 @@ func TestNumericalRepairDeltaGate(t *testing.T) {
 }
 
 // Without the option, a frontier move must keep rebuilding cold — and
-// the failed tier-1 attempt's duration must now be carried onto the
-// fresh plan (the satellite bugfix) while a config-change rebuild
-// carries nothing.
+// the failed tier-1 attempt's duration must be reported with the epoch
+// that rebuilt, while a config-change rebuild reports nothing.
 func TestRepairFailureTimingCarried(t *testing.T) {
 	top := driftTopology(t)
 	cfg := Config{MaxSubsetSize: 2, AlwaysGoodTol: 0.02}
@@ -298,17 +291,14 @@ func TestRepairFailureTimingCarried(t *testing.T) {
 	sawFailedRepair := false
 	for epoch := 0; epoch < 12; epoch++ {
 		driftEpoch(w, rng, top.NumPaths(), 100, epoch%5 == 3)
-		res, next, err := ComputePlanned(context.Background(), top, w, cfg, plan)
-		if err != nil {
-			t.Fatal(err)
-		}
+		res, info, next := computeOne(t, top, w, cfg, plan)
 		if next.NumericRepairCount() != 0 {
 			t.Fatal("numeric repair ran without the option")
 		}
-		if plan != nil && next != plan && next.RepairFailed() {
+		if plan != nil && next != plan && info.RepairFailed {
 			sawFailedRepair = true
-			if _, rep, _ := next.StageTimes(); rep <= 0 {
-				t.Fatalf("epoch %d: failed repair duration missing from the fresh plan", epoch)
+			if info.RepairTime <= 0 {
+				t.Fatalf("epoch %d: failed repair duration missing from the rebuilt epoch", epoch)
 			}
 		}
 		cold, err := Compute(context.Background(), top, w, cfg)
@@ -325,23 +315,20 @@ func TestRepairFailureTimingCarried(t *testing.T) {
 	// flag, no carried duration.
 	cfg2 := cfg
 	cfg2.MaxSubsetSize = 1
-	_, next, err := ComputePlanned(context.Background(), top, w, cfg2, plan)
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, info, next := computeOne(t, top, w, cfg2, plan)
 	if next == plan {
 		t.Fatal("plan survived a config change")
 	}
-	if next.RepairFailed() {
+	if info.RepairFailed {
 		t.Fatal("config-change rebuild reported a failed repair")
 	}
-	if _, rep, _ := next.StageTimes(); rep != 0 {
+	if info.RepairTime != 0 {
 		t.Fatal("config-change rebuild carried a repair duration")
 	}
 }
 
-// ComputePlannedBatch with tier-2 enabled must reproduce the
-// sequential chain bit for bit: the batch drains every pending run
+// One K-store ComputePlannedBatch with tier-2 enabled must reproduce
+// the chain of K one-store calls bit for bit: the batch drains every pending run
 // before a tier-2 patch rewrites the factorization, so each store
 // solves against exactly the plan state its sequential solve saw.
 func TestComputePlannedBatchMatchesSequentialNumeric(t *testing.T) {
@@ -354,29 +341,7 @@ func TestComputePlannedBatchMatchesSequentialNumeric(t *testing.T) {
 		driftEpoch(w, rng, top.NumPaths(), 100, epoch%5 == 3)
 		stores = append(stores, w.Clone())
 	}
-	var plan *Plan
-	sequential := make([]*Result, len(stores))
-	seqInfos := make([]EpochInfo, len(stores))
-	for i, rec := range stores {
-		prevRepairs, prevNumeric, prevPlan := 0, 0, plan
-		if plan != nil {
-			prevRepairs, prevNumeric = plan.RepairCount(), plan.NumericRepairCount()
-		}
-		res, next, err := ComputePlanned(context.Background(), top, rec, cfg, plan)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if next == prevPlan && prevPlan != nil {
-			seqInfos[i] = EpochInfo{
-				Warm:            true,
-				Repaired:        next.RepairCount() > prevRepairs,
-				RepairedNumeric: next.NumericRepairCount() > prevNumeric,
-			}
-		} else {
-			seqInfos[i] = EpochInfo{RepairFailed: next.RepairFailed()}
-		}
-		sequential[i], plan = res, next
-	}
+	sequential, seqInfos, plan := sequentialChain(t, top, stores, cfg)
 	batched, infos, batchPlan, err := ComputePlannedBatch(context.Background(), top, stores, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -384,9 +349,7 @@ func TestComputePlannedBatchMatchesSequentialNumeric(t *testing.T) {
 	numericInfos := 0
 	for i := range stores {
 		resultsEqual(t, fmt.Sprintf("store %d", i), batched[i], sequential[i])
-		if infos[i] != seqInfos[i] {
-			t.Fatalf("store %d: batch info %+v vs sequential %+v", i, infos[i], seqInfos[i])
-		}
+		infosAgree(t, i, infos[i], seqInfos[i])
 		if infos[i].RepairedNumeric {
 			numericInfos++
 		}

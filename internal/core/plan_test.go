@@ -331,9 +331,60 @@ func TestPlanRepairDisabled(t *testing.T) {
 	}
 }
 
-// ComputePlannedBatch must reproduce the sequential ComputePlanned
-// chain store for store — warm runs drained through the batched
-// multi-RHS solve included — under the same drift schedule.
+// solveEpoch is the solve tail at K = 1, for tests that hold a bare
+// plan rather than going through ComputePlanned.
+func (pl *Plan) solveEpoch(ctx context.Context, rec observe.Store) (*Result, error) {
+	var res [1]*Result
+	err := pl.solveEpochs(ctx, []observe.Store{rec}, res[:])
+	return res[0], err
+}
+
+// computeOne is ComputePlanned with the epoch's info: a
+// ComputePlannedBatch over the single store rec.
+func computeOne(t *testing.T, top *topology.Topology, rec observe.Store, cfg Config, prev *Plan) (*Result, EpochInfo, *Plan) {
+	t.Helper()
+	results, infos, plan, err := ComputePlannedBatch(context.Background(), top, []observe.Store{rec}, cfg, prev)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return results[0], infos[0], plan
+}
+
+// sequentialChain solves stores one call at a time, carrying the plan.
+func sequentialChain(t *testing.T, top *topology.Topology, stores []observe.Store, cfg Config) ([]*Result, []EpochInfo, *Plan) {
+	t.Helper()
+	var plan *Plan
+	results := make([]*Result, len(stores))
+	infos := make([]EpochInfo, len(stores))
+	for i, rec := range stores {
+		results[i], infos[i], plan = computeOne(t, top, rec, cfg, plan)
+	}
+	return results, infos, plan
+}
+
+// infosAgree asserts that a store's info from the K-store call equals
+// the one-store call's in everything but the durations, and that on
+// both sides a repair duration is reported exactly when a repair was
+// attempted.
+func infosAgree(t *testing.T, i int, batch, seq EpochInfo) {
+	t.Helper()
+	if batch.Tier != seq.Tier {
+		t.Fatalf("store %d: batch tier %+v vs sequential %+v", i, batch.Tier, seq.Tier)
+	}
+	for side, info := range map[string]EpochInfo{"batch": batch, "sequential": seq} {
+		attempted := info.Repaired || info.RepairedNumeric || info.RepairFailed
+		if attempted != (info.RepairTime > 0) {
+			t.Fatalf("store %d (%s): repair attempted=%v but RepairTime=%v", i, side, attempted, info.RepairTime)
+		}
+		if info.Warm != (info.BuildTime == 0) || info.SolveTime <= 0 {
+			t.Fatalf("store %d (%s): stage times inconsistent with tier: %+v", i, side, info)
+		}
+	}
+}
+
+// One K-store ComputePlannedBatch must reproduce the chain of K
+// one-store calls store for store — warm runs drained through the
+// batched multi-RHS solve included — under the same drift schedule.
 func TestComputePlannedBatchMatchesSequential(t *testing.T) {
 	top := driftTopology(t)
 	cfg := Config{MaxSubsetSize: 2, AlwaysGoodTol: 0.02}
@@ -344,15 +395,7 @@ func TestComputePlannedBatchMatchesSequential(t *testing.T) {
 		driftEpoch(w, rng, top.NumPaths(), 100, epoch == 5)
 		stores = append(stores, w.Clone())
 	}
-	var plan *Plan
-	sequential := make([]*Result, len(stores))
-	for i, rec := range stores {
-		res, next, err := ComputePlanned(context.Background(), top, rec, cfg, plan)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sequential[i], plan = res, next
-	}
+	sequential, seqInfos, plan := sequentialChain(t, top, stores, cfg)
 	batched, infos, batchPlan, err := ComputePlannedBatch(context.Background(), top, stores, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -360,6 +403,7 @@ func TestComputePlannedBatchMatchesSequential(t *testing.T) {
 	warmInfos, repairedInfos := 0, 0
 	for i := range stores {
 		resultsEqual(t, fmt.Sprintf("store %d", i), batched[i], sequential[i])
+		infosAgree(t, i, infos[i], seqInfos[i])
 		if infos[i].Warm {
 			warmInfos++
 		}

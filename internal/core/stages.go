@@ -8,7 +8,7 @@ import (
 // Profiler stage labels. Each solver stage tags its goroutine with a
 // stage=<name> pprof label so CPU profiles attribute rebuild time to
 // the enumerate/seeds/augment/qr phases and epoch serving to solve,
-// matching the stage split of Plan.StageTimes. The label contexts are
+// matching the stage split of EpochInfo. The label contexts are
 // built once and applied with SetGoroutineLabels directly — pprof.Do
 // would allocate a labelled context per call, which the warm solve path
 // cannot afford.

@@ -58,7 +58,6 @@ func (s Settings) coreConfig() core.Config {
 		MaxSubsetSize:          s.MaxSubsetSize,
 		AlwaysGoodTol:          s.AlwaysGoodTol,
 		MaxEnumPathSets:        s.MaxEnumPathSets,
-		DisablePlanRepair:      s.DisablePlanRepair,
 		NumericalPlanRepair:    s.NumericalPlanRepair,
 		NumericalRepairMaxFrac: s.NumericalRepairMaxFrac,
 	}

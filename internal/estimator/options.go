@@ -27,10 +27,6 @@ type Settings struct {
 	// Seed drives the random sampling of the algorithms that sample
 	// (Independence's path pairs).
 	Seed int64
-	// DisablePlanRepair turns off structural-plan repair across
-	// always-good drift in the Correlation-complete solvers (see
-	// core.Plan.Repair); results are bit-identical either way.
-	DisablePlanRepair bool
 	// NumericalPlanRepair additionally enables the tier-2 numerical
 	// repair (core.Plan.RepairNumeric): frontier-moving drift patches
 	// the retained factorization in place instead of rebuilding.
@@ -154,19 +150,6 @@ func WithSweeps(n int) Option {
 func WithSeed(seed int64) Option {
 	return func(s *Settings) error {
 		s.Seed = seed
-		return nil
-	}
-}
-
-// WithPlanRepair enables or disables structural-plan repair across
-// always-good drift in the warm Correlation-complete solvers
-// (WarmSolver, ShardedSolver, and the streaming server's epoch loops).
-// Repair is on by default and never changes results — a drift either
-// provably preserves the plan bit for bit or falls back to the rebuild
-// — so false is an operational escape hatch, not a correctness knob.
-func WithPlanRepair(enabled bool) Option {
-	return func(s *Settings) error {
-		s.DisablePlanRepair = !enabled
 		return nil
 	}
 }

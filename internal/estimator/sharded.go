@@ -3,7 +3,6 @@ package estimator
 import (
 	"context"
 	"fmt"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/observe"
@@ -51,53 +50,10 @@ func (correlationCompleteSharded) Estimate(ctx context.Context, top *topology.To
 }
 
 // SolveInfo describes how an epoch solve used its carried-forward
-// structural plan.
-type SolveInfo struct {
-	// Warm reports that the structural phase was skipped entirely: the
-	// previous plan's factorization served this epoch (whether the
-	// always-good set held or Repair absorbed its drift).
-	Warm bool
-	// Repaired reports that the always-good set drifted within the
-	// good-link frontier and the plan was re-keyed across it rather
-	// than rebuilt (tier-1, core.Plan.Repair; bit-identical).
-	Repaired bool
-	// RepairedNumeric reports that the drift moved the frontier and the
-	// plan's factorization was patched in place (tier-2,
-	// core.Plan.RepairNumeric; numerically equivalent). Only ever set
-	// when the solver runs with WithNumericalPlanRepair(true).
-	RepairedNumeric bool
-	// RepairFailed reports that this epoch rebuilt cold after a repair
-	// attempt failed — the drift was unrepairable — as opposed to a
-	// rebuild forced by a config or topology change, where no attempt
-	// was made. RepairTime then holds the failed attempt's duration.
-	RepairFailed bool
-
-	// Per-stage wall time of the epoch (core.Plan.StageTimes):
-	// BuildTime is the cold structural rebuild (zero on warm epochs),
-	// RepairTime the repair attempt — tier-1 re-key, tier-2 patch, or a
-	// failed probe that fell back cold — and SolveTime the shared solve
-	// tail. Zero on batched drains, where per-epoch attribution doesn't
-	// exist.
-	BuildTime  time.Duration
-	RepairTime time.Duration
-	SolveTime  time.Duration
-}
-
-// solveInfoFor derives how a ComputePlanned call used prev from the
-// returned plan and prev's repair counts snapshotted before the call —
-// the one place this pattern lives for every warm solver.
-func solveInfoFor(prev, next *core.Plan, prevRepairs, prevNumeric int) SolveInfo {
-	info := SolveInfo{}
-	if prev != nil && next == prev {
-		info.Warm = true
-		info.Repaired = next.RepairCount() > prevRepairs
-		info.RepairedNumeric = next.NumericRepairCount() > prevNumeric
-	} else {
-		info.RepairFailed = next.RepairFailed()
-	}
-	info.BuildTime, info.RepairTime, info.SolveTime = next.StageTimes()
-	return info
-}
+// structural plan — the tier that served it and the per-stage wall
+// time. It is the record the solver core returns per epoch, passed up
+// unchanged.
+type SolveInfo = core.EpochInfo
 
 // ShardedSolver drives per-shard Correlation-complete solves over a
 // fixed topology, carrying each shard's structural plan (enumeration,
@@ -167,53 +123,35 @@ func (sv *ShardedSolver) shardConfig(shard int) core.Config {
 // SolveShard computes shard's block of the system over obs, warm-
 // starting from the shard's previous plan when its always-good path set
 // is unchanged — or repairing the plan across the drift when the
-// good-link frontier held (core.Plan.Repair). obs may be the full
-// observation store or just the shard's own ring of a stream.Sharded —
-// the solve only reads the shard's paths, whose statistics are
-// identical in both. info reports how the carried-forward plan served.
+// good-link frontier held (core.Plan.Repair): SolveShardBatch over the
+// single store. obs may be the full observation store or just the
+// shard's own ring of a stream.Sharded — the solve only reads the
+// shard's paths, whose statistics are identical in both. info reports
+// how the carried-forward plan served.
 func (sv *ShardedSolver) SolveShard(ctx context.Context, shard int, obs observe.Store) (res *core.Result, info SolveInfo, err error) {
-	if shard < 0 || shard >= len(sv.plans) {
-		return nil, SolveInfo{}, fmt.Errorf("estimator: shard %d outside [0,%d)", shard, len(sv.plans))
-	}
-	prev := sv.plans[shard]
-	prevRepairs, prevNumeric := 0, 0
-	if prev != nil {
-		prevRepairs, prevNumeric = prev.RepairCount(), prev.NumericRepairCount()
-	}
-	res, plan, err := core.ComputePlanned(ctx, sv.top, obs, sv.shardConfig(shard), prev)
+	results, infos, err := sv.SolveShardBatch(ctx, shard, []observe.Store{obs})
 	if err != nil {
 		return nil, SolveInfo{}, err
 	}
-	sv.plans[shard] = plan
-	return res, solveInfoFor(prev, plan, prevRepairs, prevNumeric), nil
+	return results[0], infos[0], nil
 }
 
 // SolveShardBatch computes one block of shard per store, carrying the
-// shard's plan across them exactly like sequential SolveShard calls
-// would, but draining every maximal run of plan-compatible stores
-// through one batched multi-RHS solve (core.ComputePlannedBatch). This
-// is the catch-up path for a backlog of queued shard-ring snapshots:
-// each block is bit-identical to a sequential SolveShard over the same
-// store. infos reports per store how the carried plan served it (stage
-// times are zero on batched solves, as in WarmSolver.EstimateBatch).
+// shard's plan across them and draining every maximal run of
+// plan-compatible stores through one batched multi-RHS solve
+// (core.ComputePlannedBatch). This is the catch-up path for a backlog
+// of queued shard-ring snapshots: each block is independent of how the
+// stores are grouped into calls. infos reports per store how the
+// carried plan served it.
 func (sv *ShardedSolver) SolveShardBatch(ctx context.Context, shard int, stores []observe.Store) ([]*core.Result, []SolveInfo, error) {
 	if shard < 0 || shard >= len(sv.plans) {
 		return nil, nil, fmt.Errorf("estimator: shard %d outside [0,%d)", shard, len(sv.plans))
 	}
-	results, epochInfos, plan, err := core.ComputePlannedBatch(ctx, sv.top, stores, sv.shardConfig(shard), sv.plans[shard])
+	results, infos, plan, err := core.ComputePlannedBatch(ctx, sv.top, stores, sv.shardConfig(shard), sv.plans[shard])
 	if err != nil {
 		return nil, nil, err
 	}
 	sv.plans[shard] = plan
-	infos := make([]SolveInfo, len(results))
-	for i := range results {
-		infos[i] = SolveInfo{
-			Warm:            epochInfos[i].Warm,
-			Repaired:        epochInfos[i].Repaired,
-			RepairedNumeric: epochInfos[i].RepairedNumeric,
-			RepairFailed:    epochInfos[i].RepairFailed,
-		}
-	}
 	return results, infos, nil
 }
 

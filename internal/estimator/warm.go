@@ -38,53 +38,36 @@ func NewWarmSolver(top *topology.Topology, opts ...Option) (*WarmSolver, error) 
 }
 
 // Estimate computes one epoch over obs, reusing the carried-forward
-// plan when it can. info reports whether the structural phase was
-// skipped and whether the plan was repaired across an always-good
-// drift.
+// plan when it can: EstimateBatch over the single store. info reports
+// which plan tier served the epoch and its stage durations.
 func (ws *WarmSolver) Estimate(ctx context.Context, obs observe.Store) (*Estimate, SolveInfo, error) {
-	if err := checkUniverse(CorrelationComplete, ws.top, obs); err != nil {
-		return nil, SolveInfo{}, err
-	}
-	prev := ws.plan
-	prevRepairs, prevNumeric := 0, 0
-	if prev != nil {
-		prevRepairs, prevNumeric = prev.RepairCount(), prev.NumericRepairCount()
-	}
-	res, plan, err := core.ComputePlanned(ctx, ws.top, obs, ws.settings.coreConfig(), prev)
+	ests, infos, err := ws.EstimateBatch(ctx, []observe.Store{obs})
 	if err != nil {
 		return nil, SolveInfo{}, err
 	}
-	ws.plan = plan
-	return estimateFromResult(CorrelationComplete, ws.top, res), solveInfoFor(prev, plan, prevRepairs, prevNumeric), nil
+	return ests[0], infos[0], nil
 }
 
 // EstimateBatch computes one epoch per store, draining every maximal
 // run of plan-compatible stores through a single batched multi-RHS
 // solve (core.ComputePlannedBatch) — the catch-up path for a backlog
-// of queued window snapshots. Each estimate is bit-identical to a
-// sequential Estimate over the same store; infos reports per store how
-// the carried plan served it.
+// of queued window snapshots. Each estimate is independent of how the
+// stores are grouped into calls; infos reports per store how the
+// carried plan served it.
 func (ws *WarmSolver) EstimateBatch(ctx context.Context, stores []observe.Store) ([]*Estimate, []SolveInfo, error) {
 	for _, obs := range stores {
 		if err := checkUniverse(CorrelationComplete, ws.top, obs); err != nil {
 			return nil, nil, err
 		}
 	}
-	results, epochInfos, plan, err := core.ComputePlannedBatch(ctx, ws.top, stores, ws.settings.coreConfig(), ws.plan)
+	results, infos, plan, err := core.ComputePlannedBatch(ctx, ws.top, stores, ws.settings.coreConfig(), ws.plan)
 	if err != nil {
 		return nil, nil, err
 	}
 	ws.plan = plan
 	out := make([]*Estimate, len(results))
-	infos := make([]SolveInfo, len(results))
 	for i, res := range results {
 		out[i] = estimateFromResult(CorrelationComplete, ws.top, res)
-		infos[i] = SolveInfo{
-			Warm:            epochInfos[i].Warm,
-			Repaired:        epochInfos[i].Repaired,
-			RepairedNumeric: epochInfos[i].RepairedNumeric,
-			RepairFailed:    epochInfos[i].RepairFailed,
-		}
 	}
 	return out, infos, nil
 }

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"repro/internal/bitset"
+	"repro/internal/core"
 	"repro/internal/estimator"
 	"repro/internal/telemetry"
 )
@@ -152,15 +153,12 @@ type CongestedPathsResponse struct {
 // sequence its last solve covered, how far ingest has run ahead of it,
 // and whether the solve warm-started from the carried-forward plan.
 type ShardStatus struct {
-	Shard           int     `json:"shard"`
-	Epoch           uint64  `json:"epoch"`
-	SeqHigh         uint64  `json:"seq_high"`
-	LagIntervals    uint64  `json:"lag_intervals"`
-	Warm            bool    `json:"warm"`
-	Repaired        bool    `json:"repaired"`
-	RepairedNumeric bool    `json:"repaired_numeric"`
-	RepairFailed    bool    `json:"repair_failed,omitempty"`
-	ComputeMs       float64 `json:"last_compute_ms"`
+	Shard        int    `json:"shard"`
+	Epoch        uint64 `json:"epoch"`
+	SeqHigh      uint64 `json:"seq_high"`
+	LagIntervals uint64 `json:"lag_intervals"`
+	core.Tier
+	ComputeMs float64 `json:"last_compute_ms"`
 	// EpochBacklog is the shard's pending interval-stride checkpoints
 	// (0 unless Config.EpochEvery is set).
 	EpochBacklog int    `json:"epoch_backlog,omitempty"`
@@ -190,15 +188,12 @@ type StatusResponse struct {
 	ClampedRows  int     `json:"clamped_rows"`
 	SolverError  string  `json:"solver_error,omitempty"`
 
-	// Warm, Repaired and RepairedNumeric report how the published
-	// epoch's solve used the carried-forward structural plan (unsharded
-	// correlation-complete; sharded mode reports per shard below):
-	// warm reuse, tier-1 re-key, or tier-2 factorization patch.
-	// RepairFailed marks a cold epoch whose repair attempt failed.
-	Warm            bool `json:"warm"`
-	Repaired        bool `json:"repaired"`
-	RepairedNumeric bool `json:"repaired_numeric"`
-	RepairFailed    bool `json:"repair_failed,omitempty"`
+	// Tier reports how the published epoch's solve used the
+	// carried-forward structural plan (unsharded correlation-complete;
+	// sharded mode reports per shard below): warm reuse, tier-1 re-key,
+	// or tier-2 factorization patch, and whether a cold epoch's repair
+	// attempt failed.
+	core.Tier
 
 	// SolveTiers is the cumulative published-epoch count by plan path
 	// since process start (cold / warm / repaired / repaired_numeric,
@@ -266,15 +261,12 @@ type HealthResponse struct {
 
 // EpochRecord is one published epoch in GET /v1/epochs.
 type EpochRecord struct {
-	Epoch           uint64  `json:"epoch"`
-	SeqHigh         uint64  `json:"seq_high"`
-	WindowT         int     `json:"window_intervals"`
-	Warm            bool    `json:"warm"`
-	Repaired        bool    `json:"repaired"`
-	RepairedNumeric bool    `json:"repaired_numeric"`
-	RepairFailed    bool    `json:"repair_failed,omitempty"`
-	ComputeMs       float64 `json:"compute_ms"`
-	Error           string  `json:"error,omitempty"`
+	Epoch   uint64 `json:"epoch"`
+	SeqHigh uint64 `json:"seq_high"`
+	WindowT int    `json:"window_intervals"`
+	core.Tier
+	ComputeMs float64 `json:"compute_ms"`
+	Error     string  `json:"error,omitempty"`
 }
 
 // EpochsResponse is GET /v1/epochs: the bounded ring of published
@@ -649,15 +641,12 @@ func (s *Server) handleEpochs(w http.ResponseWriter, r *http.Request) {
 	resp := EpochsResponse{Algorithm: s.cfg.Algo, Epochs: make([]EpochRecord, 0, len(history))}
 	for _, h := range history {
 		resp.Epochs = append(resp.Epochs, EpochRecord{
-			Epoch:           h.Epoch,
-			SeqHigh:         h.SeqHigh,
-			WindowT:         h.T,
-			Warm:            h.Warm,
-			Repaired:        h.Repaired,
-			RepairedNumeric: h.RepairedNumeric,
-			RepairFailed:    h.RepairFailed,
-			ComputeMs:       float64(h.ComputeTime.Microseconds()) / 1000,
-			Error:           h.Err,
+			Epoch:     h.Epoch,
+			SeqHigh:   h.SeqHigh,
+			WindowT:   h.T,
+			Tier:      h.Tier,
+			ComputeMs: float64(h.ComputeTime.Microseconds()) / 1000,
+			Error:     h.Err,
 		})
 	}
 	writeData(w, http.StatusOK, resp)
@@ -688,10 +677,7 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 		st.SnapshotSeq = snap.SeqHigh
 		st.LagIntervals = st.IngestedSeq - snap.SeqHigh
 		st.WindowT = snap.T
-		st.Warm = snap.Warm
-		st.Repaired = snap.Repaired
-		st.RepairedNumeric = snap.RepairedNumeric
-		st.RepairFailed = snap.RepairFailed
+		st.Tier = snap.Tier
 		st.ComputeMs = float64(snap.ComputeTime.Microseconds()) / 1000
 		if snap.Err != nil {
 			st.SolverError = snap.Err.Error()
@@ -747,17 +733,14 @@ func (s *Server) shardStatuses(ingested uint64) []ShardStatus {
 	for i := range s.shardStates {
 		info := s.shardInfoLocked(i)
 		out[i] = ShardStatus{
-			Shard:           info.Shard,
-			Epoch:           info.Epoch,
-			SeqHigh:         info.SeqHigh,
-			Warm:            info.Warm,
-			Repaired:        info.Repaired,
-			RepairedNumeric: info.RepairedNumeric,
-			RepairFailed:    info.RepairFailed,
-			ComputeMs:       float64(info.ComputeTime.Microseconds()) / 1000,
-			EpochBacklog:    info.EpochBacklog,
-			Paths:           info.Paths,
-			Links:           info.Links,
+			Shard:        info.Shard,
+			Epoch:        info.Epoch,
+			SeqHigh:      info.SeqHigh,
+			Tier:         info.Tier,
+			ComputeMs:    float64(info.ComputeTime.Microseconds()) / 1000,
+			EpochBacklog: info.EpochBacklog,
+			Paths:        info.Paths,
+			Links:        info.Links,
 		}
 		if ingested >= info.SeqHigh {
 			out[i].LagIntervals = ingested - info.SeqHigh

@@ -103,23 +103,25 @@ func BuildInfo() (goVersion, revision string) {
 // Uptime returns how long the process has been up.
 func Uptime() time.Duration { return time.Since(processStart) }
 
-// observeSolveMetrics records one published epoch's plan path and
-// per-stage wall time from its SolveInfo. Stage times of zero are
-// skipped rather than observed: a warm epoch has no rebuild and an
-// unrepaired one no repair, and batched drains carry no per-epoch
-// attribution at all.
-func observeSolveMetrics(info estimator.SolveInfo) {
+// observeSolve records one published epoch's plan path — on the
+// process-wide counters and on the server's own /v1/status counts —
+// and its per-stage wall time. Stage times of zero are skipped rather
+// than observed: a warm epoch has no rebuild and an unrepaired one no
+// repair.
+func (s *Server) observeSolve(info estimator.SolveInfo) {
+	own, metric := &s.tiers.cold, solvesCold
 	switch {
 	case info.RepairedNumeric:
-		solvesRepairedNumeric.Inc()
+		own, metric = &s.tiers.repairedNumeric, solvesRepairedNumeric
 	case info.Repaired:
-		solvesRepaired.Inc()
+		own, metric = &s.tiers.repaired, solvesRepaired
 	case info.Warm:
-		solvesWarm.Inc()
-	default:
-		solvesCold.Inc()
+		own, metric = &s.tiers.warm, solvesWarm
 	}
+	own.Add(1)
+	metric.Inc()
 	if info.RepairFailed {
+		s.tiers.repairFailed.Add(1)
 		metricRepairFailed.Inc()
 	}
 	if info.BuildTime > 0 {

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/bitset"
 	"repro/internal/estimator"
 	"repro/internal/telemetry"
 	"repro/internal/wal"
@@ -126,6 +127,53 @@ func TestMetricsEndToEnd(t *testing.T) {
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("/metrics missing %q", want)
+		}
+	}
+}
+
+// TestMetricsStrideDrain is TestMetricsEndToEnd's twin for the
+// interval-stride path: with EpochEvery set and ingest ending on a
+// stride boundary, every epoch is published by drainBacklog's batched
+// solve, and each must still feed the per-stage histograms.
+func TestMetricsStrideDrain(t *testing.T) {
+	const stride, checkpoints = 10, 3
+	top := testTopology(t)
+	s := newServer(t, top, Config{WindowSize: 500, EpochEvery: stride, SolverOpts: solverOpts()})
+	defer s.Close()
+	batch := make([]*bitset.Set, stride*checkpoints)
+	for i := range batch {
+		batch[i] = bitset.FromIndices(top.NumPaths(), 0)
+	}
+
+	pre := telemetry.Default().Snapshot()
+	if _, err := s.Ingest(batch); err != nil {
+		t.Fatal(err)
+	}
+	if snap := s.Recompute(nil); snap.Err != nil {
+		t.Fatal(snap.Err)
+	}
+	post := telemetry.Default().Snapshot()
+
+	history := s.History()
+	if len(history) != checkpoints {
+		t.Fatalf("history has %d epochs, want %d (all from the drain)", len(history), checkpoints)
+	}
+	cold := 0
+	for _, h := range history {
+		if !h.Warm {
+			cold++
+		}
+	}
+	if cold == 0 || cold == checkpoints {
+		t.Fatalf("%d of %d drained epochs cold, want a mix", cold, checkpoints)
+	}
+	for key, want := range map[string]float64{
+		`tomod_epoch_compute_seconds_count{stage="solve"}`:   checkpoints,
+		`tomod_epoch_compute_seconds_count{stage="rebuild"}`: float64(cold),
+		`tomod_epoch_solves_total{path="cold"}`:              float64(cold),
+	} {
+		if got := delta(pre, post, key); got != want {
+			t.Errorf("delta(%s) = %v, want %v", key, got, want)
 		}
 	}
 }

@@ -190,19 +190,11 @@ type Snapshot struct {
 	// T is the number of intervals in the window at solve time.
 	T int
 
-	// Warm reports that the epoch solver skipped the structural phase
-	// (carried-forward plan); Repaired that the plan additionally
-	// absorbed an always-good drift via the tier-1 re-key, and
-	// RepairedNumeric via the tier-2 factorization patch
-	// (core.Plan.RepairNumeric; requires WithNumericalPlanRepair).
-	// RepairFailed marks a cold epoch whose repair attempt failed, as
-	// opposed to one forced by a config or topology change. Always
-	// false outside the warm correlation-complete loop (sharded mode
-	// reports the same per shard in Shards).
-	Warm            bool
-	Repaired        bool
-	RepairedNumeric bool
-	RepairFailed    bool
+	// Tier is how the epoch solve used its carried-forward plan, as the
+	// solver reported it. Always zero outside the warm
+	// correlation-complete loop (sharded mode reports the same per
+	// shard in Shards).
+	core.Tier
 
 	ComputedAt  time.Time
 	ComputeTime time.Duration
@@ -302,16 +294,9 @@ type ShardInfo struct {
 	SeqHigh uint64
 	T       int
 
-	// Warm reports whether the structural plan was carried forward from
-	// the shard's previous epoch; Repaired whether it was re-keyed
-	// across an always-good drift (tier-1, core.Plan.Repair) and
-	// RepairedNumeric whether its factorization was patched across a
-	// frontier move (tier-2, core.Plan.RepairNumeric). RepairFailed
-	// marks a cold shard epoch whose repair attempt failed.
-	Warm            bool
-	Repaired        bool
-	RepairedNumeric bool
-	RepairFailed    bool
+	// Tier is how the shard's solve used the plan carried forward from
+	// its previous epoch.
+	core.Tier
 
 	ComputeTime time.Duration
 
@@ -335,31 +320,34 @@ type shardState struct {
 	// /v1/status reads it without the ingest or publish locks.
 	epochBacklog atomic.Int64
 
-	res             *core.Result
-	seqHigh         uint64
-	t               int
-	epoch           uint64
-	warm            bool
-	repaired        bool
-	repairedNumeric bool
-	repairFailed    bool
-	computeTime     time.Duration
-	err             error
+	res     *core.Result
+	seqHigh uint64
+	t       int
+	epoch   uint64
+	core.Tier
+	computeTime time.Duration
+	err         error
+}
+
+// adopt makes sol the shard's published block and consumes a shard
+// epoch; the caller holds publishMu and has checked sol is not stale.
+func (st *shardState) adopt(sol ShardSolve, computeTime time.Duration) {
+	st.res, st.seqHigh, st.t, st.err = sol.Res, sol.SeqHigh, sol.T, nil
+	st.Tier = sol.Info.Tier
+	st.epoch++
+	st.computeTime = computeTime
 }
 
 // EpochSummary is one published epoch's record in the server's bounded
 // history ring, the backing of GET /v1/epochs.
 type EpochSummary struct {
-	Epoch           uint64
-	SeqHigh         uint64
-	T               int
-	Warm            bool
-	Repaired        bool
-	RepairedNumeric bool
-	RepairFailed    bool
-	ComputedAt      time.Time
-	ComputeTime     time.Duration
-	Err             string
+	Epoch   uint64
+	SeqHigh uint64
+	T       int
+	core.Tier
+	ComputedAt  time.Time
+	ComputeTime time.Duration
+	Err         string
 }
 
 // Server is the streaming tomography service.
@@ -635,25 +623,6 @@ func (s *Server) SolveTiers() SolveTierCounts {
 	}
 }
 
-// observeSolve records one published epoch's plan path on both the
-// process-wide metrics and the server's own /v1/status counters.
-func (s *Server) observeSolve(info estimator.SolveInfo) {
-	switch {
-	case info.RepairedNumeric:
-		s.tiers.repairedNumeric.Add(1)
-	case info.Repaired:
-		s.tiers.repaired.Add(1)
-	case info.Warm:
-		s.tiers.warm.Add(1)
-	default:
-		s.tiers.cold.Add(1)
-	}
-	if info.RepairFailed {
-		s.tiers.repairFailed.Add(1)
-	}
-	observeSolveMetrics(info)
-}
-
 // ErrSolverPanic wraps a panic recovered from an estimator call: the
 // panic becomes an error snapshot plus a degraded_reason on
 // /v1/status instead of killing the daemon.
@@ -805,16 +774,30 @@ func (s *Server) Ingest(batch []*bitset.Set) (uint64, error) {
 	return s.win.Seq(), nil
 }
 
-// enqueueCheckpointLocked queues one frozen checkpoint for the drain,
-// dropping the oldest past MaxEpochBacklog. The caller holds mu; in
-// sharded mode the per-shard backlog gauges track the queue length.
+// enqueueCheckpointLocked queues one frozen checkpoint for the drain.
+// The caller holds mu.
 func (s *Server) enqueueCheckpointLocked(ck stream.Store) {
 	s.backlog = append(s.backlog, ck)
-	if len(s.backlog) > s.cfg.MaxEpochBacklog {
-		dropped := len(s.backlog) - s.cfg.MaxEpochBacklog
-		s.backlog = append(s.backlog[:0], s.backlog[dropped:]...)
-		s.backlogDropped += uint64(dropped)
-		metricCheckpointsDropped.Add(uint64(dropped))
+	s.boundBacklogLocked()
+}
+
+// requeueBacklog puts the checkpoints of a cancelled drain back in
+// front of whatever ingest queued meanwhile, for the next tick.
+func (s *Server) requeueBacklog(pending []stream.Store) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.backlog = append(pending, s.backlog...)
+	s.boundBacklogLocked()
+}
+
+// boundBacklogLocked re-applies MaxEpochBacklog after the queue grew —
+// the oldest checkpoints are dropped and counted — and refreshes the
+// backlog gauges (per shard too in sharded mode). The caller holds mu.
+func (s *Server) boundBacklogLocked() {
+	if over := len(s.backlog) - s.cfg.MaxEpochBacklog; over > 0 {
+		s.backlog = append(s.backlog[:0], s.backlog[over:]...)
+		s.backlogDropped += uint64(over)
+		metricCheckpointsDropped.Add(uint64(over))
 	}
 	metricBacklog.Set(int64(len(s.backlog)))
 	for _, st := range s.shardStates {
@@ -850,6 +833,26 @@ func (s *Server) backlogStats() (pending int, dropped uint64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return len(s.backlog), s.backlogDropped
+}
+
+// newSnapshot starts the snapshot of a solve over window that began at
+// start and ended in err: everything but the estimate, the tier, the
+// shard rows and (for merged publishes) the pre-assigned epoch, which
+// the caller fills in.
+func (s *Server) newSnapshot(window stream.Store, start time.Time, err error) *Snapshot {
+	return &Snapshot{
+		Algo:        s.cfg.Algo,
+		Window:      window,
+		SeqHigh:     window.Seq(),
+		T:           window.T(),
+		ComputedAt:  time.Now(),
+		ComputeTime: time.Since(start),
+		Err:         err,
+		top:         s.top,
+		opts:        s.cfg.SolverOpts,
+		lifetime:    s.baseCtx,
+		byAlgo:      map[string]*algoCell{},
+	}
 }
 
 // Recompute clones the live window, runs the configured estimator over
@@ -895,24 +898,8 @@ func (s *Server) Recompute(ctx context.Context) *Snapshot {
 	}); perr != nil {
 		est, err = nil, perr
 	}
-	snap := &Snapshot{
-		Algo:            s.cfg.Algo,
-		Est:             est,
-		Window:          w,
-		SeqHigh:         w.Seq(),
-		T:               w.T(),
-		Warm:            info.Warm,
-		Repaired:        info.Repaired,
-		RepairedNumeric: info.RepairedNumeric,
-		RepairFailed:    info.RepairFailed,
-		ComputedAt:      time.Now(),
-		ComputeTime:     time.Since(start),
-		Err:             err,
-		top:             s.top,
-		opts:            s.cfg.SolverOpts,
-		lifetime:        s.baseCtx,
-		byAlgo:          map[string]*algoCell{},
-	}
+	snap := s.newSnapshot(w, start, err)
+	snap.Est, snap.Tier = est, info.Tier
 	if err != nil && (errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)) {
 		return snap // cancelled: do not publish, do not consume an epoch
 	}
@@ -964,31 +951,9 @@ func (s *Server) drainBacklog(ctx context.Context) (*Snapshot, error) {
 		err = perr
 	}
 	if err != nil {
-		last := pending[len(pending)-1]
-		snap := &Snapshot{
-			Algo:        s.cfg.Algo,
-			Window:      last,
-			SeqHigh:     last.Seq(),
-			T:           last.T(),
-			ComputedAt:  time.Now(),
-			ComputeTime: time.Since(start),
-			Err:         err,
-			top:         s.top,
-			opts:        s.cfg.SolverOpts,
-			lifetime:    s.baseCtx,
-			byAlgo:      map[string]*algoCell{},
-		}
+		snap := s.newSnapshot(pending[len(pending)-1], start, err)
 		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-			// Cancelled: requeue for the next tick, keeping the bound.
-			s.mu.Lock()
-			s.backlog = append(pending, s.backlog...)
-			if over := len(s.backlog) - s.cfg.MaxEpochBacklog; over > 0 {
-				s.backlog = append(s.backlog[:0], s.backlog[over:]...)
-				s.backlogDropped += uint64(over)
-				metricCheckpointsDropped.Add(uint64(over))
-			}
-			metricBacklog.Set(int64(len(s.backlog)))
-			s.mu.Unlock()
+			s.requeueBacklog(pending)
 			return snap, err // not published, no epoch consumed
 		}
 		s.publish(snap)
@@ -998,31 +963,16 @@ func (s *Server) drainBacklog(ctx context.Context) (*Snapshot, error) {
 		metricCheckpointsDropped.Add(uint64(len(pending)))
 		return snap, err
 	}
-	// One publish per checkpoint, oldest first; the batch's cost is
-	// amortized evenly across the drained epochs. Stage histograms get
-	// nothing here: a batched drain has no per-epoch stage attribution
-	// (estimator.SolveInfo documents the zero times).
-	share := time.Duration(int64(time.Since(start)) / int64(len(pending)))
+	// One publish per checkpoint, oldest first; the batch's wall time
+	// is amortized evenly across the drained epochs, while each epoch's
+	// stage histograms are fed from its own info (build and repair are
+	// per checkpoint, a run's solve tail is split across the run).
+	share := time.Since(start) / time.Duration(len(pending))
 	var newest *Snapshot
 	for i, w := range pending {
-		s.observeSolve(infos[i]) // stage times are zero on batched drains
-		snap := &Snapshot{
-			Algo:            s.cfg.Algo,
-			Est:             ests[i],
-			Window:          w,
-			SeqHigh:         w.Seq(),
-			T:               w.T(),
-			Warm:            infos[i].Warm,
-			Repaired:        infos[i].Repaired,
-			RepairedNumeric: infos[i].RepairedNumeric,
-			RepairFailed:    infos[i].RepairFailed,
-			ComputedAt:      time.Now(),
-			ComputeTime:     share,
-			top:             s.top,
-			opts:            s.cfg.SolverOpts,
-			lifetime:        s.baseCtx,
-			byAlgo:          map[string]*algoCell{},
-		}
+		s.observeSolve(infos[i])
+		snap := s.newSnapshot(w, start, nil)
+		snap.Est, snap.Tier, snap.ComputeTime = ests[i], infos[i].Tier, share
 		s.publish(snap)
 		newest = snap
 	}
@@ -1066,12 +1016,20 @@ func (s *Server) logEpoch(snap *Snapshot) {
 		"epoch", snap.Epoch,
 		"seq_high", snap.SeqHigh,
 		"t", snap.T,
-		"warm", snap.Warm,
-		"repaired", snap.Repaired,
-		"repaired_numeric", snap.RepairedNumeric,
-		"repair_failed", snap.RepairFailed,
+		tierAttrs(snap.Tier),
 		"shards", len(snap.Shards),
 		"compute_ms", float64(snap.ComputeTime)/float64(time.Millisecond))
+}
+
+// tierAttrs renders a tier as the warm / repaired / repaired_numeric /
+// repair_failed attributes of the epoch log events (an empty-key group
+// inlines into the event).
+func tierAttrs(t core.Tier) slog.Attr {
+	return slog.Group("",
+		"warm", t.Warm,
+		"repaired", t.Repaired,
+		"repaired_numeric", t.RepairedNumeric,
+		"repair_failed", t.RepairFailed)
 }
 
 // epochHistoryCap bounds the history ring behind GET /v1/epochs.
@@ -1081,15 +1039,12 @@ const epochHistoryCap = 64
 // publishMu.
 func (s *Server) appendHistoryLocked(snap *Snapshot) {
 	sum := EpochSummary{
-		Epoch:           snap.Epoch,
-		SeqHigh:         snap.SeqHigh,
-		T:               snap.T,
-		Warm:            snap.Warm,
-		Repaired:        snap.Repaired,
-		RepairedNumeric: snap.RepairedNumeric,
-		RepairFailed:    snap.RepairFailed,
-		ComputedAt:      snap.ComputedAt,
-		ComputeTime:     snap.ComputeTime,
+		Epoch:       snap.Epoch,
+		SeqHigh:     snap.SeqHigh,
+		T:           snap.T,
+		Tier:        snap.Tier,
+		ComputedAt:  snap.ComputedAt,
+		ComputeTime: snap.ComputeTime,
 	}
 	if snap.Err != nil {
 		sum.Err = snap.Err.Error()
@@ -1145,19 +1100,7 @@ func (s *Server) recomputeSharded(ctx context.Context) *Snapshot {
 		durs[sid] = time.Since(shardStart)
 		st.mu.Unlock()
 		if err != nil {
-			snap := &Snapshot{
-				Algo:        s.cfg.Algo,
-				Window:      full,
-				SeqHigh:     full.Seq(),
-				T:           full.T(),
-				ComputedAt:  time.Now(),
-				ComputeTime: time.Since(start),
-				Err:         err,
-				top:         s.top,
-				opts:        s.cfg.SolverOpts,
-				lifetime:    s.baseCtx,
-				byAlgo:      map[string]*algoCell{},
-			}
+			snap := s.newSnapshot(full, start, err)
 			if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 				return snap // cancelled: do not publish, do not consume an epoch
 			}
@@ -1178,11 +1121,7 @@ func (s *Server) recomputeSharded(ctx context.Context) *Snapshot {
 	for sid, st := range s.shardStates {
 		sol := solves[sid]
 		if sol.SeqHigh >= st.seqHigh {
-			st.res, st.seqHigh, st.t, st.err = sol.Res, sol.SeqHigh, sol.T, nil
-			st.warm, st.repaired = sol.Info.Warm, sol.Info.Repaired
-			st.repairedNumeric, st.repairFailed = sol.Info.RepairedNumeric, sol.Info.RepairFailed
-			st.epoch++
-			st.computeTime = durs[sid]
+			st.adopt(sol, durs[sid])
 			s.observeSolve(sol.Info)
 			s.shardLag[sid].Set(0) // solved at the clone's own sequence
 		}
@@ -1193,22 +1132,8 @@ func (s *Server) recomputeSharded(ctx context.Context) *Snapshot {
 	s.publishMu.Unlock()
 	var est *estimator.Estimate
 	mergeErr := s.guardPanic(func() { est = s.backend.Merge(blocks, full) })
-	snap := &Snapshot{
-		Epoch:       epoch,
-		Algo:        s.cfg.Algo,
-		Est:         est,
-		Window:      full,
-		SeqHigh:     full.Seq(),
-		T:           full.T(),
-		Shards:      shards,
-		ComputedAt:  time.Now(),
-		ComputeTime: time.Since(start),
-		Err:         mergeErr,
-		top:         s.top,
-		opts:        s.cfg.SolverOpts,
-		lifetime:    s.baseCtx,
-		byAlgo:      map[string]*algoCell{},
-	}
+	snap := s.newSnapshot(full, start, mergeErr)
+	snap.Epoch, snap.Est, snap.Shards = epoch, est, shards
 	s.storeSnapshotGuarded(snap)
 	return snap
 }
@@ -1269,34 +1194,9 @@ func (s *Server) drainShardBacklog(ctx context.Context) (*Snapshot, error) {
 		st.epochBacklog.Store(0) // this shard's checkpoints are solved
 	}
 	if err != nil {
-		last := cks[len(cks)-1]
-		snap := &Snapshot{
-			Algo:        s.cfg.Algo,
-			Window:      last,
-			SeqHigh:     last.Seq(),
-			T:           last.T(),
-			ComputedAt:  time.Now(),
-			ComputeTime: time.Since(start),
-			Err:         err,
-			top:         s.top,
-			opts:        s.cfg.SolverOpts,
-			lifetime:    s.baseCtx,
-			byAlgo:      map[string]*algoCell{},
-		}
+		snap := s.newSnapshot(cks[len(cks)-1], start, err)
 		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-			// Cancelled: requeue for the next tick, keeping the bound.
-			s.mu.Lock()
-			s.backlog = append(pending, s.backlog...)
-			if over := len(s.backlog) - s.cfg.MaxEpochBacklog; over > 0 {
-				s.backlog = append(s.backlog[:0], s.backlog[over:]...)
-				s.backlogDropped += uint64(over)
-				metricCheckpointsDropped.Add(uint64(over))
-			}
-			metricBacklog.Set(int64(len(s.backlog)))
-			for _, st := range s.shardStates {
-				st.epochBacklog.Store(int64(len(s.backlog)))
-			}
-			s.mu.Unlock()
+			s.requeueBacklog(pending)
 			return snap, err // not published, no epoch consumed
 		}
 		s.publishMu.Lock()
@@ -1312,12 +1212,12 @@ func (s *Server) drainShardBacklog(ctx context.Context) (*Snapshot, error) {
 		}
 		return snap, err
 	}
-	// One merged publish per checkpoint, oldest first; the drain's cost
-	// is amortized evenly across the published epochs (stage histograms
-	// get nothing: batched solves have no per-epoch stage attribution).
-	// A shard whose background loop raced ahead keeps its newer block —
-	// the same stale guard as a synchronous recomputeSharded.
-	share := time.Duration(int64(time.Since(start)) / int64(len(cks)))
+	// One merged publish per checkpoint, oldest first; the drain's wall
+	// time is amortized evenly across the published epochs, while the
+	// stage histograms are fed from each block's own info. A shard whose
+	// background loop raced ahead keeps its newer block — the same stale
+	// guard as a synchronous recomputeSharded.
+	share := time.Since(start) / time.Duration(len(cks))
 	live := s.shardedWin.Seq()
 	var newest *Snapshot
 	for k, ck := range cks {
@@ -1327,11 +1227,7 @@ func (s *Server) drainShardBacklog(ctx context.Context) (*Snapshot, error) {
 		for sid, st := range s.shardStates {
 			sol := sols[sid][k]
 			if sol.SeqHigh >= st.seqHigh {
-				st.res, st.seqHigh, st.t, st.err = sol.Res, sol.SeqHigh, sol.T, nil
-				st.warm, st.repaired = sol.Info.Warm, sol.Info.Repaired
-				st.repairedNumeric, st.repairFailed = sol.Info.RepairedNumeric, sol.Info.RepairFailed
-				st.epoch++
-				st.computeTime = share
+				st.adopt(sol, share)
 				s.observeSolve(sol.Info)
 				if live >= sol.SeqHigh {
 					s.shardLag[sid].Set(int64(live - sol.SeqHigh))
@@ -1344,22 +1240,8 @@ func (s *Server) drainShardBacklog(ctx context.Context) (*Snapshot, error) {
 		s.publishMu.Unlock()
 		var est *estimator.Estimate
 		mergeErr := s.guardPanic(func() { est = s.backend.Merge(blocks, ck) })
-		snap := &Snapshot{
-			Epoch:       epoch,
-			Algo:        s.cfg.Algo,
-			Est:         est,
-			Window:      ck,
-			SeqHigh:     ck.Seq(),
-			T:           ck.T(),
-			Shards:      shards,
-			ComputedAt:  time.Now(),
-			ComputeTime: share,
-			Err:         mergeErr,
-			top:         s.top,
-			opts:        s.cfg.SolverOpts,
-			lifetime:    s.baseCtx,
-			byAlgo:      map[string]*algoCell{},
-		}
+		snap := s.newSnapshot(ck, start, mergeErr)
+		snap.Epoch, snap.Est, snap.Shards, snap.ComputeTime = epoch, est, shards, share
 		s.storeSnapshotGuarded(snap)
 		newest = snap
 	}
@@ -1448,11 +1330,7 @@ func (s *Server) solveShard(ctx context.Context, sid int) {
 		s.publishMu.Unlock()
 		return // stale: a newer block for this shard was already published
 	}
-	st.res, st.seqHigh, st.t, st.err = sol.Res, sol.SeqHigh, sol.T, nil
-	st.warm, st.repaired = sol.Info.Warm, sol.Info.Repaired
-	st.repairedNumeric, st.repairFailed = sol.Info.RepairedNumeric, sol.Info.RepairFailed
-	st.epoch++
-	st.computeTime = time.Since(start)
+	st.adopt(sol, time.Since(start))
 	shardEpoch, computeTime := st.epoch, st.computeTime
 	s.publishMu.Unlock()
 	s.observeSolve(sol.Info)
@@ -1466,10 +1344,7 @@ func (s *Server) solveShard(ctx context.Context, sid int) {
 		"shard", sid,
 		"epoch", shardEpoch,
 		"seq_high", sol.SeqHigh,
-		"warm", sol.Info.Warm,
-		"repaired", sol.Info.Repaired,
-		"repaired_numeric", sol.Info.RepairedNumeric,
-		"repair_failed", sol.Info.RepairFailed,
+		tierAttrs(sol.Info.Tier),
 		"compute_ms", float64(computeTime)/float64(time.Millisecond))
 	s.publishMerged()
 }
@@ -1480,18 +1355,15 @@ func (s *Server) shardInfoLocked(sid int) ShardInfo {
 	st := s.shardStates[sid]
 	paths, links := s.backend.ShardSize(sid)
 	return ShardInfo{
-		Shard:           sid,
-		Epoch:           st.epoch,
-		SeqHigh:         st.seqHigh,
-		T:               st.t,
-		Warm:            st.warm,
-		Repaired:        st.repaired,
-		RepairedNumeric: st.repairedNumeric,
-		RepairFailed:    st.repairFailed,
-		ComputeTime:     st.computeTime,
-		EpochBacklog:    int(st.epochBacklog.Load()),
-		Paths:           paths,
-		Links:           links,
+		Shard:        sid,
+		Epoch:        st.epoch,
+		SeqHigh:      st.seqHigh,
+		T:            st.t,
+		Tier:         st.Tier,
+		ComputeTime:  st.computeTime,
+		EpochBacklog: int(st.epochBacklog.Load()),
+		Paths:        paths,
+		Links:        links,
 	}
 }
 
@@ -1529,21 +1401,8 @@ func (s *Server) publishMerged() {
 	if perr := s.guardPanic(func() { est = s.backend.Merge(results, full) }); perr != nil {
 		return // keep the previous snapshot; degraded_reason is set
 	}
-	snap := &Snapshot{
-		Epoch:       epoch,
-		Algo:        s.cfg.Algo,
-		Est:         est,
-		Window:      full,
-		SeqHigh:     full.Seq(),
-		T:           full.T(),
-		Shards:      shards,
-		ComputedAt:  time.Now(),
-		ComputeTime: maxCompute,
-		top:         s.top,
-		opts:        s.cfg.SolverOpts,
-		lifetime:    s.baseCtx,
-		byAlgo:      map[string]*algoCell{},
-	}
+	snap := s.newSnapshot(full, time.Now(), nil)
+	snap.Epoch, snap.Est, snap.Shards, snap.ComputeTime = epoch, est, shards, maxCompute
 	s.storeSnapshotGuarded(snap)
 }
 
