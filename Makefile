@@ -13,7 +13,7 @@ BENCH_OVER ?= 25
 ALLOC_OVER ?= 10
 ALLOC_GATE ?= EpochSolve|PlanRepair|FrontierMoveRepair|StreamIngest|WindowFreeze|MetricsObserve|ColdPlanBuild
 
-.PHONY: all build vet fmt-check test test-bench smoke examples bench bench-smoke bench-baseline bench-compare bench-gate profile
+.PHONY: all build vet fmt-check test test-bench smoke loc examples bench bench-smoke bench-baseline bench-compare bench-gate profile
 
 all: vet fmt-check build test
 
@@ -53,6 +53,11 @@ test-bench:
 # internal API, cannot see.
 smoke:
 	$(GO) run -C bench ./tomobench -smoke
+
+# The line count ROADMAP.md and CHANGES.md track from PR to PR: non-test
+# Go outside bench/.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' | xargs cat | wc -l
 
 # Full benchmark run, recorded as a dated JSON snapshot so the perf
 # trajectory is tracked from PR to PR (see DESIGN.md reference table).

@@ -440,7 +440,7 @@ func BenchmarkWindowFreeze(b *testing.B) {
 
 // BenchmarkShardedEpochSolve measures one streaming epoch of the
 // sharded solver over a multi-shard topology — every shard block solved
-// and merged — comparing the from-scratch path (fresh solver, no
+// over the same whole window, then merged — comparing the from-scratch path (fresh solver, no
 // carried-forward plans) against the warm-started path (retained
 // solver, always-good set stable across epochs). The warm path is the
 // steady state of tomod's per-shard loops; the gap is the structural
@@ -456,7 +456,7 @@ func BenchmarkShardedEpochSolve(b *testing.B) {
 	if part.NumShards() < 2 {
 		b.Fatalf("topology has %d shards, want ≥ 2", part.NumShards())
 	}
-	win := stream.NewSharded(top.NumPaths(), 1000, part.PathShards(), part.NumShards())
+	win := stream.NewWindow(top.NumPaths(), 1000)
 	rng := rand.New(rand.NewSource(1))
 	mc := netsim.DefaultConfig(netsim.RandomCongestion)
 	mc.PerfectE2E = true
@@ -471,7 +471,7 @@ func BenchmarkShardedEpochSolve(b *testing.B) {
 	epoch := func(b *testing.B, sv *estimator.ShardedSolver) {
 		blocks := make([]*core.Result, sv.NumShards())
 		for s := range blocks {
-			res, _, err := sv.SolveShard(context.Background(), s, win.Shard(s))
+			res, _, err := sv.SolveShard(context.Background(), s, win)
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -123,7 +123,7 @@ type Coordinator struct {
 	workers []*workerHandle
 	owner   []*workerHandle // shard index → owning worker
 
-	src       server.ShardSource // live window; set by Start
+	src       server.ShardSource // the server's live window; set by Start
 	stop      chan struct{}
 	wg        sync.WaitGroup
 	startOnce sync.Once
@@ -220,9 +220,6 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 // NumShards implements server.ShardBackend.
 func (c *Coordinator) NumShards() int { return c.sv.NumShards() }
 
-// PathShards implements server.ShardBackend.
-func (c *Coordinator) PathShards() []int { return c.sv.Partition().PathShards() }
-
 // ShardSize implements server.ShardBackend.
 func (c *Coordinator) ShardSize(shard int) (paths, links int) { return c.sv.ShardSize(shard) }
 
@@ -233,8 +230,9 @@ func (c *Coordinator) Merge(results []*core.Result, obs observe.Store) *estimato
 	return c.sv.Merge(results, obs)
 }
 
-// Start implements server.BackendLifecycle: remember the live window
-// (the catch-up replay source) and start one health loop per worker.
+// Start implements server.BackendLifecycle: remember the server (its
+// window is the catch-up replay source) and start one health loop per
+// worker.
 func (c *Coordinator) Start(src server.ShardSource) {
 	c.startOnce.Do(func() {
 		c.src = src
@@ -325,9 +323,9 @@ func (c *Coordinator) Forward(baseSeq uint64, batch []*bitset.Set) error {
 }
 
 // SolveShard implements server.ShardBackend: fetch the shard's block
-// from its owner. The ring argument is ignored — the worker solves its
+// from its owner. The window argument is ignored — the worker solves its
 // own replica, which the ingest protocol keeps bit-identical to the
-// coordinator's rows for that shard.
+// shard's columns of the coordinator's window.
 func (c *Coordinator) SolveShard(ctx context.Context, shard int, _ *stream.Window) (server.ShardSolve, error) {
 	h := c.owner[shard]
 	if st := h.getState(); st != stateHealthy {
@@ -397,10 +395,10 @@ func (c *Coordinator) checkWorker(h *workerHandle) {
 }
 
 // rejoin runs the (re)placement handshake: assign (idempotent), then
-// per-shard catch-up replay from the coordinator's retained window.
-// While it runs the worker is not healthy, so Forward rejects every
-// batch and the window cannot advance under the replay — catch-up is
-// exact, not chasing a moving target.
+// per-shard catch-up replay from one frozen clone of the coordinator's
+// retained window. While it runs the worker is not healthy, so Forward
+// rejects every batch and the window cannot advance under the replay —
+// catch-up is exact, not chasing a moving target.
 func (c *Coordinator) rejoin(h *workerHandle) {
 	h.mu.Lock()
 	h.state = stateRejoining
@@ -422,22 +420,23 @@ func (c *Coordinator) rejoin(h *workerHandle) {
 	for _, ss := range resp.Shards {
 		seqs[ss.Shard] = ss.Seq
 	}
+	win := c.src.FreezeWindow()
 	for _, k := range h.shards {
 		wseq, ok := seqs[k]
 		if !ok {
 			c.markUnreachable(h, fmt.Errorf("assign ack from %s is missing shard %d", h.id, k))
 			return
 		}
-		if err := c.catchUpShard(h, k, wseq); err != nil {
+		if err := c.catchUpShard(h, k, wseq, win); err != nil {
 			c.markUnreachable(h, err)
 			return
 		}
 	}
+	seq := c.src.Seq()
 	h.mu.Lock()
 	h.state = stateHealthy
 	h.lastErr = ""
-	h.seq = c.src.Seq()
-	seq := h.seq
+	h.seq = seq
 	h.mu.Unlock()
 	c.updateFleetGauges()
 	c.logger.Info("worker joined", "worker", h.id, "shards", h.shards, "seq", seq)
@@ -449,14 +448,14 @@ func (c *Coordinator) rejoin(h *workerHandle) {
 const catchUpChunk = 2048
 
 // catchUpShard brings one shard of a rejoining worker from wseq to the
-// coordinator's sequence by replaying the missed rows from the shard's
-// retained ring. A worker outside the replayable range — behind the
-// retained window's low edge, or ahead of a coordinator that lost tail
-// data in its own crash — is reset to the window base and replayed in
-// full.
-func (c *Coordinator) catchUpShard(h *workerHandle, shard int, wseq uint64) error {
-	ring := c.src.CloneShard(shard)
-	seq, low := ring.Seq(), ring.SeqLow()
+// coordinator's sequence by replaying the missed rows of win, the
+// frozen retained window. The rows go out whole: the worker masks them
+// to the shard's paths, as it does every broadcast batch. A worker
+// outside the replayable range — behind the retained window's low edge,
+// or ahead of a coordinator that lost tail data in its own crash — is
+// reset to the window base and replayed in full.
+func (c *Coordinator) catchUpShard(h *workerHandle, shard int, wseq uint64, win *stream.Window) error {
+	seq, low := win.Seq(), win.SeqLow()
 	if wseq > seq || wseq < low {
 		var rr ResetResponse
 		err := c.rpc(context.Background(), h, "reset", http.MethodPost,
@@ -471,10 +470,10 @@ func (c *Coordinator) catchUpShard(h *workerHandle, shard int, wseq uint64) erro
 	replayed := 0
 	for wseq < seq {
 		t := int(wseq - low)
-		end := min(t+catchUpChunk, ring.T())
+		end := min(t+catchUpChunk, win.T())
 		intervals := make([][]int, 0, end-t)
 		for i := t; i < end; i++ {
-			intervals = append(intervals, ring.CongestedAt(i).Indices())
+			intervals = append(intervals, win.CongestedAt(i).Indices())
 		}
 		var resp IngestResponse
 		err := c.rpc(context.Background(), h, "catchup", http.MethodPost,

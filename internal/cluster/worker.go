@@ -428,10 +428,10 @@ func (wk *Worker) shardFromPathLocked(w http.ResponseWriter, r *http.Request) *w
 }
 
 // handleShardIngest is the per-shard catch-up path: the coordinator
-// replays rows one shard missed (already masked to the shard's paths,
-// since they come from the coordinator's own shard ring) without
-// touching the worker's other shards — which may themselves lag at a
-// different sequence.
+// replays rows one shard missed — whole rows of its window, masked to
+// the shard's paths here like any broadcast batch — without touching
+// the worker's other shards, which may themselves lag at a different
+// sequence.
 func (wk *Worker) handleShardIngest(w http.ResponseWriter, r *http.Request) {
 	var req IngestRequest
 	if !decodeBody(w, r, &req) {

@@ -124,10 +124,11 @@ func (sv *ShardedSolver) shardConfig(shard int) core.Config {
 // starting from the shard's previous plan when its always-good path set
 // is unchanged — or repairing the plan across the drift when the
 // good-link frontier held (core.Plan.Repair): SolveShardBatch over the
-// single store. obs may be the full observation store or just the
-// shard's own ring of a stream.Sharded — the solve only reads the
-// shard's paths, whose statistics are identical in both. info reports
-// how the carried-forward plan served.
+// single store. obs is the full observation store (the server hands
+// every shard the same frozen window) or any store that agrees with it
+// on the shard's paths (a cluster worker's masked replica) — the solve
+// only reads the shard's paths, whose statistics are identical in both.
+// info reports how the carried-forward plan served.
 func (sv *ShardedSolver) SolveShard(ctx context.Context, shard int, obs observe.Store) (res *core.Result, info SolveInfo, err error) {
 	results, infos, err := sv.SolveShardBatch(ctx, shard, []observe.Store{obs})
 	if err != nil {

@@ -146,9 +146,11 @@ func TestShardedBitIdenticalToPlain(t *testing.T) {
 	}
 }
 
-// A retained ShardedSolver solving shard rings epoch after epoch (warm)
-// must keep producing estimates bit-identical to the stateless registry
-// estimator run from scratch over the same data.
+// A retained ShardedSolver solving every shard over the one whole window
+// epoch after epoch (warm) must keep producing estimates bit-identical
+// to the stateless registry estimator run from scratch over the same
+// data: a shard's solve reads only its own columns, so no per-shard
+// store is needed.
 func TestShardedSolverWarmMatchesRegistry(t *testing.T) {
 	fx := kindFixture(t, experiment.Sparse, 1, netsim.RandomCongestion)
 	part := topology.NewPartition(fx.top)
@@ -165,13 +167,13 @@ func TestShardedSolverWarmMatchesRegistry(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Stream the recorded intervals into a partitioned window and solve
-	// an epoch every 60 intervals, each shard from its own ring; verify
+	// Stream the recorded intervals into a plain window and solve an
+	// epoch every 60 intervals, every shard over that same window; verify
 	// each merged estimate against the stateless estimator run from
 	// scratch over a fresh Recorder holding exactly the surviving
 	// intervals.
 	const capacity = 200
-	win := stream.NewSharded(fx.top.NumPaths(), capacity, part.PathShards(), part.NumShards())
+	win := stream.NewWindow(fx.top.NumPaths(), capacity)
 	warmEpochs := 0
 	for ti := 0; ti < fx.rec.T(); ti++ {
 		win.Add(fx.rec.CongestedAt(ti))
@@ -181,7 +183,7 @@ func TestShardedSolverWarmMatchesRegistry(t *testing.T) {
 		blocks := make([]*core.Result, sv.NumShards())
 		warm := false
 		for s := range blocks {
-			res, info, err := sv.SolveShard(context.Background(), s, win.Shard(s))
+			res, info, err := sv.SolveShard(context.Background(), s, win)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -229,32 +231,26 @@ func TestShardedSolverBatchMatchesSequential(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Freeze a checkpoint of every shard's ring each 60 intervals,
-	// mimicking the server's stride backlog.
+	// Freeze a checkpoint of the window each 60 intervals, mimicking the
+	// server's stride backlog; every shard solves the same checkpoints.
 	const capacity = 200
-	win := stream.NewSharded(fx.top.NumPaths(), capacity, part.PathShards(), part.NumShards())
-	checkpoints := make([][]observe.Store, part.NumShards())
-	var fullCks []*stream.Sharded
+	win := stream.NewWindow(fx.top.NumPaths(), capacity)
+	var checkpoints []observe.Store
 	for ti := 0; ti < fx.rec.T(); ti++ {
 		win.Add(fx.rec.CongestedAt(ti))
-		if (ti+1)%60 != 0 {
-			continue
-		}
-		ck := win.Clone()
-		fullCks = append(fullCks, ck)
-		for s := range checkpoints {
-			checkpoints[s] = append(checkpoints[s], ck.Shard(s))
+		if (ti+1)%60 == 0 {
+			checkpoints = append(checkpoints, win.Clone())
 		}
 	}
-	if len(fullCks) < 3 {
-		t.Fatalf("only %d checkpoints", len(fullCks))
+	if len(checkpoints) < 3 {
+		t.Fatalf("only %d checkpoints", len(checkpoints))
 	}
 	for s := 0; s < part.NumShards(); s++ {
-		batchRes, batchInfos, err := batchSv.SolveShardBatch(context.Background(), s, checkpoints[s])
+		batchRes, batchInfos, err := batchSv.SolveShardBatch(context.Background(), s, checkpoints)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for k, obs := range checkpoints[s] {
+		for k, obs := range checkpoints {
 			wantRes, wantInfo, err := seqSv.SolveShard(context.Background(), s, obs)
 			if err != nil {
 				t.Fatal(err)
@@ -262,8 +258,8 @@ func TestShardedSolverBatchMatchesSequential(t *testing.T) {
 			if batchInfos[k].Warm != wantInfo.Warm || batchInfos[k].Repaired != wantInfo.Repaired {
 				t.Fatalf("shard %d ck %d: info (%+v) != sequential (%+v)", s, k, batchInfos[k], wantInfo)
 			}
-			got := batchSv.Merge([]*core.Result{batchRes[k]}, fullCks[k])
-			want := seqSv.Merge([]*core.Result{wantRes}, fullCks[k])
+			got := batchSv.Merge([]*core.Result{batchRes[k]}, obs)
+			want := seqSv.Merge([]*core.Result{wantRes}, obs)
 			assertEstimatesMatch(t, fmt.Sprintf("shard %d ck %d", s, k), got, want)
 		}
 	}

@@ -20,10 +20,9 @@ var ErrShardUnavailable = errors.New("server: shard unavailable")
 
 // ShardSolve is one shard's block as produced by a ShardBackend: the
 // restricted result plus the ingest sequence and live interval count it
-// was solved at. A local backend solves the ring it is handed, so
-// SeqHigh/T echo the ring; a cluster backend returns the owning
-// worker's solve, which may run slightly ahead of the coordinator's
-// clone.
+// was solved at. A local backend solves the window it is handed, so
+// SeqHigh/T echo it; a cluster backend returns the owning worker's
+// solve, which may run slightly ahead of the coordinator's clone.
 type ShardSolve struct {
 	Res     *core.Result
 	SeqHigh uint64
@@ -42,19 +41,16 @@ type ShardBackend interface {
 	// epoch (at least 1).
 	NumShards() int
 
-	// PathShards returns the path→shard mapping the ingest window
-	// routes by (nil means a single shard).
-	PathShards() []int
-
 	// ShardSize returns one shard's slice of the universe.
 	ShardSize(shard int) (paths, links int)
 
-	// SolveShard computes shard's block. ring is the coordinator's
-	// frozen clone of the shard's ring: a local backend solves it
-	// directly; a remote backend may ignore it and fetch the owning
-	// worker's solve instead. Errors wrap ErrShardUnavailable when the
-	// shard's owner cannot serve.
-	SolveShard(ctx context.Context, shard int, ring *stream.Window) (ShardSolve, error)
+	// SolveShard computes shard's block. win is a frozen clone of the
+	// whole live window — the same clone for every shard of one epoch; a
+	// shard's solve reads only its own paths' columns of it. A local
+	// backend solves it directly; a remote backend may ignore it and
+	// fetch the owning worker's solve instead. Errors wrap
+	// ErrShardUnavailable when the shard's owner cannot serve.
+	SolveShard(ctx context.Context, shard int, win *stream.Window) (ShardSolve, error)
 
 	// Merge assembles the per-shard blocks (in shard order; nil entries
 	// skipped) into one estimate over obs.
@@ -62,15 +58,15 @@ type ShardBackend interface {
 }
 
 // ShardBatchSolver is the optional batched drain seam of a
-// ShardBackend: solve one block of shard per ring, carrying the
-// shard's warm plan across the whole run. The server's interval-stride
-// checkpoint drain (Config.EpochEvery in sharded mode) uses it when
-// available — K queued checkpoints cost one set of right-hand sides
-// plus a single batched back-substitution per shard — and falls back
-// to sequential SolveShard calls otherwise (the cluster coordinator,
-// whose workers solve their own live rings).
+// ShardBackend: solve one block of shard per frozen window, carrying
+// the shard's warm plan across the whole run. The server's
+// interval-stride checkpoint drain (Config.EpochEvery in sharded mode)
+// uses it when available — K queued checkpoints cost one set of
+// right-hand sides plus a single batched back-substitution per shard —
+// and falls back to sequential SolveShard calls otherwise (the cluster
+// coordinator, whose workers solve their own live rings).
 type ShardBatchSolver interface {
-	SolveShardBatch(ctx context.Context, shard int, rings []*stream.Window) ([]ShardSolve, error)
+	SolveShardBatch(ctx context.Context, shard int, wins []*stream.Window) ([]ShardSolve, error)
 }
 
 // BatchForwarder is implemented by backends that replicate ingest to
@@ -84,17 +80,17 @@ type BatchForwarder interface {
 }
 
 // ShardSource is the view of the live ingest window a backend's
-// background machinery (health checking, worker catch-up) reads:
-// the current sequence and frozen per-shard clones to replay from.
-// *stream.Sharded implements it.
+// background machinery (health checking, worker catch-up) reads: the
+// current sequence and a frozen clone of the window to replay from.
+// *Server implements it.
 type ShardSource interface {
 	Seq() uint64
-	CloneShard(shard int) *stream.Window
+	FreezeWindow() *stream.Window
 }
 
 // BackendLifecycle is implemented by backends with background work
 // (health loops, reconnection). Start is called once from Server.Start
-// with the live window as the catch-up source; Close once from
+// with the server as the catch-up source; Close once from
 // Server.Close, after the solver loops have exited. Close must be safe
 // without a prior Start.
 type BackendLifecycle interface {
@@ -129,29 +125,27 @@ type WorkerState struct {
 }
 
 // localBackend is the in-process ShardBackend: estimator.ShardedSolver
-// solving the coordinator's own rings with warm per-shard plans.
+// solving the server's own frozen windows with warm per-shard plans.
 type localBackend struct {
 	sv *estimator.ShardedSolver
 }
 
 func (b *localBackend) NumShards() int { return b.sv.NumShards() }
 
-func (b *localBackend) PathShards() []int { return b.sv.Partition().PathShards() }
-
 func (b *localBackend) ShardSize(shard int) (paths, links int) { return b.sv.ShardSize(shard) }
 
-func (b *localBackend) SolveShard(ctx context.Context, shard int, ring *stream.Window) (ShardSolve, error) {
-	res, info, err := b.sv.SolveShard(ctx, shard, ring)
+func (b *localBackend) SolveShard(ctx context.Context, shard int, win *stream.Window) (ShardSolve, error) {
+	res, info, err := b.sv.SolveShard(ctx, shard, win)
 	if err != nil {
 		return ShardSolve{}, err
 	}
-	return ShardSolve{Res: res, SeqHigh: ring.Seq(), T: ring.T(), Info: info}, nil
+	return ShardSolve{Res: res, SeqHigh: win.Seq(), T: win.T(), Info: info}, nil
 }
 
-func (b *localBackend) SolveShardBatch(ctx context.Context, shard int, rings []*stream.Window) ([]ShardSolve, error) {
-	stores := make([]observe.Store, len(rings))
-	for i, ring := range rings {
-		stores[i] = ring
+func (b *localBackend) SolveShardBatch(ctx context.Context, shard int, wins []*stream.Window) ([]ShardSolve, error) {
+	stores := make([]observe.Store, len(wins))
+	for i, win := range wins {
+		stores[i] = win
 	}
 	results, infos, err := b.sv.SolveShardBatch(ctx, shard, stores)
 	if err != nil {
@@ -159,7 +153,7 @@ func (b *localBackend) SolveShardBatch(ctx context.Context, shard int, rings []*
 	}
 	out := make([]ShardSolve, len(results))
 	for i, res := range results {
-		out[i] = ShardSolve{Res: res, SeqHigh: rings[i].Seq(), T: rings[i].T(), Info: infos[i]}
+		out[i] = ShardSolve{Res: res, SeqHigh: wins[i].Seq(), T: wins[i].T(), Info: infos[i]}
 	}
 	return out, nil
 }

@@ -178,6 +178,37 @@ func TestMetricsStrideDrain(t *testing.T) {
 	}
 }
 
+// TestMetricsEvictionsSharded pins tomod_window_evictions_total in
+// sharded mode: the daemon keeps one window whatever the shard count,
+// so an interval that ages out is one eviction — not one per shard, as
+// it was while every shard had a ring of its own.
+func TestMetricsEvictionsSharded(t *testing.T) {
+	const window, extra = 40, 7
+	top := shardedTestTopology(t)
+	s := newServer(t, top, Config{
+		WindowSize: window,
+		Algo:       estimator.CorrelationCompleteSharded,
+		SolverOpts: solverOpts(),
+	})
+	defer s.Close()
+	if s.NumShards() < 2 {
+		t.Fatalf("server runs %d shard solvers, want ≥ 2", s.NumShards())
+	}
+	batch := make([]*bitset.Set, window+extra)
+	for i := range batch {
+		batch[i] = bitset.FromIndices(top.NumPaths(), i%top.NumPaths())
+	}
+	pre := telemetry.Default().Snapshot()
+	if _, err := s.Ingest(batch); err != nil {
+		t.Fatal(err)
+	}
+	post := telemetry.Default().Snapshot()
+	if got := delta(pre, post, "tomod_window_evictions_total"); got != extra {
+		t.Fatalf("evictions advanced by %v for %d aged-out intervals over %d shards, want %d",
+			got, extra, s.NumShards(), extra)
+	}
+}
+
 // TestStatusBuildInfo covers the /v1/status process-identity fields:
 // uptime advances, the Go version is stamped, and GOMAXPROCS is the
 // solver's parallelism budget.

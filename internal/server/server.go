@@ -6,15 +6,17 @@
 //
 // Concurrency contract (see DESIGN.md):
 //
-//   - Ingest serializes on one mutex guarding the live stream.Window;
-//     batches are applied atomically with respect to snapshots.
-//   - The solver loop freezes the window under that mutex — a
+//   - Ingest serializes on one mutex (mu) guarding the one live
+//     stream.Window — in every mode; batches are applied atomically
+//     with respect to snapshots.
+//   - The solver loops freeze the window under that mutex — a
 //     copy-on-write stream.Window.Clone: O(paths + capacity) words
-//     copied, every row and mask shared — and runs the estimator on the
+//     copied, every row and mask shared — and run the estimator on the
 //     frozen clone off-lock, so a slow solve never blocks ingest. A
 //     freeze writes its source's ownership marks, so the mutex must
 //     exclude ingest and every other freeze of the live window (it
-//     does; stream.Sharded locks per ring to the same end).
+//     does). mu is never held across an RPC: the cluster fan-out is
+//     ordered by its own ingestMu, taken before mu.
 //   - Each solve publishes an immutable Snapshot — the estimate, the
 //     frozen window it was computed over, and a monotonically increasing
 //     epoch — via an atomic pointer swap. Nothing ever adds to a
@@ -30,14 +32,15 @@
 //
 // Sharded mode (Algo = "correlation-complete-sharded") replaces the
 // single solver loop with one goroutine per correlation-set shard (see
-// topology.Partition): ingest routes each interval into one ring per
-// shard (stream.Sharded), each shard loop clones and solves only its
-// own ring — warm-starting the structural plan while its always-good
-// set is stable — and every shard epoch publishes a fresh merged
-// snapshot assembled from the latest per-shard blocks. A congestion
-// burst confined to one shard therefore re-derives one block's
-// structure while the others keep re-solving their carried-forward
-// factorizations; per-shard epochs and lag are exposed on /v1/status.
+// topology.Partition). The window is the same one: a shard is a set of
+// its columns, so each shard loop freezes the whole window (a header
+// copy) and its solve reads only its own paths — warm-starting the
+// structural plan while its always-good set is stable — and every shard
+// epoch publishes a fresh merged snapshot assembled from the latest
+// per-shard blocks. A congestion burst confined to one shard therefore
+// re-derives one block's structure while the others keep re-solving
+// their carried-forward factorizations; per-shard epochs and lag are
+// exposed on /v1/status.
 // Shard solves are not supersession-supervised (warm solves are far
 // faster than a window turnover); shutdown still cancels them.
 package server
@@ -92,9 +95,9 @@ type Config struct {
 	// boundaries therefore yields several observable epochs (see
 	// /v1/epochs) instead of one coarse latest-state solve.
 	//
-	// In sharded mode each checkpoint freezes the whole sharded window;
-	// the drain runs every shard's queued rings through the backend's
-	// batched path (ShardBatchSolver, one multi-RHS solve per shard)
+	// In sharded mode the checkpoints are the same frozen windows; the
+	// drain runs the queue through the backend's batched path once per
+	// shard (ShardBatchSolver, one multi-RHS solve per shard)
 	// when it offers one — sequential SolveShard calls otherwise — and
 	// publishes one merged epoch per checkpoint. With a remote backend
 	// (the cluster coordinator) shard blocks come from the workers'
@@ -126,7 +129,8 @@ type Config struct {
 	// its backend forwards ingest to shard-owning workers
 	// (BatchForwarder), fetches their solved blocks (SolveShard) and
 	// reports worker health (ClusterReporter), while the server keeps
-	// its own full window for merging and observation-level queries.
+	// its own window for merging, observation-level queries and worker
+	// catch-up.
 	Backend ShardBackend
 
 	// Logger receives the service's structured log events (WAL
@@ -172,12 +176,12 @@ type Snapshot struct {
 	// Est is the epoch estimate over Window; nil when Err is non-nil.
 	Est *estimator.Estimate
 
-	// Window is the frozen clone of the live store the estimate was
-	// computed over (a single ring, or a stream.Sharded in sharded
-	// mode). In sharded mode it is cloned at publish time and may be
-	// slightly newer than the per-shard blocks merged into Est; a
-	// quiescent Recompute resolves every shard from one clone.
-	Window stream.Store
+	// Window is the frozen clone of the live window the estimate was
+	// computed over. In sharded mode a background publish freezes it at
+	// merge time, so it may be slightly newer than the per-shard blocks
+	// merged into Est; a Recompute solves every shard from this one
+	// clone.
+	Window *stream.Window
 
 	// Shards describes the per-shard blocks merged into Est; nil
 	// outside sharded mode.
@@ -290,7 +294,7 @@ type ShardInfo struct {
 	Epoch uint64
 
 	// SeqHigh is the ingest sequence the shard's block was solved at;
-	// T the live intervals of its ring at that point.
+	// T the live intervals of the window at that point.
 	SeqHigh uint64
 	T       int
 
@@ -370,11 +374,9 @@ type Server struct {
 	warmSolver *estimator.WarmSolver
 
 	// Sharded mode: the shard-solve backend (in-process warm solver or
-	// the cluster coordinator), the partitioned window (aliasing win,
-	// internally locked with per-shard granularity) and one state per
-	// shard. All nil/empty otherwise.
+	// the cluster coordinator) and one state per shard. Both nil/empty
+	// otherwise.
 	backend     ShardBackend
-	shardedWin  *stream.Sharded
 	shardStates []*shardState
 	publishMu   sync.Mutex // guards shardStates' published fields, snapshot assembly + history
 
@@ -382,13 +384,19 @@ type Server struct {
 	// ascending epoch after sorting on read); guarded by publishMu.
 	history []EpochSummary
 
-	mu  sync.Mutex // guards win in unsharded mode (ingest, cloning, backlog)
-	win stream.Store
+	// win is the one live window, in every mode; mu guards it (ingest,
+	// freezing) and the backlog, and is never held across an RPC.
+	// ingestMu orders cluster ingest — held across the fan-out and the
+	// local apply, so workers and the window see batches in one order —
+	// and is taken before mu, never after; other modes do not touch it.
+	ingestMu sync.Mutex
+	mu       sync.Mutex
+	win      *stream.Window
 
 	// backlog holds the frozen interval-stride checkpoints ingest has
 	// queued for the solver (Config.EpochEvery); dropped counts the
 	// checkpoints discarded past MaxEpochBacklog. Guarded by mu.
-	backlog        []stream.Store
+	backlog        []*stream.Window
 	backlogDropped uint64
 
 	computeMu sync.Mutex // serializes solver runs
@@ -452,6 +460,7 @@ func New(top *topology.Topology, cfg Config) (*Server, error) {
 		baseCtx:    ctx,
 		baseCancel: cancel,
 		stop:       make(chan struct{}),
+		win:        stream.NewWindow(top.NumPaths(), cfg.WindowSize),
 	}
 	if cfg.Algo == estimator.CorrelationCompleteSharded {
 		if cfg.Backend != nil {
@@ -464,8 +473,6 @@ func New(top *topology.Topology, cfg Config) (*Server, error) {
 			}
 			s.backend = &localBackend{sv: sv}
 		}
-		s.shardedWin = stream.NewSharded(top.NumPaths(), cfg.WindowSize, s.backend.PathShards(), s.backend.NumShards())
-		s.win = s.shardedWin
 		s.shardStates = make([]*shardState, s.backend.NumShards())
 		s.shardLag = make([]*telemetry.Gauge, s.backend.NumShards())
 		for i := range s.shardStates {
@@ -475,16 +482,13 @@ func New(top *topology.Topology, cfg Config) (*Server, error) {
 	} else if cfg.Backend != nil {
 		cancel()
 		return nil, errors.New("server: Config.Backend requires the sharded algorithm (correlation-complete-sharded)")
-	} else {
-		if cfg.Algo == estimator.CorrelationComplete {
-			ws, err := estimator.NewWarmSolver(top, cfg.SolverOpts...)
-			if err != nil {
-				cancel()
-				return nil, err
-			}
-			s.warmSolver = ws
+	} else if cfg.Algo == estimator.CorrelationComplete {
+		ws, err := estimator.NewWarmSolver(top, cfg.SolverOpts...)
+		if err != nil {
+			cancel()
+			return nil, err
 		}
-		s.win = stream.NewWindow(top.NumPaths(), cfg.WindowSize)
+		s.warmSolver = ws
 	}
 	if cfg.WAL.Dir != "" {
 		if err := s.openWAL(); err != nil {
@@ -553,7 +557,7 @@ func (s *Server) Start() {
 	s.startOnce.Do(func() {
 		if s.backend != nil {
 			if lc, ok := s.backend.(BackendLifecycle); ok {
-				lc.Start(s.shardedWin)
+				lc.Start(s)
 			}
 			for sid := range s.shardStates {
 				s.wg.Add(1)
@@ -677,17 +681,21 @@ func (s *Server) clusterStatus() *ClusterStatus {
 // Ingest appends a batch of interval observations to the live window,
 // atomically with respect to snapshot cloning, and returns the sequence
 // number after the batch. Sets may contain indices outside the path
-// universe; they are dropped (observe.Recorder semantics).
+// universe; they are dropped (observe.Recorder semantics). Every mode
+// applies the batch to the same window under mu.
 //
-// In sharded mode the batch goes through stream.Sharded.AddBatch,
-// whose shard-aware locking applies each shard's column of the batch
-// under that shard's own ring lock — a shard solver cloning its ring
-// mid-batch waits only for its own shard's slice, not for the whole
-// fan-out. With Config.EpochEvery set, ingest also freezes a window
-// checkpoint at every stride boundary it crosses — the plain window
-// unsharded, the whole sharded window otherwise — bounded by
-// MaxEpochBacklog (oldest dropped first); the batch is split at those
-// boundaries so each WAL record ends exactly on a checkpoint seq.
+// With Config.EpochEvery set, ingest also freezes a window checkpoint
+// at every stride boundary it crosses, bounded by MaxEpochBacklog
+// (oldest dropped first); the batch is split at those boundaries so
+// each WAL record ends exactly on a checkpoint seq.
+//
+// In cluster mode (the backend is a BatchForwarder) the batch is first
+// forwarded to the shard owners, keyed by the pre-batch sequence, and
+// applied locally only once the whole fan-out has accepted it. A retry
+// after a partial failure is safe either way: workers deduplicate by
+// base seq. ingestMu spans the fan-out and the apply, so concurrent
+// batches reach workers and window in one order; mu is taken only for
+// the apply, so status reads, freezes and solves never wait on an RPC.
 //
 // With a WAL attached, each (sub-)batch is persisted before it is
 // applied; on a log failure nothing past the failed record is applied
@@ -695,61 +703,17 @@ func (s *Server) clusterStatus() *ClusterStatus {
 // Retry-After. A stalled WAL disk fails fast (wal.ErrStalled) instead
 // of wedging every ingest request behind the hung fsync.
 func (s *Server) Ingest(batch []*bitset.Set) (uint64, error) {
+	if fw, ok := s.backend.(BatchForwarder); ok {
+		s.ingestMu.Lock()
+		defer s.ingestMu.Unlock()
+		base := s.Seq()
+		if err := fw.Forward(base, batch); err != nil {
+			s.logger.Warn("ingest fan-out failed", "seq", base, "error", err)
+			return base, err
+		}
+	}
 	n := uint64(len(batch))
 	stride := uint64(s.cfg.EpochEvery)
-	if s.backend != nil {
-		fw, _ := s.backend.(BatchForwarder)
-		if fw != nil || stride > 0 {
-			// Cluster fan-out needs consistent base sequences and
-			// checkpointing needs exact stride boundaries: both
-			// serialize sharded ingest under mu. The plain sharded path
-			// below stays off mu (AddBatch's per-shard locks suffice).
-			s.mu.Lock()
-			defer s.mu.Unlock()
-		}
-		if fw != nil {
-			// Cluster mode: forward to the shard owners first, then apply
-			// locally. A retry after a partial failure is safe either
-			// way: workers deduplicate by base seq, and the local window
-			// only advances once the whole fan-out has accepted.
-			base := s.shardedWin.Seq()
-			if err := fw.Forward(base, batch); err != nil {
-				s.logger.Warn("ingest fan-out failed", "seq", base, "error", err)
-				return base, err
-			}
-		}
-		if stride == 0 {
-			seq, err := s.shardedWin.AddBatch(batch)
-			if err != nil {
-				s.logger.Warn("ingest failed", "seq", seq, "error", err)
-				return seq, err
-			}
-			metricIngestBatches.Inc()
-			metricIngestIntervals.Add(n)
-			return seq, nil
-		}
-		for len(batch) > 0 {
-			nb := len(batch)
-			if to := int(stride - s.shardedWin.Seq()%stride); to < nb {
-				nb = to
-			}
-			seq, err := s.shardedWin.AddBatch(batch[:nb])
-			if err != nil {
-				s.logger.Warn("ingest failed", "seq", seq, "error", err)
-				return seq, err
-			}
-			batch = batch[nb:]
-			if seq%stride == 0 {
-				// The whole sharded window freezes at the boundary: the
-				// drain solves each shard's ring of this clone and
-				// merges over it.
-				s.enqueueCheckpointLocked(s.shardedWin.Clone())
-			}
-		}
-		metricIngestBatches.Inc()
-		metricIngestIntervals.Add(n)
-		return s.shardedWin.Seq(), nil
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for len(batch) > 0 {
@@ -766,7 +730,7 @@ func (s *Server) Ingest(batch []*bitset.Set) (uint64, error) {
 		}
 		batch = batch[nb:]
 		if stride > 0 && seq%stride == 0 {
-			s.enqueueCheckpointLocked(s.win.CloneStore())
+			s.enqueueCheckpointLocked(s.win.Clone())
 		}
 	}
 	metricIngestBatches.Inc()
@@ -776,14 +740,14 @@ func (s *Server) Ingest(batch []*bitset.Set) (uint64, error) {
 
 // enqueueCheckpointLocked queues one frozen checkpoint for the drain.
 // The caller holds mu.
-func (s *Server) enqueueCheckpointLocked(ck stream.Store) {
+func (s *Server) enqueueCheckpointLocked(ck *stream.Window) {
 	s.backlog = append(s.backlog, ck)
 	s.boundBacklogLocked()
 }
 
 // requeueBacklog puts the checkpoints of a cancelled drain back in
 // front of whatever ingest queued meanwhile, for the next tick.
-func (s *Server) requeueBacklog(pending []stream.Store) {
+func (s *Server) requeueBacklog(pending []*stream.Window) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.backlog = append(pending, s.backlog...)
@@ -807,12 +771,27 @@ func (s *Server) boundBacklogLocked() {
 
 // Seq returns the total number of intervals ingested.
 func (s *Server) Seq() uint64 {
-	if s.backend != nil {
-		return s.shardedWin.Seq()
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.win.Seq()
+}
+
+// FreezeWindow returns a frozen clone of the live window (see
+// stream.Window.Clone), taken under the ingest lock so it is
+// batch-atomic. It implements ShardSource.
+func (s *Server) FreezeWindow() *stream.Window { return s.freezeUnlessAt(nil) }
+
+// freezeUnlessAt freezes the live window under mu — unless drained,
+// the newest snapshot a backlog drain just published, already stands at
+// the live sequence: then there is nothing to freeze and it returns
+// nil.
+func (s *Server) freezeUnlessAt(drained *Snapshot) *stream.Window {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if drained != nil && drained.SeqHigh == s.win.Seq() {
+		return nil
+	}
+	return s.win.Clone()
 }
 
 // Latest returns the most recently published snapshot, or nil before
@@ -839,7 +818,7 @@ func (s *Server) backlogStats() (pending int, dropped uint64) {
 // start and ended in err: everything but the estimate, the tier, the
 // shard rows and (for merged publishes) the pre-assigned epoch, which
 // the caller fills in.
-func (s *Server) newSnapshot(window stream.Store, start time.Time, err error) *Snapshot {
+func (s *Server) newSnapshot(window *stream.Window, start time.Time, err error) *Snapshot {
 	return &Snapshot{
 		Algo:        s.cfg.Algo,
 		Window:      window,
@@ -877,15 +856,10 @@ func (s *Server) Recompute(ctx context.Context) *Snapshot {
 	if err != nil {
 		return drained // error/cancelled snapshot; checkpoints were requeued
 	}
-	s.mu.Lock()
-	if drained != nil && drained.SeqHigh == s.win.Seq() {
-		// The newest checkpoint was the live state: the drain already
-		// published this epoch, and there is nothing to freeze.
-		s.mu.Unlock()
-		return drained
+	w := s.freezeUnlessAt(drained)
+	if w == nil {
+		return drained // the newest checkpoint was the live state: already published
 	}
-	w := s.win.CloneStore()
-	s.mu.Unlock()
 	start := time.Now()
 	var est *estimator.Estimate
 	var info estimator.SolveInfo
@@ -1078,12 +1052,10 @@ func (s *Server) recomputeSharded(ctx context.Context) *Snapshot {
 	if derr != nil {
 		return drained // error/cancelled snapshot; checkpoints handled per contract
 	}
-	if drained != nil && drained.SeqHigh == s.shardedWin.Seq() {
-		// The newest checkpoint was the live state: the drain already
-		// published this epoch, and there is nothing to freeze.
-		return drained
+	full := s.freezeUnlessAt(drained)
+	if full == nil {
+		return drained // the newest checkpoint was the live state: already published
 	}
-	full := s.shardedWin.Clone()
 	start := time.Now()
 	solves := make([]ShardSolve, len(s.shardStates))
 	durs := make([]time.Duration, len(s.shardStates))
@@ -1093,7 +1065,7 @@ func (s *Server) recomputeSharded(ctx context.Context) *Snapshot {
 		var sol ShardSolve
 		var err error
 		if perr := s.guardPanic(func() {
-			sol, err = s.backend.SolveShard(ctx, sid, full.Shard(sid))
+			sol, err = s.backend.SolveShard(ctx, sid, full)
 		}); perr != nil {
 			sol, err = ShardSolve{}, perr
 		}
@@ -1138,9 +1110,9 @@ func (s *Server) recomputeSharded(ctx context.Context) *Snapshot {
 	return snap
 }
 
-// drainShardBacklog solves every queued interval-stride checkpoint of
-// the sharded window — each shard's run of frozen rings through the
-// backend's batched path (ShardBatchSolver, one multi-RHS solve per
+// drainShardBacklog solves every queued interval-stride checkpoint in
+// sharded mode — the same run of frozen windows once per shard, through
+// the backend's batched path (ShardBatchSolver, one multi-RHS solve per
 // shard) when it offers one, sequential SolveShard calls otherwise —
 // and publishes one merged epoch per checkpoint, oldest first,
 // returning the newest published snapshot (nil when the backlog was
@@ -1158,28 +1130,20 @@ func (s *Server) drainShardBacklog(ctx context.Context) (*Snapshot, error) {
 	if len(pending) == 0 {
 		return nil, nil
 	}
-	cks := make([]*stream.Sharded, len(pending))
-	for i, w := range pending {
-		cks[i] = w.(*stream.Sharded)
-	}
 	start := time.Now()
 	bb, _ := s.backend.(ShardBatchSolver)
 	sols := make([][]ShardSolve, len(s.shardStates))
 	var err error
 	for sid := range s.shardStates {
 		st := s.shardStates[sid]
-		rings := make([]*stream.Window, len(cks))
-		for k, ck := range cks {
-			rings[k] = ck.Shard(sid)
-		}
 		st.mu.Lock()
 		if perr := s.guardPanic(func() {
 			if bb != nil {
-				sols[sid], err = bb.SolveShardBatch(ctx, sid, rings)
+				sols[sid], err = bb.SolveShardBatch(ctx, sid, pending)
 			} else {
-				sols[sid] = make([]ShardSolve, len(rings))
-				for k, ring := range rings {
-					if sols[sid][k], err = s.backend.SolveShard(ctx, sid, ring); err != nil {
+				sols[sid] = make([]ShardSolve, len(pending))
+				for k, ck := range pending {
+					if sols[sid][k], err = s.backend.SolveShard(ctx, sid, ck); err != nil {
 						break
 					}
 				}
@@ -1194,7 +1158,7 @@ func (s *Server) drainShardBacklog(ctx context.Context) (*Snapshot, error) {
 		st.epochBacklog.Store(0) // this shard's checkpoints are solved
 	}
 	if err != nil {
-		snap := s.newSnapshot(cks[len(cks)-1], start, err)
+		snap := s.newSnapshot(pending[len(pending)-1], start, err)
 		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 			s.requeueBacklog(pending)
 			return snap, err // not published, no epoch consumed
@@ -1217,10 +1181,10 @@ func (s *Server) drainShardBacklog(ctx context.Context) (*Snapshot, error) {
 	// stage histograms are fed from each block's own info. A shard whose
 	// background loop raced ahead keeps its newer block — the same stale
 	// guard as a synchronous recomputeSharded.
-	share := time.Since(start) / time.Duration(len(cks))
-	live := s.shardedWin.Seq()
+	share := time.Since(start) / time.Duration(len(pending))
+	live := s.Seq()
 	var newest *Snapshot
-	for k, ck := range cks {
+	for k, ck := range pending {
 		s.publishMu.Lock()
 		blocks := make([]*core.Result, len(s.shardStates))
 		shards := make([]ShardInfo, len(s.shardStates))
@@ -1297,25 +1261,23 @@ func (s *Server) runShard(sid int) {
 	}
 }
 
-// solveShard runs one epoch of shard sid: clone only the shard's ring
-// under the ingest lock, solve it off-lock (warm-starting the
-// structural plan when the shard's always-good set is unchanged), then
-// publish the shard's block and a fresh merged snapshot. Publication is
-// stale-guarded: a block solved at an older sequence than the shard's
-// published state (a synchronous Recompute raced ahead) is dropped
-// rather than allowed to roll the shard backwards.
+// solveShard runs one epoch of shard sid: freeze the window under the
+// ingest lock, solve the shard's columns of it off-lock (warm-starting
+// the structural plan when the shard's always-good set is unchanged),
+// then publish the shard's block and a fresh merged snapshot.
+// Publication is stale-guarded: a block solved at an older sequence
+// than the shard's published state (a synchronous Recompute raced
+// ahead) is dropped rather than allowed to roll the shard backwards.
 func (s *Server) solveShard(ctx context.Context, sid int) {
 	st := s.shardStates[sid]
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	// CloneShard takes only this shard's ring lock: an ingest batch
-	// mid-fan-out on other shards no longer stalls this solve.
-	ring := s.shardedWin.CloneShard(sid)
+	win := s.FreezeWindow()
 	start := time.Now()
 	var sol ShardSolve
 	var err error
 	if perr := s.guardPanic(func() {
-		sol, err = s.backend.SolveShard(ctx, sid, ring)
+		sol, err = s.backend.SolveShard(ctx, sid, win)
 	}); perr != nil {
 		sol, err = ShardSolve{}, perr
 	}
@@ -1323,7 +1285,7 @@ func (s *Server) solveShard(ctx context.Context, sid int) {
 	if err != nil {
 		st.err = err
 		s.publishMu.Unlock()
-		s.logger.Warn("shard solve failed", "shard", sid, "seq", ring.Seq(), "error", err.Error())
+		s.logger.Warn("shard solve failed", "shard", sid, "seq", win.Seq(), "error", err.Error())
 		return // keep the shard's previous block; merged snapshot unchanged
 	}
 	if sol.SeqHigh < st.seqHigh {
@@ -1334,7 +1296,7 @@ func (s *Server) solveShard(ctx context.Context, sid int) {
 	shardEpoch, computeTime := st.epoch, st.computeTime
 	s.publishMu.Unlock()
 	s.observeSolve(sol.Info)
-	live := s.shardedWin.Seq()
+	live := s.Seq()
 	if live >= sol.SeqHigh {
 		s.shardLag[sid].Set(int64(live - sol.SeqHigh))
 	} else {
@@ -1396,7 +1358,7 @@ func (s *Server) publishMerged() {
 	epoch := s.epoch.Add(1)
 	s.publishMu.Unlock()
 
-	full := s.shardedWin.Clone()
+	full := s.FreezeWindow()
 	var est *estimator.Estimate
 	if perr := s.guardPanic(func() { est = s.backend.Merge(results, full) }); perr != nil {
 		return // keep the previous snapshot; degraded_reason is set

@@ -16,7 +16,7 @@ type goodSet interface {
 
 // The always-good definition is an inclusive threshold: a path whose
 // congested fraction lands exactly on the tolerance is always good.
-// Recorder, Window and Sharded must all draw the boundary identically
+// Recorder and Window must draw the boundary identically
 // — they feed the same §5.2 frontier, and a one-store disagreement
 // would split the estimators' shared universe.
 func TestAlwaysGoodToleranceBoundary(t *testing.T) {
@@ -84,14 +84,8 @@ func TestAlwaysGoodToleranceBoundary(t *testing.T) {
 			feed(evicting.Add)
 			check(t, "Window(evicting)", evicting)
 
-			// Sharded: paths 0 and 1 on different rings.
-			sh := NewSharded(numPaths, tc.intervals, []int{0, 1}, 2)
-			feed(sh.Add)
-			check(t, "Sharded", sh)
-
-			// And the three must agree set-for-set, not just on path 0.
-			if !rec.AlwaysGoodPaths(tc.tol).Equal(w.AlwaysGoodPaths(tc.tol)) ||
-				!rec.AlwaysGoodPaths(tc.tol).Equal(sh.AlwaysGoodPaths(tc.tol)) {
+			// And the two must agree set-for-set, not just on path 0.
+			if !rec.AlwaysGoodPaths(tc.tol).Equal(w.AlwaysGoodPaths(tc.tol)) {
 				t.Fatal("stores disagree on the always-good set")
 			}
 		})

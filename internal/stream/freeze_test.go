@@ -80,10 +80,9 @@ func (r *refWindow) congestedFraction(p int) float64 {
 
 // checkAgainstRef compares everything the solver and the HTTP layer
 // read off a store — T, Seq, each live row, per-path fractions, joint
-// counts over random path sets (crossing shards, reaching past the
-// universe) and the always-good set — and describes the first
-// difference.
-func checkAgainstRef(rng *rand.Rand, got Store, ref *refWindow) error {
+// counts over random path sets (reaching past the universe) and the
+// always-good set — and describes the first difference.
+func checkAgainstRef(rng *rand.Rand, got *Window, ref *refWindow) error {
 	if got.T() != len(ref.live) || got.Seq() != ref.seq {
 		return fmt.Errorf("T/Seq = %d/%d, want %d/%d", got.T(), got.Seq(), len(ref.live), ref.seq)
 	}
@@ -145,15 +144,15 @@ func randomInterval(rng *rand.Rand, numPaths int) *bitset.Set {
 // — the original, clones, clones of clones, written or not — must still
 // answer exactly like its own deep-copied reference. A freeze that let
 // a write through to shared storage fails here on the other side.
-func testFreezeMatchesDeepCopy(t *testing.T, seed int64, newStore func(rng *rand.Rand) Store) {
+func testFreezeMatchesDeepCopy(t *testing.T, seed int64) {
 	const numPaths, capacity, steps, maxRetained = freezePaths, freezeCap, 12 * freezeCap, 7
 	rng := rand.New(rand.NewSource(seed))
 	type pair struct {
-		got Store
+		got *Window
 		ref *refWindow
 	}
 	fresh := func() pair {
-		return pair{newStore(rng), &refWindow{numPaths: numPaths, capacity: capacity}}
+		return pair{NewWindow(numPaths, capacity), &refWindow{numPaths: numPaths, capacity: capacity}}
 	}
 	pairs := []pair{fresh()}
 	for step := 0; step < steps; step++ {
@@ -167,12 +166,12 @@ func testFreezeMatchesDeepCopy(t *testing.T, seed int64, newStore func(rng *rand
 			pairs[i].got.Add(obs)
 			pairs[i].ref.add(obs)
 		case op < 9:
-			pairs = append(pairs, pair{pairs[i].got.CloneStore(), pairs[i].ref.clone()})
+			pairs = append(pairs, pair{pairs[i].got.Clone(), pairs[i].ref.clone()})
 		default:
 			// ResetSeq is only legal on an empty store: rebase a fresh one
 			// (after freezing it, so the rebase must not leak back either).
 			p := fresh()
-			pairs = append(pairs, pair{p.got.CloneStore(), p.ref.clone()})
+			pairs = append(pairs, pair{p.got.Clone(), p.ref.clone()})
 			seq := uint64(rng.Intn(5 * capacity))
 			p.got.ResetSeq(seq)
 			p.ref.seq = seq
@@ -195,15 +194,7 @@ func testFreezeMatchesDeepCopy(t *testing.T, seed int64, newStore func(rng *rand
 
 func TestWindowFreezeMatchesDeepCopy(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
-		testFreezeMatchesDeepCopy(t, seed, func(*rand.Rand) Store { return NewWindow(freezePaths, freezeCap) })
-	}
-}
-
-func TestShardedFreezeMatchesDeepCopy(t *testing.T) {
-	for seed := int64(1); seed <= 4; seed++ {
-		testFreezeMatchesDeepCopy(t, seed, func(rng *rand.Rand) Store {
-			return NewSharded(freezePaths, freezeCap, randomShardMap(rng, freezePaths, 3), 3)
-		})
+		testFreezeMatchesDeepCopy(t, seed)
 	}
 }
 
@@ -212,10 +203,11 @@ func TestShardedFreezeMatchesDeepCopy(t *testing.T) {
 // shares its rows and masks with the live store, so any in-place write
 // the freeze failed to divert is a data race here and a wrong answer
 // against the clone's reference.
-func testFrozenChainUnderIngest(t *testing.T, live Store) {
+func TestWindowFrozenChainUnderIngest(t *testing.T) {
 	const numPaths, capacity, freezes, readers = freezePaths, freezeCap, 120, 4
+	live := NewWindow(numPaths, capacity)
 	type frozen struct {
-		got Store
+		got *Window
 		ref *refWindow
 	}
 	feeds := make([]chan frozen, readers)
@@ -253,7 +245,7 @@ func testFrozenChainUnderIngest(t *testing.T, live Store) {
 		// documented rule), reads of the results are not.
 		for g := range feeds {
 			select {
-			case feeds[g] <- frozen{live.CloneStore(), ref.clone()}:
+			case feeds[g] <- frozen{live.Clone(), ref.clone()}:
 			default: // reader still busy with its chain: keep ingesting
 			}
 		}
@@ -265,52 +257,4 @@ func testFrozenChainUnderIngest(t *testing.T, live Store) {
 	if err := checkAgainstRef(rng, live, ref); err != nil {
 		t.Fatalf("live store diverged: %v", err)
 	}
-}
-
-func TestWindowFrozenChainUnderIngest(t *testing.T) {
-	testFrozenChainUnderIngest(t, NewWindow(freezePaths, freezeCap))
-}
-
-func TestShardedFrozenChainUnderIngest(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	testFrozenChainUnderIngest(t, NewSharded(freezePaths, freezeCap, randomShardMap(rng, freezePaths, 3), 3))
-}
-
-// A freeze writes the ring it freezes, and the two kinds of freeze hold
-// different locks: Clone the ingest lock, CloneShard one ring lock. With
-// nothing else synchronizing them (no ingest in flight, each goroutine
-// doing only its own kind) they must still exclude each other on the
-// ring — under -race this fails if Clone stops taking the ring locks.
-func TestShardedCloneExcludesCloneShard(t *testing.T) {
-	const numPaths, capacity, shards = freezePaths, freezeCap, 3
-	rng := rand.New(rand.NewSource(5))
-	sh := NewSharded(numPaths, capacity, randomShardMap(rng, numPaths, shards), shards)
-	ref := &refWindow{numPaths: numPaths, capacity: capacity}
-	for i := 0; i < capacity+9; i++ {
-		obs := randomInterval(rng, numPaths)
-		sh.Add(obs)
-		ref.add(obs)
-	}
-	var wg sync.WaitGroup
-	wg.Add(2)
-	go func() {
-		defer wg.Done()
-		rng := rand.New(rand.NewSource(6))
-		for i := 0; i < 200; i++ {
-			if err := checkAgainstRef(rng, sh.Clone(), ref); err != nil {
-				t.Errorf("whole-store freeze %d: %v", i, err)
-				return
-			}
-		}
-	}()
-	go func() {
-		defer wg.Done()
-		for i := 0; i < 200; i++ {
-			if ring := sh.CloneShard(i % shards); ring.Seq() != ref.seq || ring.T() != capacity {
-				t.Errorf("shard freeze %d: Seq/T = %d/%d, want %d/%d", i, ring.Seq(), ring.T(), ref.seq, capacity)
-				return
-			}
-		}
-	}()
-	wg.Wait()
 }

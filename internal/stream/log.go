@@ -48,24 +48,3 @@ func (w *Window) ResetSeq(seq uint64) {
 	}
 	w.seq = seq
 }
-
-// SetLog attaches a write-ahead log to the sharded store. AddBatch
-// logs each batch exactly once (under the ingest lock, so the log
-// order is the commit order) before fanning it out to the shards; Add
-// stays raw for replay. Attach only after replay, with no ingest in
-// flight.
-func (sh *Sharded) SetLog(l BatchLog) {
-	sh.ingestMu.Lock()
-	defer sh.ingestMu.Unlock()
-	sh.log = l
-}
-
-// ResetSeq fast-forwards every (empty) shard ring to sequence number
-// seq; see Window.ResetSeq.
-func (sh *Sharded) ResetSeq(seq uint64) {
-	sh.ingestMu.Lock()
-	defer sh.ingestMu.Unlock()
-	for _, w := range sh.shards {
-		w.ResetSeq(seq)
-	}
-}

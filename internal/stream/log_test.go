@@ -81,47 +81,6 @@ func TestWindowAddBypassesLog(t *testing.T) {
 	}
 }
 
-// The sharded store logs each batch exactly once — not once per shard
-// — so replay reproduces commit order without duplication.
-func TestShardedLogsOncePerBatch(t *testing.T) {
-	shardOf := []int{0, 0, 1, 1, 2, 2, 0, 1}
-	sh := NewSharded(8, 4, shardOf, 3)
-	log := &captureLog{}
-	sh.SetLog(log)
-	if _, err := sh.AddBatch([]*bitset.Set{obs(0, 2, 4), obs(7)}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sh.AddBatch([]*bitset.Set{obs(5)}); err != nil {
-		t.Fatal(err)
-	}
-	if len(log.calls) != 2 {
-		t.Fatalf("logged %d records for 2 batches", len(log.calls))
-	}
-	// The record holds the full (unrouted) congested sets.
-	if got := log.calls[0][0]; len(got) != 3 {
-		t.Fatalf("first logged interval %v, want the unrouted [0 2 4]", got)
-	}
-	if sh.Seq() != 3 {
-		t.Fatalf("Seq = %d, want 3", sh.Seq())
-	}
-}
-
-func TestShardedAddBatchLogErrorLeavesStoreUnchanged(t *testing.T) {
-	sh := NewSharded(8, 4, []int{0, 0, 1, 1, 0, 0, 1, 1}, 2)
-	if _, err := sh.AddBatch([]*bitset.Set{obs(0)}); err != nil {
-		t.Fatal(err)
-	}
-	boom := errors.New("disk gone")
-	sh.SetLog(&captureLog{failErr: boom})
-	seq, err := sh.AddBatch([]*bitset.Set{obs(1)})
-	if !errors.Is(err, boom) {
-		t.Fatalf("AddBatch error = %v, want injected", err)
-	}
-	if seq != 1 || sh.Seq() != 1 || sh.T() != 1 {
-		t.Fatalf("store advanced past failed log: seq=%d T=%d", sh.Seq(), sh.T())
-	}
-}
-
 // A window fast-forwarded to a recovered base sequence lays out
 // intervals bit-identically to one grown from zero: ring positions
 // are seq mod ringBits, independent of the base.

@@ -35,6 +35,13 @@
 // shared storage is never written by either side. A clone that is never
 // added to — every snapshot the server publishes — is therefore
 // immutable for good, whatever its source goes on to ingest.
+//
+// A correlation-set shard (topology.Partition) is a set of columns of
+// this layout: shards share no path, so everything a shard's solve reads
+// — the per-path congestion counters and the joint counts of path sets
+// inside the shard — touches only that shard's masks. One window, frozen
+// once, therefore serves every shard's solve; there are no per-shard
+// rings.
 package stream
 
 import (
@@ -106,6 +113,15 @@ func NewWindow(numPaths, capacity int) *Window {
 		ownRow:    make([]uint64, (capacity+wordBits-1)/wordBits),
 		ownCong:   make([]uint64, (numPaths+wordBits-1)/wordBits),
 	}
+}
+
+// NewSharded is NewWindow; the shard mapping is ignored (a shard is a
+// set of columns of the one window, see the package comment).
+//
+// Deprecated: kept for bench/ only (frozen; tomobench/layers.go names
+// it) until the next benchmark change drops the call.
+func NewSharded(numPaths, capacity int, _ []int, _ int) *Window {
+	return NewWindow(numPaths, capacity)
 }
 
 // ringBits is the number of bit positions in the ring.

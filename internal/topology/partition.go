@@ -134,7 +134,7 @@ func (pt *Partition) NumShards() int { return pt.numShards }
 func (pt *Partition) PathShard(p int) int { return pt.pathShard[p] }
 
 // PathShards returns the full path→shard mapping; the slice must not be
-// modified. It is what stream.NewSharded routes ingest with.
+// modified.
 func (pt *Partition) PathShards() []int { return pt.pathShard }
 
 // LinkShard returns the shard of link e, or -1 when e's correlation

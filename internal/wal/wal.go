@@ -15,8 +15,8 @@
 //
 // One record is one committed ingest batch; baseSeq is the total
 // number of intervals logged before the batch, so records carry the
-// exact commit order of the store they mirror (stream.Window /
-// stream.Sharded sequence numbers). All integers are little-endian;
+// exact commit order of the store they mirror (stream.Window sequence
+// numbers). All integers are little-endian;
 // the checksum is CRC-32C (Castagnoli).
 //
 // Durability policies. SyncPerBatch fsyncs inside every append (the
@@ -655,9 +655,8 @@ func (w *WAL) Replay(fn func(baseSeq uint64, batch []*bitset.Set) error) error {
 }
 
 // AppendBatch logs one committed ingest batch, returning the sequence
-// number after it. It implements stream.BatchLog, so a Window or
-// Sharded store with this log attached journals every batch before
-// applying it. The append fails fast — without queueing behind a hung
+// number after it. It implements stream.BatchLog, so a Window with
+// this log attached journals every batch before applying it. The append fails fast — without queueing behind a hung
 // disk — when a previous operation has stalled past StallTimeout, and
 // permanently once a write or fsync has failed (see Err).
 func (w *WAL) AppendBatch(batch []*bitset.Set) (uint64, error) {
