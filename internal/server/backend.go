@@ -9,6 +9,7 @@ import (
 	"repro/internal/estimator"
 	"repro/internal/observe"
 	"repro/internal/stream"
+	"repro/internal/topology"
 )
 
 // ErrShardUnavailable reports that a shard's owner cannot serve right
@@ -18,24 +19,33 @@ import (
 // should back off and retry rather than treat the batch as accepted.
 var ErrShardUnavailable = errors.New("server: shard unavailable")
 
-// ShardSolve is one shard's block as produced by a ShardBackend: the
-// restricted result plus the ingest sequence and live interval count it
-// was solved at. A local backend solves the window it is handed, so
-// SeqHigh/T echo it; a cluster backend returns the owning worker's
-// solve, which may run slightly ahead of the coordinator's clone.
+// ShardSolve is one block as produced by a ShardBackend: the solved
+// block plus the ingest sequence and live interval count it was solved
+// at. A local backend solves the window it is handed, so SeqHigh/T echo
+// it; a cluster backend returns the owning worker's solve, which may run
+// slightly ahead of the coordinator's clone.
 type ShardSolve struct {
-	Res     *core.Result
+	// Res is a shard's restricted result, merged with the other
+	// shards' by ShardBackend.Merge; nil from the one-block backend.
+	Res *core.Result
+
+	// Est is the estimate itself when the block is the whole universe
+	// (the one-block backend, which every algorithm but the sharded one
+	// solves through); a one-block epoch publishes it as is. nil from
+	// sharded backends.
+	Est *estimator.Estimate
+
 	SeqHigh uint64
 	T       int
 	Info    estimator.SolveInfo
 }
 
-// ShardBackend is where per-shard solves happen. The server's sharded
-// machinery (per-shard loops, stale-guarded publication, merged
-// snapshots) programs against this seam, so in-process warm solvers and
-// the cluster coordinator's scatter-gather are interchangeable: the
-// default backend wraps estimator.ShardedSolver; internal/cluster
-// implements the same interface over worker RPCs.
+// ShardBackend is where an epoch's blocks are solved, in every mode: the
+// server's one epoch body (stale-guarded adoption, merged or one-block
+// snapshots) programs against this seam, so the one-block backend, the
+// in-process sharded solver and the cluster coordinator's
+// scatter-gather are interchangeable. internal/cluster implements the
+// same interface over worker RPCs.
 type ShardBackend interface {
 	// NumShards returns the number of independent shard solves per
 	// epoch (at least 1).
@@ -57,14 +67,14 @@ type ShardBackend interface {
 	Merge(results []*core.Result, obs observe.Store) *estimator.Estimate
 }
 
-// ShardBatchSolver is the optional batched drain seam of a
-// ShardBackend: solve one block of shard per frozen window, carrying
-// the shard's warm plan across the whole run. The server's
-// interval-stride checkpoint drain (Config.EpochEvery in sharded mode)
-// uses it when available — K queued checkpoints cost one set of
-// right-hand sides plus a single batched back-substitution per shard —
-// and falls back to sequential SolveShard calls otherwise (the cluster
-// coordinator, whose workers solve their own live rings).
+// ShardBatchSolver is the batched drain seam of a ShardBackend: solve
+// one block of shard per frozen window, carrying the shard's warm plan
+// across the whole run. The server's interval-stride checkpoint drain
+// (Config.EpochEvery) runs through it — K queued checkpoints cost one
+// set of right-hand sides plus a single batched back-substitution per
+// block — so server.New rejects EpochEvery with a backend that lacks it
+// (the cluster coordinator, whose workers solve their own live windows,
+// not the checkpoints).
 type ShardBatchSolver interface {
 	SolveShardBatch(ctx context.Context, shard int, wins []*stream.Window) ([]ShardSolve, error)
 }
@@ -143,11 +153,7 @@ func (b *localBackend) SolveShard(ctx context.Context, shard int, win *stream.Wi
 }
 
 func (b *localBackend) SolveShardBatch(ctx context.Context, shard int, wins []*stream.Window) ([]ShardSolve, error) {
-	stores := make([]observe.Store, len(wins))
-	for i, win := range wins {
-		stores[i] = win
-	}
-	results, infos, err := b.sv.SolveShardBatch(ctx, shard, stores)
+	results, infos, err := b.sv.SolveShardBatch(ctx, shard, storesOf(wins))
 	if err != nil {
 		return nil, err
 	}
@@ -160,4 +166,96 @@ func (b *localBackend) SolveShardBatch(ctx context.Context, shard int, wins []*s
 
 func (b *localBackend) Merge(results []*core.Result, obs observe.Store) *estimator.Estimate {
 	return b.sv.Merge(results, obs)
+}
+
+// oneBlockBackend is the in-process ShardBackend of every algorithm but
+// the sharded one: a single block, the whole universe, whose solve is
+// the epoch estimate itself (ShardSolve.Est). Correlation-complete
+// carries its structural plan across epochs in an estimator.WarmSolver
+// and drains checkpoints through its batched multi-RHS path; any other
+// registry estimator is stateless and solves each window afresh. It
+// also serves a snapshot's per-request ?algo= estimates, stateless.
+type oneBlockBackend struct {
+	top  *topology.Topology
+	opts []estimator.Option
+	est  estimator.Estimator
+	warm *estimator.WarmSolver // correlation-complete only
+}
+
+func (b *oneBlockBackend) NumShards() int { return 1 }
+
+func (b *oneBlockBackend) ShardSize(int) (paths, links int) {
+	return b.top.NumPaths(), b.top.NumLinks()
+}
+
+func (b *oneBlockBackend) SolveShard(ctx context.Context, shard int, win *stream.Window) (ShardSolve, error) {
+	sols, err := b.SolveShardBatch(ctx, shard, []*stream.Window{win})
+	if err != nil {
+		return ShardSolve{}, err
+	}
+	return sols[0], nil
+}
+
+func (b *oneBlockBackend) SolveShardBatch(ctx context.Context, _ int, wins []*stream.Window) ([]ShardSolve, error) {
+	var ests []*estimator.Estimate
+	var infos []estimator.SolveInfo
+	var err error
+	if b.warm != nil {
+		ests, infos, err = b.warm.EstimateBatch(ctx, storesOf(wins))
+	} else {
+		ests, infos = make([]*estimator.Estimate, len(wins)), make([]estimator.SolveInfo, len(wins))
+		for i, win := range wins {
+			if ests[i], err = b.est.Estimate(ctx, b.top, win, b.opts...); err != nil {
+				break
+			}
+		}
+	}
+	if err != nil {
+		return nil, err
+	}
+	out := make([]ShardSolve, len(wins))
+	for i, win := range wins {
+		out[i] = ShardSolve{Est: ests[i], SeqHigh: win.Seq(), T: win.T(), Info: infos[i]}
+	}
+	return out, nil
+}
+
+// Merge is never called: a one-block epoch publishes its block's Est.
+func (b *oneBlockBackend) Merge([]*core.Result, observe.Store) *estimator.Estimate { return nil }
+
+// newBackend resolves where an epoch's blocks are solved: Config.Backend
+// or the in-process sharded solver for the sharded algorithm, the
+// one-block backend over est for every other.
+func newBackend(top *topology.Topology, cfg Config, est estimator.Estimator) (ShardBackend, error) {
+	switch {
+	case cfg.Algo == estimator.CorrelationCompleteSharded && cfg.Backend != nil:
+		return cfg.Backend, nil
+	case cfg.Algo == estimator.CorrelationCompleteSharded:
+		sv, err := estimator.NewShardedSolver(top, cfg.SolverOpts...)
+		if err != nil {
+			return nil, err
+		}
+		return &localBackend{sv: sv}, nil
+	case cfg.Backend != nil:
+		return nil, errors.New("server: Config.Backend requires the sharded algorithm (correlation-complete-sharded)")
+	}
+	b := &oneBlockBackend{top: top, opts: cfg.SolverOpts, est: est}
+	if cfg.Algo == estimator.CorrelationComplete {
+		ws, err := estimator.NewWarmSolver(top, cfg.SolverOpts...)
+		if err != nil {
+			return nil, err
+		}
+		b.warm = ws
+	}
+	return b, nil
+}
+
+// storesOf views a run of frozen windows as the observation stores the
+// estimator's batched solves take.
+func storesOf(wins []*stream.Window) []observe.Store {
+	stores := make([]observe.Store, len(wins))
+	for i, win := range wins {
+		stores[i] = win
+	}
+	return stores
 }

@@ -1,0 +1,38 @@
+package server
+
+import (
+	"testing"
+
+	"repro/internal/estimator"
+)
+
+// noBatchBackend is a sharded backend without the batched drain seam —
+// the shape of the cluster coordinator.
+type noBatchBackend struct{ ShardBackend }
+
+// Interval-stride epochs drain through ShardBatchSolver, so New rejects
+// EpochEvery with a backend that lacks it instead of serving drained
+// epochs whose results are unspecified; without EpochEvery it is fine.
+func TestEpochEveryRequiresBatchSolver(t *testing.T) {
+	top := shardedTestTopology(t)
+	sv, err := estimator.NewShardedSolver(top, solverOpts()...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{
+		Algo:       estimator.CorrelationCompleteSharded,
+		SolverOpts: solverOpts(),
+		Backend:    noBatchBackend{&localBackend{sv: sv}},
+		EpochEvery: 10,
+	}
+	if s, err := New(top, cfg); err == nil {
+		s.Close()
+		t.Fatal("New accepted EpochEvery with a backend lacking ShardBatchSolver")
+	}
+	cfg.EpochEvery = 0
+	s, err := New(top, cfg)
+	if err != nil {
+		t.Fatalf("New without EpochEvery: %v", err)
+	}
+	s.Close()
+}

@@ -82,13 +82,22 @@ func TestUnshardedWarmEpochs(t *testing.T) {
 // With EpochEvery set, a burst that crosses several stride boundaries
 // must drain as one epoch per checkpoint — each bit-identical to the
 // stateless solve over that checkpoint's window — plus a live epoch,
-// all visible in the history ring and on /v1/epochs.
+// all visible in the history ring and on /v1/epochs. Correlation-complete
+// drains through the warm solver's batched path, any other estimator
+// through one stateless solve per checkpoint.
 func TestEpochCheckpointDrain(t *testing.T) {
+	for _, algo := range []string{estimator.CorrelationComplete, estimator.Independence} {
+		t.Run(algo, func(t *testing.T) { testEpochCheckpointDrain(t, algo) })
+	}
+}
+
+func testEpochCheckpointDrain(t *testing.T, algo string) {
 	const windowSize, epochEvery, total = 200, 60, 250
 	top := testTopology(t)
 	s := newServer(t, top, Config{
 		WindowSize: windowSize,
 		EpochEvery: epochEvery,
+		Algo:       algo,
 		SolverOpts: solverOpts(),
 	})
 	defer s.Close()
@@ -113,7 +122,7 @@ func TestEpochCheckpointDrain(t *testing.T) {
 		t.Fatalf("history has %d epochs, want 5", len(history))
 	}
 	wantSeqs := []uint64{60, 120, 180, 240, 250}
-	registry, err := estimator.New(estimator.CorrelationComplete)
+	registry, err := estimator.New(algo)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,6 +130,35 @@ func TestEpochCheckpointDrain(t *testing.T) {
 		if h.Epoch != uint64(i+1) || h.SeqHigh != wantSeqs[i] {
 			t.Fatalf("history[%d] = epoch %d seq %d, want epoch %d seq %d", i, h.Epoch, h.SeqHigh, i+1, wantSeqs[i])
 		}
+	}
+	if algo != estimator.CorrelationComplete {
+		// Each drained epoch equals the registry estimator over its
+		// checkpoint's window: replay the prefix up to checkpoint k on a
+		// fresh server, whose drain then ends on the live state and
+		// returns that checkpoint's epoch.
+		for k, seq := range wantSeqs[:4] {
+			r := newServer(t, top, Config{WindowSize: windowSize, EpochEvery: epochEvery, Algo: algo, SolverOpts: solverOpts()})
+			r.Ingest(stream[:seq])
+			got := r.Recompute(nil)
+			r.Close()
+			if got.Err != nil {
+				t.Fatal(got.Err)
+			}
+			if got.SeqHigh != seq || got.Epoch != uint64(k+1) {
+				t.Fatalf("drained checkpoint = seq %d epoch %d, want seq %d epoch %d", got.SeqHigh, got.Epoch, seq, k+1)
+			}
+			want, err := registry.Estimate(context.Background(), top, got.Window, solverOpts()...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for e := range want.LinkProb {
+				if p, exact := got.Est.LinkCongestProb(e); p != want.LinkProb[e] || exact != want.LinkExact[e] {
+					t.Fatalf("checkpoint %d link %d: drained (%v,%v) != registry (%v,%v)", seq, e, p, exact, want.LinkProb[e], want.LinkExact[e])
+				}
+			}
+		}
+		checkEpochsEndpoint(t, s, total)
+		return
 	}
 	// Re-derive checkpoint 3 (seq 180, window [0,180) truncated to 200
 	// cap — all 180 intervals) offline and compare against a replayed
@@ -142,7 +180,13 @@ func TestEpochCheckpointDrain(t *testing.T) {
 		}
 	}
 
-	// /v1/epochs serves the ring (and honors limit).
+	checkEpochsEndpoint(t, s, total)
+}
+
+// checkEpochsEndpoint checks /v1/epochs serves the ring (and honors
+// limit) after a drain of four checkpoints plus a live epoch at total.
+func checkEpochsEndpoint(t *testing.T, s *Server, total uint64) {
+	t.Helper()
 	handler := s.Handler()
 	req := httptest.NewRequest(http.MethodGet, "/v1/epochs?limit=3", nil)
 	rw := httptest.NewRecorder()
@@ -359,5 +403,44 @@ func TestEpochBacklogCancelRequeues(t *testing.T) {
 	// The retry drains normally: 4 checkpoint epochs + 1 live.
 	if snap := s.Recompute(nil); snap.Err != nil || snap.Epoch != 5 {
 		t.Fatalf("retry = epoch %d (err %v), want 5", snap.Epoch, snap.Err)
+	}
+}
+
+// A sharded checkpoint drain that runs after the shard loops have
+// already published the live window must not roll Latest() back in
+// ingest sequence: the drained epochs consume their epochs and enter the
+// history, and the live snapshot stays the latest.
+func TestShardedDrainKeepsLatestSeq(t *testing.T) {
+	const total = 250
+	top := shardedTestTopology(t)
+	s := newServer(t, top, Config{
+		WindowSize: 200,
+		EpochEvery: 60,
+		Algo:       estimator.CorrelationCompleteSharded,
+		SolverOpts: solverOpts(),
+	})
+	defer s.Close()
+	s.Ingest(simulatedBatches(t, top, total))
+	ctx := context.Background()
+	for sid := 0; sid < s.NumShards(); sid++ {
+		s.solveShard(ctx, sid)
+	}
+	if got := s.Latest(); got == nil || got.Epoch != 1 || got.SeqHigh != total {
+		t.Fatal("the shard loops did not publish epoch 1 at the live sequence")
+	}
+	if _, err := s.drainBacklog(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if got := s.Latest(); got.SeqHigh != total {
+		t.Fatalf("drain rolled Latest() back to epoch %d seq %d, want seq %d", got.Epoch, got.SeqHigh, total)
+	}
+	history := s.History()
+	if len(history) != 5 {
+		t.Fatalf("history has %d epochs, want 5", len(history))
+	}
+	for i, seq := range []uint64{60, 120, 180, 240} {
+		if h := history[i+1]; h.Epoch != uint64(i+2) || h.SeqHigh != seq {
+			t.Fatalf("history[%d] = epoch %d seq %d, want epoch %d seq %d", i+1, h.Epoch, h.SeqHigh, i+2, seq)
+		}
 	}
 }

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -460,7 +459,7 @@ func (s *Server) snapshotEstimate(w http.ResponseWriter, r *http.Request) (*Snap
 	est, err := snap.EstimateFor(r.Context(), algo)
 	if err != nil {
 		switch {
-		case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
+		case canceled(err):
 			writeError(w, http.StatusServiceUnavailable, CodeSolveCanceled, "solve cancelled: %v", err)
 		case algo != "" && !registered(algo):
 			writeError(w, http.StatusBadRequest, CodeUnknownAlgo, "%v", err)
@@ -696,7 +695,7 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 	} else {
 		st.LagIntervals = st.IngestedSeq
 	}
-	if s.backend != nil {
+	if s.sharded {
 		st.Shards = s.shardStatuses(st.IngestedSeq)
 	}
 	if cs := s.clusterStatus(); cs != nil {

@@ -286,12 +286,13 @@ func TestReadyzDegraded(t *testing.T) {
 		h := s.Handler()
 
 		ingestSimulated(t, s, top, 200)
-		good := s.est
+		est := epochEstimator(s)
+		good := *est
 		if snap := s.Recompute(nil); snap.Err != nil {
 			t.Fatal(snap.Err)
 		}
 
-		s.est = panicEstimator{}
+		*est = panicEstimator{}
 		s.Recompute(nil)
 		code, env, _ := get(t, h, "/v1/readyz")
 		if code != http.StatusServiceUnavailable {
@@ -301,7 +302,7 @@ func TestReadyzDegraded(t *testing.T) {
 			t.Fatalf("readyz error envelope %+v, want code %q", env.Error, CodeSolverPanic)
 		}
 
-		s.est = good
+		*est = good
 		if snap := s.Recompute(nil); snap.Err != nil {
 			t.Fatal(snap.Err)
 		}
@@ -322,7 +323,7 @@ func TestMetricsSolverPanicCounter(t *testing.T) {
 	})
 	defer s.Close()
 	ingestSimulated(t, s, top, 100)
-	s.est = panicEstimator{}
+	*epochEstimator(s) = panicEstimator{}
 
 	pre := telemetry.Default().Snapshot()
 	s.Recompute(nil)

@@ -30,19 +30,28 @@
 //     by newer ingest (superseded) is abandoned rather than published.
 //     Cancelled solves return ctx.Err() promptly and never publish.
 //
-// Sharded mode (Algo = "correlation-complete-sharded") replaces the
-// single solver loop with one goroutine per correlation-set shard (see
-// topology.Partition). The window is the same one: a shard is a set of
-// its columns, so each shard loop freezes the whole window (a header
-// copy) and its solve reads only its own paths — warm-starting the
-// structural plan while its always-good set is stable — and every shard
-// epoch publishes a fresh merged snapshot assembled from the latest
-// per-shard blocks. A congestion burst confined to one shard therefore
-// re-derives one block's structure while the others keep re-solving
-// their carried-forward factorizations; per-shard epochs and lag are
-// exposed on /v1/status.
-// Shard solves are not supersession-supervised (warm solves are far
-// faster than a window turnover); shutdown still cancels them.
+// There is one epoch body. Every mode solves an epoch as blocks through
+// the ShardBackend seam — the correlation-set shards of the paper's
+// block-diagonal system (topology.Partition) in sharded mode (Algo =
+// "correlation-complete-sharded"), a single block covering the whole
+// universe otherwise — so Recompute, the checkpoint drain and the
+// background publish share one solve, one stale-guarded adoption, one
+// merge-and-publish step and one publish guard. A one-block epoch
+// publishes its block's estimate as is; a sharded epoch merges the
+// latest per-shard blocks. The window is the same one: a shard is a set
+// of its columns, so each shard solve freezes the whole window (a header
+// copy) and reads only its own paths — warm-starting the structural plan
+// while its always-good set is stable — and a congestion burst confined
+// to one shard re-derives one block's structure while the others keep
+// re-solving their carried-forward factorizations; per-shard epochs and
+// lag are exposed on /v1/status.
+//
+// What still differs per mode is the background loop, until one
+// scheduler replaces them: one supervised loop (run) over the one
+// block, against one goroutine per shard (runShard) plus a drain ticker
+// (runDrain) in sharded mode. Shard solves are not
+// supersession-supervised (warm solves are far faster than a window
+// turnover); shutdown still cancels them.
 package server
 
 import (
@@ -59,7 +68,6 @@ import (
 	"repro/internal/bitset"
 	"repro/internal/core"
 	"repro/internal/estimator"
-	"repro/internal/observe"
 	"repro/internal/stream"
 	"repro/internal/telemetry"
 	"repro/internal/topology"
@@ -89,20 +97,18 @@ type Config struct {
 	// EpochEvery, when positive, adds interval-stride epochs to the
 	// time-based cadence: ingest freezes a window checkpoint every
 	// EpochEvery intervals, and the solver drains all queued
-	// checkpoints on its next run — through one batched multi-RHS solve
-	// when the epoch solver is correlation-complete — publishing one
-	// epoch per checkpoint. A burst that crosses several stride
-	// boundaries therefore yields several observable epochs (see
+	// checkpoints on its next run — the queue through each block's
+	// batched solve (ShardBatchSolver; one multi-RHS solve per block when
+	// the epoch solver is correlation-complete, sharded or not) —
+	// publishing one epoch per checkpoint. A burst that crosses several
+	// stride boundaries therefore yields several observable epochs (see
 	// /v1/epochs) instead of one coarse latest-state solve.
 	//
-	// In sharded mode the checkpoints are the same frozen windows; the
-	// drain runs the queue through the backend's batched path once per
-	// shard (ShardBatchSolver, one multi-RHS solve per shard)
-	// when it offers one — sequential SolveShard calls otherwise — and
-	// publishes one merged epoch per checkpoint. With a remote backend
-	// (the cluster coordinator) shard blocks come from the workers'
-	// own live solves, so drained epochs are best-effort rather than
-	// checkpoint-exact; the in-process backend is exact.
+	// Every in-process backend offers the batched seam. The cluster
+	// coordinator does not — its workers solve their own live windows,
+	// never the checkpoints — so New rejects EpochEvery with it (or with
+	// any Backend lacking ShardBatchSolver) rather than serve drained
+	// epochs whose results are unspecified.
 	EpochEvery int
 
 	// MaxEpochBacklog bounds the queued checkpoints (default 8): when
@@ -124,7 +130,8 @@ type Config struct {
 	MaxIngestBytes int64
 
 	// Backend overrides where per-shard solves happen (sharded algo
-	// only; New rejects it otherwise). nil means the in-process
+	// only; New rejects it otherwise, and with EpochEvery unless it
+	// implements ShardBatchSolver). nil means the in-process
 	// estimator.ShardedSolver. The cluster coordinator plugs in here:
 	// its backend forwards ingest to shard-owning workers
 	// (BatchForwarder), fetches their solved blocks (SolveShard) and
@@ -195,9 +202,9 @@ type Snapshot struct {
 	T int
 
 	// Tier is how the epoch solve used its carried-forward plan, as the
-	// solver reported it. Always zero outside the warm
-	// correlation-complete loop (sharded mode reports the same per
-	// shard in Shards).
+	// solver reported it: the one block's tier, zero for a stateless
+	// estimator and in sharded mode (which reports the same per shard
+	// in Shards).
 	core.Tier
 
 	ComputedAt  time.Time
@@ -268,7 +275,9 @@ func (s *Snapshot) EstimateFor(ctx context.Context, algo string) (*estimator.Est
 		cell.done = make(chan struct{})
 		go func() {
 			defer close(cell.done)
-			cell.est, cell.err = est.Estimate(s.lifetime, s.top, s.Window, s.opts...)
+			b := &oneBlockBackend{top: s.top, opts: s.opts, est: est} // stateless
+			sol, err := b.SolveShard(s.lifetime, 0, s.Window)
+			cell.est, cell.err = sol.Est, err
 		}()
 	})
 	// Prefer a finished solve over a dead request context: both may be
@@ -312,34 +321,27 @@ type ShardInfo struct {
 	Paths, Links int
 }
 
-// shardState is one shard's solver state. mu serializes the shard's
-// solves (the background loop and synchronous Recompute); the published
-// fields below it are guarded by the server's publishMu.
+// shardState is one block's solver state (a shard's, or the whole
+// universe's outside sharded mode). mu serializes the block's solves
+// (the background loop, the drain and synchronous Recompute); the
+// published fields below it are guarded by the server's publishMu.
 type shardState struct {
 	mu sync.Mutex
 
-	// epochBacklog is the shard's pending interval-stride checkpoints
-	// (Config.EpochEvery in sharded mode): set by ingest at enqueue,
-	// cleared as the drain finishes the shard's solves. Atomic so
-	// /v1/status reads it without the ingest or publish locks.
+	// epochBacklog is the block's pending interval-stride checkpoints
+	// (Config.EpochEvery): set by ingest at enqueue, cleared as the
+	// drain finishes the block's solves. Atomic so /v1/status reads it
+	// without the ingest or publish locks.
 	epochBacklog atomic.Int64
 
 	res     *core.Result
+	est     *estimator.Estimate // the one block's estimate (ShardSolve.Est)
 	seqHigh uint64
 	t       int
-	epoch   uint64
+	epoch   uint64 // blocks adopted; 0 until the block's first solve
 	core.Tier
 	computeTime time.Duration
 	err         error
-}
-
-// adopt makes sol the shard's published block and consumes a shard
-// epoch; the caller holds publishMu and has checked sol is not stale.
-func (st *shardState) adopt(sol ShardSolve, computeTime time.Duration) {
-	st.res, st.seqHigh, st.t, st.err = sol.Res, sol.SeqHigh, sol.T, nil
-	st.Tier = sol.Info.Tier
-	st.epoch++
-	st.computeTime = computeTime
 }
 
 // EpochSummary is one published epoch's record in the server's bounded
@@ -358,7 +360,6 @@ type EpochSummary struct {
 type Server struct {
 	top    *topology.Topology
 	cfg    Config
-	est    estimator.Estimator // the epoch solver, resolved from cfg.Algo
 	logger *slog.Logger
 
 	// shardLag holds the per-shard lag gauges, resolved once in New so
@@ -366,18 +367,15 @@ type Server struct {
 	// sharded mode.
 	shardLag []*telemetry.Gauge
 
-	// warmSolver carries the correlation-complete structural plan
-	// across unsharded epochs (nil for other algorithms): the loop no
-	// longer discards its plan, so steady-state epochs skip the
-	// structural phase and always-good drift repairs in O(Δ). Guarded
-	// by computeMu (one solver loop owns it).
-	warmSolver *estimator.WarmSolver
-
-	// Sharded mode: the shard-solve backend (in-process warm solver or
-	// the cluster coordinator) and one state per shard. Both nil/empty
-	// otherwise.
+	// backend solves every epoch's blocks: the one-block backend (which
+	// carries the correlation-complete plan across epochs) outside
+	// sharded mode, the in-process sharded solver or the cluster
+	// coordinator inside it. shardStates holds one published state per
+	// block; sharded reports whether the blocks are shards — merged,
+	// listed in Snapshot.Shards and /v1/status, one loop each.
 	backend     ShardBackend
 	shardStates []*shardState
+	sharded     bool
 	publishMu   sync.Mutex // guards shardStates' published fields, snapshot assembly + history
 
 	// history is the bounded ring of published epochs (newest last,
@@ -447,48 +445,38 @@ func New(top *topology.Topology, cfg Config) (*Server, error) {
 	if _, err := estimator.Apply(cfg.SolverOpts...); err != nil {
 		return nil, err
 	}
+	backend, err := newBackend(top, cfg, est)
+	if err != nil {
+		return nil, err
+	}
+	if _, ok := backend.(ShardBatchSolver); cfg.EpochEvery > 0 && !ok {
+		return nil, errors.New("server: Config.EpochEvery requires a backend that solves checkpoints in batch (ShardBatchSolver); the cluster coordinator does not")
+	}
 	logger := cfg.Logger
 	if logger == nil {
 		logger = slog.Default()
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	s := &Server{
-		top:        top,
-		cfg:        cfg,
-		est:        est,
-		logger:     logger,
-		baseCtx:    ctx,
-		baseCancel: cancel,
-		stop:       make(chan struct{}),
-		win:        stream.NewWindow(top.NumPaths(), cfg.WindowSize),
+		top:         top,
+		cfg:         cfg,
+		logger:      logger,
+		backend:     backend,
+		shardStates: make([]*shardState, backend.NumShards()),
+		sharded:     cfg.Algo == estimator.CorrelationCompleteSharded,
+		baseCtx:     ctx,
+		baseCancel:  cancel,
+		stop:        make(chan struct{}),
+		win:         stream.NewWindow(top.NumPaths(), cfg.WindowSize),
 	}
-	if cfg.Algo == estimator.CorrelationCompleteSharded {
-		if cfg.Backend != nil {
-			s.backend = cfg.Backend
-		} else {
-			sv, err := estimator.NewShardedSolver(top, cfg.SolverOpts...)
-			if err != nil {
-				cancel()
-				return nil, err
-			}
-			s.backend = &localBackend{sv: sv}
-		}
-		s.shardStates = make([]*shardState, s.backend.NumShards())
-		s.shardLag = make([]*telemetry.Gauge, s.backend.NumShards())
-		for i := range s.shardStates {
-			s.shardStates[i] = &shardState{}
+	for i := range s.shardStates {
+		s.shardStates[i] = &shardState{}
+	}
+	if s.sharded {
+		s.shardLag = make([]*telemetry.Gauge, len(s.shardStates))
+		for i := range s.shardLag {
 			s.shardLag[i] = metricShardLag.With(strconv.Itoa(i))
 		}
-	} else if cfg.Backend != nil {
-		cancel()
-		return nil, errors.New("server: Config.Backend requires the sharded algorithm (correlation-complete-sharded)")
-	} else if cfg.Algo == estimator.CorrelationComplete {
-		ws, err := estimator.NewWarmSolver(top, cfg.SolverOpts...)
-		if err != nil {
-			cancel()
-			return nil, err
-		}
-		s.warmSolver = ws
 	}
 	if cfg.WAL.Dir != "" {
 		if err := s.openWAL(); err != nil {
@@ -543,7 +531,12 @@ func (s *Server) openWAL() error {
 
 // NumShards returns the number of independent shard solvers (0 outside
 // sharded mode).
-func (s *Server) NumShards() int { return len(s.shardStates) }
+func (s *Server) NumShards() int {
+	if !s.sharded {
+		return 0
+	}
+	return len(s.shardStates)
+}
 
 // Topology returns the topology the server monitors.
 func (s *Server) Topology() *topology.Topology { return s.top }
@@ -555,10 +548,10 @@ func (s *Server) Algo() string { return s.cfg.Algo }
 // per shard in sharded mode, a single supervised loop otherwise.
 func (s *Server) Start() {
 	s.startOnce.Do(func() {
-		if s.backend != nil {
-			if lc, ok := s.backend.(BackendLifecycle); ok {
-				lc.Start(s)
-			}
+		if lc, ok := s.backend.(BackendLifecycle); ok {
+			lc.Start(s)
+		}
+		if s.sharded {
 			for sid := range s.shardStates {
 				s.wg.Add(1)
 				go s.runShard(sid)
@@ -814,18 +807,17 @@ func (s *Server) backlogStats() (pending int, dropped uint64) {
 	return len(s.backlog), s.backlogDropped
 }
 
-// newSnapshot starts the snapshot of a solve over window that began at
-// start and ended in err: everything but the estimate, the tier, the
-// shard rows and (for merged publishes) the pre-assigned epoch, which
-// the caller fills in.
-func (s *Server) newSnapshot(window *stream.Window, start time.Time, err error) *Snapshot {
+// newSnapshot starts the snapshot of a solve over window that took
+// computeTime and ended in err: everything but the epoch, the estimate,
+// the tier and the shard rows, which the caller fills in.
+func (s *Server) newSnapshot(window *stream.Window, computeTime time.Duration, err error) *Snapshot {
 	return &Snapshot{
 		Algo:        s.cfg.Algo,
 		Window:      window,
 		SeqHigh:     window.Seq(),
 		T:           window.T(),
 		ComputedAt:  time.Now(),
-		ComputeTime: time.Since(start),
+		ComputeTime: computeTime,
 		Err:         err,
 		top:         s.top,
 		opts:        s.cfg.SolverOpts,
@@ -834,10 +826,13 @@ func (s *Server) newSnapshot(window *stream.Window, start time.Time, err error) 
 	}
 }
 
-// Recompute clones the live window, runs the configured estimator over
-// the frozen clone, publishes the new snapshot, and returns it. It is
-// what the background loop calls each tick; tests and the daemon's
-// shutdown path call it directly for a synchronous epoch.
+// Recompute is one synchronous epoch: drain the queued checkpoints,
+// freeze the live window unless the drain already published its state,
+// solve every block over that one frozen clone, then assemble and
+// publish the snapshot and return it. Because every block is solved at
+// the same sequence, the published estimate equals an offline solve of
+// the surviving window. It is what the unsharded background loop calls
+// each tick; tests and the daemon's shutdown path call it directly.
 //
 // ctx cancels the solve mid-flight: the returned snapshot then carries
 // ctx.Err() (wrapped) in Err, is NOT published, and does not consume an
@@ -847,53 +842,66 @@ func (s *Server) Recompute(ctx context.Context) *Snapshot {
 	if ctx == nil {
 		ctx = s.baseCtx
 	}
-	if s.backend != nil {
-		return s.recomputeSharded(ctx)
-	}
 	s.computeMu.Lock()
 	defer s.computeMu.Unlock()
 	drained, err := s.drainBacklog(ctx)
 	if err != nil {
-		return drained // error/cancelled snapshot; checkpoints were requeued
+		return drained // error/cancelled snapshot; checkpoints handled per contract
 	}
 	w := s.freezeUnlessAt(drained)
 	if w == nil {
 		return drained // the newest checkpoint was the live state: already published
 	}
 	start := time.Now()
-	var est *estimator.Estimate
-	var info estimator.SolveInfo
-	if perr := s.guardPanic(func() {
-		if s.warmSolver != nil {
-			est, info, err = s.warmSolver.Estimate(ctx, w)
-		} else {
-			est, err = s.est.Estimate(ctx, s.top, w, s.cfg.SolverOpts...)
+	sols := make([]ShardSolve, len(s.shardStates))
+	durs := make([]time.Duration, len(s.shardStates))
+	for sid := range s.shardStates {
+		blockStart := time.Now()
+		sol, err := s.solveBlock(ctx, sid, w)
+		if err != nil {
+			snap := s.newSnapshot(w, time.Since(start), err)
+			if !canceled(err) {
+				s.publish(snap)
+			}
+			return snap // a cancelled solve is not published and consumes no epoch
 		}
-	}); perr != nil {
-		est, err = nil, perr
+		sols[sid], durs[sid] = sol[0], time.Since(blockStart)
 	}
-	snap := s.newSnapshot(w, start, err)
-	snap.Est, snap.Tier = est, info.Tier
-	if err != nil && (errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)) {
-		return snap // cancelled: do not publish, do not consume an epoch
-	}
-	if err == nil {
-		s.observeSolve(info)
-	}
-	s.publish(snap)
-	return snap
+	return s.assemble(w, sols, durs)
 }
 
-// drainBacklog solves every queued interval-stride checkpoint —
-// through the warm solver's batched multi-RHS path when available —
-// and publishes one epoch per checkpoint, returning the newest
+// solveBlock solves block sid over wins under the block's mutex and the
+// panic guard: one window through SolveShard, a drain's run of
+// checkpoints through the batched seam (New guarantees the backend has
+// it whenever checkpoints are queued).
+func (s *Server) solveBlock(ctx context.Context, sid int, wins ...*stream.Window) (sols []ShardSolve, err error) {
+	st := s.shardStates[sid]
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	if perr := s.guardPanic(func() {
+		if len(wins) > 1 {
+			sols, err = s.backend.(ShardBatchSolver).SolveShardBatch(ctx, sid, wins)
+			return
+		}
+		var sol ShardSolve
+		sol, err = s.backend.SolveShard(ctx, sid, wins[0])
+		sols = []ShardSolve{sol}
+	}); perr != nil {
+		return nil, perr
+	}
+	return sols, err
+}
+
+// drainBacklog solves every queued interval-stride checkpoint — the same
+// run of frozen windows through each block's batched solve — and
+// publishes one epoch per checkpoint, oldest first, returning the newest
 // published snapshot (nil when the backlog was empty). Errors follow
 // Recompute's contract: a cancellation requeues the checkpoints (the
-// MaxEpochBacklog bound re-applied) and returns an unpublished
-// snapshot consuming no epoch; any other solver error publishes the
-// error snapshot — visible on /v1/status and in the history — and
-// drops the failed checkpoints so a persistent error can never pin
-// the solver to the backlog and starve the live-window solve.
+// MaxEpochBacklog bound re-applied) and returns an unpublished snapshot
+// consuming no epoch; any other solver error publishes the error
+// snapshot — visible on /v1/status and in the history — and drops the
+// failed checkpoints so a persistent error can never pin the solver to
+// the backlog and starve the live-window solve.
 func (s *Server) drainBacklog(ctx context.Context) (*Snapshot, error) {
 	s.mu.Lock()
 	pending := s.backlog
@@ -904,29 +912,17 @@ func (s *Server) drainBacklog(ctx context.Context) (*Snapshot, error) {
 		return nil, nil
 	}
 	start := time.Now()
-	ests := make([]*estimator.Estimate, len(pending))
-	infos := make([]estimator.SolveInfo, len(pending))
+	sols := make([][]ShardSolve, len(s.shardStates))
 	var err error
-	if perr := s.guardPanic(func() {
-		if s.warmSolver != nil {
-			stores := make([]observe.Store, len(pending))
-			for i, w := range pending {
-				stores[i] = w
-			}
-			ests, infos, err = s.warmSolver.EstimateBatch(ctx, stores)
-		} else {
-			for i, w := range pending {
-				if ests[i], err = s.est.Estimate(ctx, s.top, w, s.cfg.SolverOpts...); err != nil {
-					break
-				}
-			}
+	for sid, st := range s.shardStates {
+		if sols[sid], err = s.solveBlock(ctx, sid, pending...); err != nil {
+			break
 		}
-	}); perr != nil {
-		err = perr
+		st.epochBacklog.Store(0) // this block's checkpoints are solved
 	}
 	if err != nil {
-		snap := s.newSnapshot(pending[len(pending)-1], start, err)
-		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
+		snap := s.newSnapshot(pending[len(pending)-1], time.Since(start), err)
+		if canceled(err) {
 			s.requeueBacklog(pending)
 			return snap, err // not published, no epoch consumed
 		}
@@ -935,36 +931,126 @@ func (s *Server) drainBacklog(ctx context.Context) (*Snapshot, error) {
 		s.backlogDropped += uint64(len(pending))
 		s.mu.Unlock()
 		metricCheckpointsDropped.Add(uint64(len(pending)))
+		for _, st := range s.shardStates {
+			st.epochBacklog.Store(0)
+		}
 		return snap, err
 	}
-	// One publish per checkpoint, oldest first; the batch's wall time
-	// is amortized evenly across the drained epochs, while each epoch's
-	// stage histograms are fed from its own info (build and repair are
+	// One publish per checkpoint, oldest first; the drain's wall time is
+	// amortized evenly across the drained epochs, while the stage
+	// histograms are fed from each block's own info (build and repair are
 	// per checkpoint, a run's solve tail is split across the run).
 	share := time.Since(start) / time.Duration(len(pending))
+	durs := make([]time.Duration, len(s.shardStates))
+	row := make([]ShardSolve, len(s.shardStates))
+	for sid := range durs {
+		durs[sid] = share
+	}
 	var newest *Snapshot
-	for i, w := range pending {
-		s.observeSolve(infos[i])
-		snap := s.newSnapshot(w, start, nil)
-		snap.Est, snap.Tier, snap.ComputeTime = ests[i], infos[i].Tier, share
-		s.publish(snap)
-		newest = snap
+	for k, ck := range pending {
+		for sid := range row {
+			row[sid] = sols[sid][k]
+		}
+		newest = s.assemble(ck, row, durs)
 	}
 	return newest, nil
 }
 
-// publish assigns the next epoch to snap, makes it the latest snapshot
-// and records it in the history ring. The pointer swap is seq-guarded:
-// a drained checkpoint older than the already-published live window
-// consumes its epoch and enters the history but never rolls the latest
-// snapshot backwards in ingest sequence.
+// assemble is the one merge-and-publish step. Under publishMu it adopts
+// each block of sols (see adoptLocked; sols nil — a background shard
+// publish — adopts nothing), collects every block's published state and
+// takes the next epoch, so epochs are ordered by collection time. Off
+// the lock it builds the estimate — the one block's own outside sharded
+// mode, the backend's merge of every shard's block over win inside it —
+// and publishes the snapshot over win, which a background publish (win
+// nil) freezes at merge time; its ComputeTime is the slowest collected
+// block's. It returns nil, publishing nothing, until every block has
+// solved once, and when a background merge panics (the previous snapshot
+// stays; degraded_reason is set) — a synchronous epoch publishes that
+// panic as its error snapshot instead.
+func (s *Server) assemble(win *stream.Window, sols []ShardSolve, durs []time.Duration) *Snapshot {
+	live := s.Seq() // before publishMu: Seq takes the ingest lock; keep the two disjoint
+	s.publishMu.Lock()
+	var blocks []*core.Result
+	var shards []ShardInfo
+	if s.sharded {
+		blocks = make([]*core.Result, len(s.shardStates))
+		shards = make([]ShardInfo, len(s.shardStates))
+	}
+	var est *estimator.Estimate
+	var tier core.Tier
+	var computeTime time.Duration
+	for sid, st := range s.shardStates {
+		if sols != nil {
+			s.adoptLocked(sid, sols[sid], durs[sid], live)
+		}
+		if st.epoch == 0 {
+			s.publishMu.Unlock()
+			return nil
+		}
+		computeTime = max(computeTime, st.computeTime)
+		if s.sharded {
+			blocks[sid], shards[sid] = st.res, s.shardInfoLocked(sid)
+		} else {
+			est, tier = st.est, st.Tier // the one block is the whole estimate
+		}
+	}
+	epoch := s.epoch.Add(1)
+	s.publishMu.Unlock()
+
+	if win == nil {
+		win = s.FreezeWindow()
+	}
+	var err error
+	if s.sharded {
+		if err = s.guardPanic(func() { est = s.backend.Merge(blocks, win) }); err != nil && sols == nil {
+			return nil
+		}
+	}
+	snap := s.newSnapshot(win, computeTime, err)
+	snap.Epoch, snap.Est, snap.Tier, snap.Shards = epoch, est, tier, shards
+	s.publish(snap)
+	return snap
+}
+
+// adoptLocked makes sol block sid's published state and consumes a block
+// epoch, feeding the tier counters and (sharded mode) the shard's lag
+// behind live — unless the block already holds a newer solve (a
+// concurrent solve raced ahead), which then wins. The caller holds
+// publishMu.
+func (s *Server) adoptLocked(sid int, sol ShardSolve, computeTime time.Duration, live uint64) bool {
+	st := s.shardStates[sid]
+	if sol.SeqHigh < st.seqHigh {
+		return false
+	}
+	st.res, st.est, st.seqHigh, st.t, st.err = sol.Res, sol.Est, sol.SeqHigh, sol.T, nil
+	st.Tier = sol.Info.Tier
+	st.epoch++
+	st.computeTime = computeTime
+	s.observeSolve(sol.Info)
+	if s.sharded {
+		s.shardLag[sid].Set(int64(live - min(live, sol.SeqHigh))) // a remote solve may run ahead of the local window
+	}
+	return true
+}
+
+// publish makes snap the latest snapshot unless that would move the
+// latest backwards — to an older epoch or an older ingest sequence — and
+// records it in the history ring either way. An assembled snapshot
+// carries the epoch it was collected under; an error snapshot takes the
+// next one here. A drained checkpoint older than an already-published
+// live window, or a merge that lost the race to a later-collected one,
+// thus consumes its epoch and enters the history but never rolls queries
+// back.
 func (s *Server) publish(snap *Snapshot) {
 	// The lag gauge reads the live sequence before taking publishMu
 	// (Seq takes the ingest lock; keep the two disjoint).
 	lag := int64(s.Seq() - snap.SeqHigh)
 	s.publishMu.Lock()
 	defer s.publishMu.Unlock()
-	snap.Epoch = s.epoch.Add(1)
+	if snap.Epoch == 0 {
+		snap.Epoch = s.epoch.Add(1)
+	}
 	if cur := s.snap.Load(); cur == nil || (cur.Epoch < snap.Epoch && cur.SeqHigh <= snap.SeqHigh) {
 		s.snap.Store(snap)
 		metricEpochLag.Set(lag)
@@ -974,6 +1060,12 @@ func (s *Server) publish(snap *Snapshot) {
 	}
 	s.appendHistoryLocked(snap)
 	s.logEpoch(snap)
+}
+
+// canceled reports whether a solve ended by cancellation (shutdown,
+// supersession or the caller's ctx) rather than failing.
+func canceled(err error) bool {
+	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }
 
 // logEpoch emits one structured event per published epoch: debug on a
@@ -1038,180 +1130,6 @@ func (s *Server) History() []EpochSummary {
 	return out
 }
 
-// recomputeSharded is Recompute for sharded mode: one synchronous epoch
-// of every shard from a single frozen clone, then one merged publish.
-// Because every block is solved at the same sequence, the published
-// estimate equals an offline replay of the surviving window — the
-// determinism the e2e tests pin. Cancellation follows the plain path's
-// contract: the returned snapshot carries ctx.Err(), is not published,
-// and consumes no epoch.
-func (s *Server) recomputeSharded(ctx context.Context) *Snapshot {
-	s.computeMu.Lock()
-	defer s.computeMu.Unlock()
-	drained, derr := s.drainShardBacklog(ctx)
-	if derr != nil {
-		return drained // error/cancelled snapshot; checkpoints handled per contract
-	}
-	full := s.freezeUnlessAt(drained)
-	if full == nil {
-		return drained // the newest checkpoint was the live state: already published
-	}
-	start := time.Now()
-	solves := make([]ShardSolve, len(s.shardStates))
-	durs := make([]time.Duration, len(s.shardStates))
-	for sid, st := range s.shardStates {
-		st.mu.Lock()
-		shardStart := time.Now()
-		var sol ShardSolve
-		var err error
-		if perr := s.guardPanic(func() {
-			sol, err = s.backend.SolveShard(ctx, sid, full)
-		}); perr != nil {
-			sol, err = ShardSolve{}, perr
-		}
-		durs[sid] = time.Since(shardStart)
-		st.mu.Unlock()
-		if err != nil {
-			snap := s.newSnapshot(full, start, err)
-			if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-				return snap // cancelled: do not publish, do not consume an epoch
-			}
-			s.publishMu.Lock()
-			snap.Epoch = s.epoch.Add(1)
-			s.publishMu.Unlock()
-			s.storeSnapshotGuarded(snap)
-			return snap
-		}
-		solves[sid] = sol
-	}
-	// Publish every shard's block, unless a background shard epoch has
-	// already published a newer one (then its state — and its block —
-	// win); merge the surviving blocks off-lock like publishMerged.
-	s.publishMu.Lock()
-	blocks := make([]*core.Result, len(s.shardStates))
-	shards := make([]ShardInfo, len(s.shardStates))
-	for sid, st := range s.shardStates {
-		sol := solves[sid]
-		if sol.SeqHigh >= st.seqHigh {
-			st.adopt(sol, durs[sid])
-			s.observeSolve(sol.Info)
-			s.shardLag[sid].Set(0) // solved at the clone's own sequence
-		}
-		blocks[sid] = st.res
-		shards[sid] = s.shardInfoLocked(sid)
-	}
-	epoch := s.epoch.Add(1)
-	s.publishMu.Unlock()
-	var est *estimator.Estimate
-	mergeErr := s.guardPanic(func() { est = s.backend.Merge(blocks, full) })
-	snap := s.newSnapshot(full, start, mergeErr)
-	snap.Epoch, snap.Est, snap.Shards = epoch, est, shards
-	s.storeSnapshotGuarded(snap)
-	return snap
-}
-
-// drainShardBacklog solves every queued interval-stride checkpoint in
-// sharded mode — the same run of frozen windows once per shard, through
-// the backend's batched path (ShardBatchSolver, one multi-RHS solve per
-// shard) when it offers one, sequential SolveShard calls otherwise —
-// and publishes one merged epoch per checkpoint, oldest first,
-// returning the newest published snapshot (nil when the backlog was
-// empty). Errors follow the unsharded drain's contract: a cancellation
-// requeues the checkpoints (the MaxEpochBacklog bound re-applied) and
-// returns an unpublished snapshot consuming no epoch; any other error
-// publishes the error snapshot and drops the pending checkpoints so a
-// persistent failure can never starve the live solves.
-func (s *Server) drainShardBacklog(ctx context.Context) (*Snapshot, error) {
-	s.mu.Lock()
-	pending := s.backlog
-	s.backlog = nil
-	metricBacklog.Set(0)
-	s.mu.Unlock()
-	if len(pending) == 0 {
-		return nil, nil
-	}
-	start := time.Now()
-	bb, _ := s.backend.(ShardBatchSolver)
-	sols := make([][]ShardSolve, len(s.shardStates))
-	var err error
-	for sid := range s.shardStates {
-		st := s.shardStates[sid]
-		st.mu.Lock()
-		if perr := s.guardPanic(func() {
-			if bb != nil {
-				sols[sid], err = bb.SolveShardBatch(ctx, sid, pending)
-			} else {
-				sols[sid] = make([]ShardSolve, len(pending))
-				for k, ck := range pending {
-					if sols[sid][k], err = s.backend.SolveShard(ctx, sid, ck); err != nil {
-						break
-					}
-				}
-			}
-		}); perr != nil {
-			err = perr
-		}
-		st.mu.Unlock()
-		if err != nil {
-			break
-		}
-		st.epochBacklog.Store(0) // this shard's checkpoints are solved
-	}
-	if err != nil {
-		snap := s.newSnapshot(pending[len(pending)-1], start, err)
-		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-			s.requeueBacklog(pending)
-			return snap, err // not published, no epoch consumed
-		}
-		s.publishMu.Lock()
-		snap.Epoch = s.epoch.Add(1)
-		s.publishMu.Unlock()
-		s.storeSnapshotGuarded(snap)
-		s.mu.Lock()
-		s.backlogDropped += uint64(len(pending))
-		s.mu.Unlock()
-		metricCheckpointsDropped.Add(uint64(len(pending)))
-		for _, st := range s.shardStates {
-			st.epochBacklog.Store(0)
-		}
-		return snap, err
-	}
-	// One merged publish per checkpoint, oldest first; the drain's wall
-	// time is amortized evenly across the published epochs, while the
-	// stage histograms are fed from each block's own info. A shard whose
-	// background loop raced ahead keeps its newer block — the same stale
-	// guard as a synchronous recomputeSharded.
-	share := time.Since(start) / time.Duration(len(pending))
-	live := s.Seq()
-	var newest *Snapshot
-	for k, ck := range pending {
-		s.publishMu.Lock()
-		blocks := make([]*core.Result, len(s.shardStates))
-		shards := make([]ShardInfo, len(s.shardStates))
-		for sid, st := range s.shardStates {
-			sol := sols[sid][k]
-			if sol.SeqHigh >= st.seqHigh {
-				st.adopt(sol, share)
-				s.observeSolve(sol.Info)
-				if live >= sol.SeqHigh {
-					s.shardLag[sid].Set(int64(live - sol.SeqHigh))
-				}
-			}
-			blocks[sid] = st.res
-			shards[sid] = s.shardInfoLocked(sid)
-		}
-		epoch := s.epoch.Add(1)
-		s.publishMu.Unlock()
-		var est *estimator.Estimate
-		mergeErr := s.guardPanic(func() { est = s.backend.Merge(blocks, ck) })
-		snap := s.newSnapshot(ck, start, mergeErr)
-		snap.Epoch, snap.Est, snap.Shards, snap.ComputeTime = epoch, est, shards, share
-		s.storeSnapshotGuarded(snap)
-		newest = snap
-	}
-	return newest, nil
-}
-
 // runDrain is the sharded checkpoint-drain loop. With Config.EpochEvery
 // set, the per-shard loops still publish latest-state shard epochs;
 // this dedicated ticker turns the queued stride checkpoints into their
@@ -1231,7 +1149,7 @@ func (s *Server) runDrain() {
 			s.tickSafely(func() {
 				s.computeMu.Lock()
 				defer s.computeMu.Unlock()
-				s.drainShardBacklog(s.baseCtx)
+				s.drainBacklog(s.baseCtx)
 			})
 		}
 	}
@@ -1250,7 +1168,7 @@ func (s *Server) runShard(sid int) {
 			return
 		case <-ticker.C:
 			s.publishMu.Lock()
-			solved := s.shardStates[sid].res != nil
+			solved := s.shardStates[sid].epoch > 0
 			last := s.shardStates[sid].seqHigh
 			s.publishMu.Unlock()
 			if solved && last == s.Seq() {
@@ -1264,51 +1182,36 @@ func (s *Server) runShard(sid int) {
 // solveShard runs one epoch of shard sid: freeze the window under the
 // ingest lock, solve the shard's columns of it off-lock (warm-starting
 // the structural plan when the shard's always-good set is unchanged),
-// then publish the shard's block and a fresh merged snapshot.
-// Publication is stale-guarded: a block solved at an older sequence
-// than the shard's published state (a synchronous Recompute raced
-// ahead) is dropped rather than allowed to roll the shard backwards.
+// adopt the shard's block and assemble a fresh merged snapshot. A block
+// solved at an older sequence than the shard's published state (a
+// synchronous Recompute raced ahead) is dropped rather than allowed to
+// roll the shard backwards.
 func (s *Server) solveShard(ctx context.Context, sid int) {
-	st := s.shardStates[sid]
-	st.mu.Lock()
-	defer st.mu.Unlock()
 	win := s.FreezeWindow()
 	start := time.Now()
-	var sol ShardSolve
-	var err error
-	if perr := s.guardPanic(func() {
-		sol, err = s.backend.SolveShard(ctx, sid, win)
-	}); perr != nil {
-		sol, err = ShardSolve{}, perr
-	}
+	sols, err := s.solveBlock(ctx, sid, win)
+	live := s.Seq()
 	s.publishMu.Lock()
+	st := s.shardStates[sid]
 	if err != nil {
 		st.err = err
 		s.publishMu.Unlock()
 		s.logger.Warn("shard solve failed", "shard", sid, "seq", win.Seq(), "error", err.Error())
 		return // keep the shard's previous block; merged snapshot unchanged
 	}
-	if sol.SeqHigh < st.seqHigh {
-		s.publishMu.Unlock()
-		return // stale: a newer block for this shard was already published
-	}
-	st.adopt(sol, time.Since(start))
+	adopted := s.adoptLocked(sid, sols[0], time.Since(start), live)
 	shardEpoch, computeTime := st.epoch, st.computeTime
 	s.publishMu.Unlock()
-	s.observeSolve(sol.Info)
-	live := s.Seq()
-	if live >= sol.SeqHigh {
-		s.shardLag[sid].Set(int64(live - sol.SeqHigh))
-	} else {
-		s.shardLag[sid].Set(0) // a remote solve may run ahead of the local window
+	if !adopted {
+		return
 	}
 	s.logger.Debug("shard epoch published",
 		"shard", sid,
 		"epoch", shardEpoch,
-		"seq_high", sol.SeqHigh,
-		tierAttrs(sol.Info.Tier),
+		"seq_high", sols[0].SeqHigh,
+		tierAttrs(sols[0].Info.Tier),
 		"compute_ms", float64(computeTime)/float64(time.Millisecond))
-	s.publishMerged()
+	s.assemble(nil, nil, nil)
 }
 
 // shardInfoLocked flattens shard sid's published state; the caller
@@ -1327,63 +1230,6 @@ func (s *Server) shardInfoLocked(sid int) ShardInfo {
 		Paths:        paths,
 		Links:        links,
 	}
-}
-
-// publishMerged assembles a merged snapshot from the latest per-shard
-// blocks and publishes it; before every shard has solved at least once
-// there is nothing coherent to publish. The per-shard state is
-// collected and the global epoch assigned under publishMu (which orders
-// epochs by collection time), but the lock is released before the
-// expensive part (full-window clone + estimate merge), so concurrent
-// shard publishes and /v1/status reads never stall behind a merge. The
-// final swap is guarded: a merge that lost the race to a higher-epoch
-// publish is dropped, which is safe because the later epoch was
-// collected later and therefore saw a superset of the shard updates.
-func (s *Server) publishMerged() {
-	s.publishMu.Lock()
-	results := make([]*core.Result, len(s.shardStates))
-	shards := make([]ShardInfo, len(s.shardStates))
-	var maxCompute time.Duration
-	for sid, st := range s.shardStates {
-		if st.res == nil {
-			s.publishMu.Unlock()
-			return
-		}
-		results[sid] = st.res
-		shards[sid] = s.shardInfoLocked(sid)
-		if st.computeTime > maxCompute {
-			maxCompute = st.computeTime
-		}
-	}
-	epoch := s.epoch.Add(1)
-	s.publishMu.Unlock()
-
-	full := s.FreezeWindow()
-	var est *estimator.Estimate
-	if perr := s.guardPanic(func() { est = s.backend.Merge(results, full) }); perr != nil {
-		return // keep the previous snapshot; degraded_reason is set
-	}
-	snap := s.newSnapshot(full, time.Now(), nil)
-	snap.Epoch, snap.Est, snap.Shards, snap.ComputeTime = epoch, est, shards, maxCompute
-	s.storeSnapshotGuarded(snap)
-}
-
-// storeSnapshotGuarded publishes snap unless a higher-epoch snapshot
-// got there first; either way the epoch was consumed and is recorded
-// in the history ring.
-func (s *Server) storeSnapshotGuarded(snap *Snapshot) {
-	lag := int64(s.Seq() - snap.SeqHigh)
-	s.publishMu.Lock()
-	defer s.publishMu.Unlock()
-	if cur := s.snap.Load(); cur == nil || cur.Epoch < snap.Epoch {
-		s.snap.Store(snap)
-		metricEpochLag.Set(lag)
-	}
-	if snap.Err == nil {
-		s.setDegraded("") // a clean epoch ends solver-panic degradation
-	}
-	s.appendHistoryLocked(snap)
-	s.logEpoch(snap)
 }
 
 // run is the solver loop: one potential epoch per tick, skipped when

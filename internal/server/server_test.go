@@ -379,6 +379,9 @@ func TestQueryEndpoints(t *testing.T) {
 	if st.Epoch != snap.Epoch || st.SnapshotSeq != 150 || st.LagIntervals != 0 {
 		t.Fatalf("status inconsistent after quiescent solve: %+v", st)
 	}
+	if len(st.Shards) != 0 || s.NumShards() != 0 {
+		t.Fatalf("standalone server reports %d status shards, NumShards %d; want none", len(st.Shards), s.NumShards())
+	}
 }
 
 // The background loop must publish fresh epochs as data arrives and

@@ -182,6 +182,13 @@ func (panicEstimator) Estimate(context.Context, *topology.Topology, observe.Stor
 	panic("estimator bug")
 }
 
+// epochEstimator is the slot the panic tests inject panicEstimator
+// into: the estimator the one-block backend solves a stateless
+// algorithm's epochs with.
+func epochEstimator(s *Server) *estimator.Estimator {
+	return &s.backend.(*oneBlockBackend).est
+}
+
 // A panicking solver must not kill the daemon: the panic surfaces as
 // an ErrSolverPanic error snapshot plus degraded_reason on status, and
 // the next clean epoch clears the degradation.
@@ -189,13 +196,14 @@ func TestSolverPanicContainment(t *testing.T) {
 	top := testTopology(t)
 	s := newServer(t, top, Config{
 		WindowSize: 200,
-		Algo:       estimator.Independence, // no warm solver: s.est drives the epoch
+		Algo:       estimator.Independence, // no warm solver: the backend's estimator drives the epoch
 		SolverOpts: solverOpts(),
 	})
 	defer s.Close()
 	ingestSimulated(t, s, top, 200)
-	good := s.est
-	s.est = panicEstimator{}
+	est := epochEstimator(s)
+	good := *est
+	*est = panicEstimator{}
 
 	snap := s.Recompute(nil)
 	if !errors.Is(snap.Err, ErrSolverPanic) {
@@ -218,7 +226,7 @@ func TestSolverPanicContainment(t *testing.T) {
 	}
 
 	// Recovery: a clean epoch clears the degradation.
-	s.est = good
+	*est = good
 	if snap := s.Recompute(nil); snap.Err != nil {
 		t.Fatalf("clean recompute: %v", snap.Err)
 	}
