@@ -14,11 +14,11 @@
 // startup (useful for demos and load tests).
 //
 // With -algo correlation-complete-sharded the daemon shards by
-// correlation-set partition: ingest routes each interval into one ring
-// per shard, one solver goroutine per shard recomputes its block on
-// independent epochs (warm-starting the null space and factorization
-// while the shard's always-good set is stable), and queries are
-// answered from a merged snapshot. /v1/status then carries a per-shard
+// correlation-set partition: one solver goroutine per shard recomputes
+// its block — the shard's columns of the one window — on independent
+// epochs (warm-starting the null space and factorization while the
+// shard's always-good set is stable), and queries are answered from a
+// merged snapshot. /v1/status then carries a per-shard
 // "shards" array (epoch, seq_high, lag_intervals, warm,
 // last_compute_ms).
 //
@@ -51,10 +51,12 @@
 // every ack), interval (background sync, default), off.
 //
 // Cluster mode splits the sharded daemon across processes along the
-// correlation-set partition seam. Workers own disjoint shard sets
-// (rings, warm plans, per-shard WALs under -wal-dir/shard-<k>) and
-// serve the internal /c1/* API; the coordinator owns the public /v1/*
-// surface, fans ingest out to the fleet, and merges per-shard blocks —
+// correlation-set partition seam. Workers own disjoint shard sets —
+// one window masked to their shards' paths, one WAL at the root of
+// -wal-dir (under the same -wal-fsync, -wal-fsync-every and
+// -wal-segment-bytes as any role), warm plans per shard — and serve the
+// internal /c1/* API; the coordinator owns the public /v1/* surface,
+// fans ingest out to the fleet, and merges per-shard blocks —
 // bit-identical to a single sharded process over the same intervals:
 //
 //	tomod -role worker -topology topo.json -listen :9101 -wal-dir w0-wal
@@ -65,9 +67,8 @@
 // Shard k lives on peer k mod N (peer order is the placement, so keep
 // -peers stable across coordinator restarts). While any worker is
 // unreachable, ingest answers 503 shard_unavailable and queries serve
-// the last merged snapshot; a restarted worker replays its per-shard
-// WALs and the coordinator streams it the missed suffix before ingest
-// resumes. /v1/status carries the per-worker placement and health.
+// the last merged snapshot; a restarted worker replays its WAL and the
+// coordinator streams it the missed suffix before ingest resumes. /v1/status carries the per-worker placement and health.
 package main
 
 import (
@@ -174,83 +175,29 @@ func main() {
 	logger.Info("topology loaded",
 		"links", top.NumLinks(), "paths", top.NumPaths(), "corr_sets", len(top.CorrSets))
 
-	switch o.role {
-	case "standalone", "coordinator", "worker":
-	default:
-		fatal(logger, fmt.Errorf("unknown -role %q (want standalone, coordinator, or worker)", o.role))
+	rc, err := o.configure(flag.CommandLine, top, logger)
+	if err != nil {
+		fatal(logger, err)
 	}
-
 	listeners := serveOpts{
 		listen:    o.listen,
 		debugAddr: o.debugAddr,
 		pprof:     o.pprofOn,
 		timeouts:  o.timeouts,
 	}
-	if o.role == "worker" {
-		wk := cluster.NewWorker(cluster.WorkerConfig{
-			ID:       o.workerID,
-			Topology: top,
-			WALDir:   o.walDir,
-			Logger:   logger,
-		})
+	if rc.worker != nil {
+		wk := cluster.NewWorker(*rc.worker)
 		defer wk.Close()
 		logger.Info("starting worker",
-			"listen", o.listen, "worker_id", o.workerID, "wal_dir", o.walDir)
+			"listen", o.listen, "worker_id", o.workerID, "wal_dir", o.walDir, "wal_fsync", o.walFsync)
 		if err := runHTTP(logger, wk.Handler(), listeners); err != nil {
 			fatal(logger, err)
 		}
 		return
 	}
-
-	cfg := server.Config{
-		WindowSize:     o.window,
-		RecomputeEvery: o.recompute,
-		Algo:           o.algo,
-		EpochEvery:     o.epochEvery,
-		Logger:         logger,
-		SolverOpts: []estimator.Option{
-			estimator.WithMaxSubsetSize(o.maxSubset),
-			estimator.WithAlwaysGoodTol(o.tol),
-			estimator.WithNumericalPlanRepair(o.numRepair),
-		},
-	}
-	if o.walDir != "" {
-		policy, err := wal.ParseSyncPolicy(o.walFsync)
-		if err != nil {
-			fatal(logger, err)
-		}
-		cfg.WAL = wal.Options{
-			Dir:          o.walDir,
-			Policy:       policy,
-			SyncEvery:    o.walEvery,
-			SegmentBytes: o.walSegBytes,
-		}
-	}
-	if o.role == "coordinator" {
-		specs, err := parsePeers(o.peers)
-		if err != nil {
-			fatal(logger, err)
-		}
-		// Cluster scatter-gather exists only along the partition seam:
-		// reject an explicitly conflicting -algo, default the rest.
-		algoSet := false
-		flag.Visit(func(f *flag.Flag) {
-			if f.Name == "algo" {
-				algoSet = true
-			}
-		})
-		if algoSet && cfg.Algo != estimator.CorrelationCompleteSharded {
-			fatal(logger, fmt.Errorf("-role coordinator requires -algo %s (got %q)",
-				estimator.CorrelationCompleteSharded, cfg.Algo))
-		}
-		cfg.Algo = estimator.CorrelationCompleteSharded
-		coord, err := cluster.NewCoordinator(cluster.CoordinatorConfig{
-			Topology:   top,
-			Workers:    specs,
-			WindowSize: cfg.WindowSize,
-			SolverOpts: cfg.SolverOpts,
-			Logger:     logger,
-		})
+	cfg := rc.server
+	if rc.coord != nil {
+		coord, err := cluster.NewCoordinator(*rc.coord)
 		if err != nil {
 			fatal(logger, err)
 		}
@@ -281,6 +228,95 @@ func main() {
 	if err := serve(logger, top, cfg, listeners); err != nil {
 		fatal(logger, err)
 	}
+}
+
+// roleConfig is what the flags configure for one process: the worker's
+// config under -role worker; otherwise the server's and, under -role
+// coordinator, the coordinator backend's (installed as the server's
+// Backend once built).
+type roleConfig struct {
+	worker *cluster.WorkerConfig
+	server server.Config
+	coord  *cluster.CoordinatorConfig
+}
+
+// configure maps the flags parsed on fs (bound to o) to the role's
+// configuration.
+func (o *options) configure(fs *flag.FlagSet, top *topology.Topology, logger *slog.Logger) (roleConfig, error) {
+	walOpts, err := o.walOptions()
+	if err != nil {
+		return roleConfig{}, err
+	}
+	switch o.role {
+	case "worker":
+		return roleConfig{worker: &cluster.WorkerConfig{
+			ID:       o.workerID,
+			Topology: top,
+			WAL:      walOpts,
+			Logger:   logger,
+		}}, nil
+	case "standalone", "coordinator":
+	default:
+		return roleConfig{}, fmt.Errorf("unknown -role %q (want standalone, coordinator, or worker)", o.role)
+	}
+	rc := roleConfig{server: server.Config{
+		WindowSize:     o.window,
+		RecomputeEvery: o.recompute,
+		Algo:           o.algo,
+		EpochEvery:     o.epochEvery,
+		Logger:         logger,
+		SolverOpts: []estimator.Option{
+			estimator.WithMaxSubsetSize(o.maxSubset),
+			estimator.WithAlwaysGoodTol(o.tol),
+			estimator.WithNumericalPlanRepair(o.numRepair),
+		},
+		WAL: walOpts,
+	}}
+	if o.role == "coordinator" {
+		specs, err := parsePeers(o.peers)
+		if err != nil {
+			return roleConfig{}, err
+		}
+		// Cluster scatter-gather exists only along the partition seam:
+		// reject an explicitly conflicting -algo, default the rest.
+		algoSet := false
+		fs.Visit(func(f *flag.Flag) {
+			if f.Name == "algo" {
+				algoSet = true
+			}
+		})
+		if algoSet && o.algo != estimator.CorrelationCompleteSharded {
+			return roleConfig{}, fmt.Errorf("-role coordinator requires -algo %s (got %q)",
+				estimator.CorrelationCompleteSharded, o.algo)
+		}
+		rc.server.Algo = estimator.CorrelationCompleteSharded
+		rc.coord = &cluster.CoordinatorConfig{
+			Topology:   top,
+			Workers:    specs,
+			WindowSize: o.window,
+			SolverOpts: rc.server.SolverOpts,
+			Logger:     logger,
+		}
+	}
+	return rc, nil
+}
+
+// walOptions maps the -wal-* flags, the same for every role; without
+// -wal-dir it is the zero Options, which disables durability.
+func (o *options) walOptions() (wal.Options, error) {
+	if o.walDir == "" {
+		return wal.Options{}, nil
+	}
+	policy, err := wal.ParseSyncPolicy(o.walFsync)
+	if err != nil {
+		return wal.Options{}, err
+	}
+	return wal.Options{
+		Dir:          o.walDir,
+		Policy:       policy,
+		SyncEvery:    o.walEvery,
+		SegmentBytes: o.walSegBytes,
+	}, nil
 }
 
 // fatal logs the error and exits nonzero; the slog replacement for

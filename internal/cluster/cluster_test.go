@@ -20,6 +20,7 @@ import (
 	"repro/internal/netsim"
 	"repro/internal/server"
 	"repro/internal/topology"
+	"repro/internal/wal"
 )
 
 // testWorker runs one worker process stand-in on a stable address so a
@@ -52,7 +53,7 @@ func newTestWorker(t *testing.T, top *topology.Topology, walDir string) *testWor
 func (tw *testWorker) url() string { return "http://" + tw.addr }
 
 func (tw *testWorker) start(l net.Listener) {
-	tw.wk = NewWorker(WorkerConfig{Topology: tw.top, WALDir: tw.walDir, Logger: discardLogger()})
+	tw.wk = NewWorker(WorkerConfig{Topology: tw.top, WAL: wal.Options{Dir: tw.walDir}, Logger: discardLogger()})
 	ts := httptest.NewUnstartedServer(tw.wk.Handler())
 	ts.Listener.Close()
 	ts.Listener = l

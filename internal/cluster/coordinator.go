@@ -395,10 +395,10 @@ func (c *Coordinator) checkWorker(h *workerHandle) {
 }
 
 // rejoin runs the (re)placement handshake: assign (idempotent), then
-// per-shard catch-up replay from one frozen clone of the coordinator's
-// retained window. While it runs the worker is not healthy, so Forward
-// rejects every batch and the window cannot advance under the replay —
-// catch-up is exact, not chasing a moving target.
+// catch-up replay from one frozen clone of the coordinator's retained
+// window. While it runs the worker is not healthy, so Forward rejects
+// every batch and the window cannot advance under the replay — catch-up
+// is exact, not chasing a moving target.
 func (c *Coordinator) rejoin(h *workerHandle) {
 	h.mu.Lock()
 	h.state = stateRejoining
@@ -416,21 +416,9 @@ func (c *Coordinator) rejoin(h *workerHandle) {
 		c.markUnreachable(h, err)
 		return
 	}
-	seqs := make(map[int]uint64, len(resp.Shards))
-	for _, ss := range resp.Shards {
-		seqs[ss.Shard] = ss.Seq
-	}
-	win := c.src.FreezeWindow()
-	for _, k := range h.shards {
-		wseq, ok := seqs[k]
-		if !ok {
-			c.markUnreachable(h, fmt.Errorf("assign ack from %s is missing shard %d", h.id, k))
-			return
-		}
-		if err := c.catchUpShard(h, k, wseq, win); err != nil {
-			c.markUnreachable(h, err)
-			return
-		}
+	if err := c.catchUp(h, resp.Seq, c.src.FreezeWindow()); err != nil {
+		c.markUnreachable(h, err)
+		return
 	}
 	seq := c.src.Seq()
 	h.mu.Lock()
@@ -447,24 +435,22 @@ func (c *Coordinator) rejoin(h *workerHandle) {
 // amortizing the HTTP round trip.
 const catchUpChunk = 2048
 
-// catchUpShard brings one shard of a rejoining worker from wseq to the
-// coordinator's sequence by replaying the missed rows of win, the
-// frozen retained window. The rows go out whole: the worker masks them
-// to the shard's paths, as it does every broadcast batch. A worker
-// outside the replayable range — behind the retained window's low edge,
-// or ahead of a coordinator that lost tail data in its own crash — is
-// reset to the window base and replayed in full.
-func (c *Coordinator) catchUpShard(h *workerHandle, shard int, wseq uint64, win *stream.Window) error {
+// catchUp brings a rejoining worker from wseq to the coordinator's
+// sequence by replaying the missed rows of win, the frozen retained
+// window, through the ordinary POST /c1/ingest: whole rows, which the
+// worker masks to its shards' paths like every broadcast batch. A
+// worker outside the replayable range — behind the retained window's
+// low edge, or ahead of a coordinator that lost tail data in its own
+// crash — is reset to the window base and replayed in full.
+func (c *Coordinator) catchUp(h *workerHandle, wseq uint64, win *stream.Window) error {
 	seq, low := win.Seq(), win.SeqLow()
 	if wseq > seq || wseq < low {
-		var rr ResetResponse
-		err := c.rpc(context.Background(), h, "reset", http.MethodPost,
-			fmt.Sprintf("/c1/shards/%d/reset", shard), &ResetRequest{Seq: low}, &rr)
+		err := c.rpc(context.Background(), h, "reset", http.MethodPost, "/c1/reset", &ResetRequest{Seq: low}, nil)
 		if err != nil {
-			return fmt.Errorf("resetting shard %d on %s: %w", shard, h.id, err)
+			return fmt.Errorf("resetting %s: %w", h.id, err)
 		}
-		c.logger.Warn("shard reset for replay",
-			"worker", h.id, "shard", shard, "worker_seq", wseq, "window_low", low, "window_high", seq)
+		c.logger.Warn("worker reset for replay",
+			"worker", h.id, "worker_seq", wseq, "window_low", low, "window_high", seq)
 		wseq = low
 	}
 	replayed := 0
@@ -475,19 +461,17 @@ func (c *Coordinator) catchUpShard(h *workerHandle, shard int, wseq uint64, win 
 		for i := t; i < end; i++ {
 			intervals = append(intervals, win.CongestedAt(i).Indices())
 		}
-		var resp IngestResponse
-		err := c.rpc(context.Background(), h, "catchup", http.MethodPost,
-			fmt.Sprintf("/c1/shards/%d/ingest", shard),
-			&IngestRequest{BaseSeq: wseq, Intervals: intervals}, &resp)
+		err := c.rpc(context.Background(), h, "catchup", http.MethodPost, "/c1/ingest",
+			&IngestRequest{BaseSeq: wseq, Intervals: intervals}, nil)
 		if err != nil {
-			return fmt.Errorf("replaying shard %d to %s: %w", shard, h.id, err)
+			return fmt.Errorf("replaying to %s: %w", h.id, err)
 		}
 		replayed += len(intervals)
 		wseq = low + uint64(end)
 	}
 	if replayed > 0 {
 		metricCatchupIntervals.Add(uint64(replayed))
-		c.logger.Info("shard caught up", "worker", h.id, "shard", shard, "intervals", replayed)
+		c.logger.Info("worker caught up", "worker", h.id, "intervals", replayed)
 	}
 	return nil
 }

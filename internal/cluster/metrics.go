@@ -33,5 +33,5 @@ var (
 	metricWorkerSolves = telemetry.Default().Counter("tomod_cluster_worker_solves_total",
 		"Per-shard block solves executed by this worker (cache hits at an unchanged sequence excluded).")
 	metricWorkerIngested = telemetry.Default().Counter("tomod_cluster_worker_ingest_intervals_total",
-		"Interval rows applied to this worker's shard rings (per shard; one broadcast row counts once per assigned shard).")
+		"Interval rows applied to this worker's window (once per row, however many shards the worker owns).")
 )

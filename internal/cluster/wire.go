@@ -1,34 +1,31 @@
 // Package cluster distributes the streaming tomography service across
 // processes along the correlation-set partition seam: a coordinator
 // owns the public /v1/* surface and the full ingest window, workers own
-// disjoint sets of partition shards (their rings, warm structural
-// plans, and per-shard WALs), and the two sides speak a small versioned
-// JSON-over-HTTP wire format. The block-diagonal structure makes the
-// distribution exact: each shard's solve reads only its own paths, so
-// the coordinator's scatter-gather merge (core.MergeResults) is
-// bit-identical to a single-process sharded solve over the same
-// intervals.
+// disjoint sets of partition shards (one masked window and one WAL per
+// worker, a warm structural plan per shard), and the two sides speak a
+// small versioned JSON-over-HTTP wire format. The block-diagonal
+// structure makes the distribution exact: each shard's solve reads only
+// its own paths, so the coordinator's scatter-gather merge
+// (core.MergeResults) is bit-identical to a single-process sharded
+// solve over the same intervals.
 //
-// Wire contract (version "c1"; all responses wrapped in an envelope
+// Wire contract (version "c2"; all responses wrapped in an envelope
 // carrying the version and exactly one of data/error):
 //
 //   - POST /c1/assign        — shard placement: topology fingerprint,
 //     window size, solver settings, shard list. Idempotent; replies
-//     with each shard's recovered (WAL-replayed) sequence.
-//   - POST /c1/ingest        — batched ingest to every assigned shard,
-//     keyed by the coordinator's pre-batch sequence; workers skip the
-//     already-applied prefix (retry dedupe) and reject gaps.
-//   - POST /c1/shards/{k}/ingest — per-shard catch-up replay of rows a
-//     rejoining worker missed; same dedupe/gap semantics, one shard.
-//   - POST /c1/shards/{k}/reset  — discard the shard's ring and WAL and
+//     with the worker's recovered (WAL-replayed) sequence.
+//   - POST /c1/ingest        — batched ingest, keyed by the sender's
+//     pre-batch sequence; the worker skips the already-applied prefix
+//     (retry dedupe) and rejects gaps. Catch-up replay uses it too.
+//   - POST /c1/reset         — discard the worker's window and WAL and
 //     fast-forward to a base sequence (worker fell behind the
 //     coordinator's retained window, or ran ahead of a recovered
 //     coordinator).
 //   - GET  /c1/shards/{k}/result — the shard's solved block at the
 //     worker's current sequence (solved on demand, warm plans, cached
-//     until the ring advances).
-//   - GET  /c1/status        — worker identity, fingerprint, per-shard
-//     sequences.
+//     until the window advances).
+//   - GET  /c1/status        — worker identity, fingerprint, sequence.
 //
 // Failure semantics: the coordinator health-checks each worker and
 // latches it unreachable on any RPC failure; while any shard is
@@ -36,9 +33,9 @@
 // half-applied: the fan-out precedes the coordinator's local apply, and
 // workers deduplicate retried batches by base sequence) and queries
 // keep serving the last merged snapshot. A restarted worker replays its
-// per-shard WALs, reports its recovered sequences, and the health loop
-// replays the missed suffix from the coordinator's window — or resets
-// the shard when the gap has left the retained window.
+// WAL, reports its recovered sequence, and the health loop replays the
+// missed suffix from the coordinator's window — or resets the worker
+// when the gap has left the retained window.
 package cluster
 
 import (
@@ -59,8 +56,8 @@ import (
 )
 
 // WireVersion tags every internal-API response envelope; both sides
-// reject versions they do not understand.
-const WireVersion = "c1"
+// reject versions they do not understand. (The URL prefix stays /c1/.)
+const WireVersion = "c2"
 
 // maxRPCBody bounds one internal-API body on both sides (decode and
 // reply), mirroring the public API's ingest bound.
@@ -73,12 +70,12 @@ const (
 	CodeTopologyMismatch  = "topology_mismatch"  // fingerprints disagree: the fleet is not monitoring one topology
 	CodeNotAssigned       = "not_assigned"       // RPC before a successful /c1/assign
 	CodeUnknownShard      = "unknown_shard"      // shard index not assigned to this worker
-	CodeSeqGap            = "seq_gap"            // ingest base is ahead of the worker (missed batches); carries per-shard seqs
+	CodeSeqGap            = "seq_gap"            // ingest base is ahead of the worker (missed batches); carries the worker's seq
 	CodeAssignmentChanged = "assignment_changed" // assign conflicts with live state; restart the worker to re-place
 	CodeBadRequest        = "bad_request"        // malformed body or path
 	CodeNotSolved         = "not_solved"         // result requested from an empty shard (nothing ingested yet)
 	CodeSolverFailed      = "solver_failed"      // the shard solve returned an error
-	CodeWALUnavailable    = "wal_unavailable"    // the shard WAL cannot accept the batch
+	CodeWALUnavailable    = "wal_unavailable"    // the worker's WAL cannot accept the batch
 )
 
 // WireError is the error payload of the internal API; it implements
@@ -86,9 +83,9 @@ const (
 type WireError struct {
 	Code    string `json:"code"`
 	Message string `json:"message"`
-	// Shards carries the worker's per-shard sequences on seq_gap, so
-	// the coordinator can see exactly how far behind the worker is.
-	Shards []ShardSeq `json:"shards,omitempty"`
+	// Seq carries the worker's sequence on seq_gap, so the coordinator
+	// can see exactly how far behind the worker is.
+	Seq uint64 `json:"seq,omitempty"`
 }
 
 func (e *WireError) Error() string { return fmt.Sprintf("cluster: %s: %s", e.Code, e.Message) }
@@ -98,13 +95,6 @@ type envelope struct {
 	WireVersion string          `json:"wire_version"`
 	Data        json.RawMessage `json:"data,omitempty"`
 	Error       *WireError      `json:"error,omitempty"`
-}
-
-// ShardSeq is one shard's ingest sequence, the unit of ack and catch-up
-// bookkeeping.
-type ShardSeq struct {
-	Shard int    `json:"shard"`
-	Seq   uint64 `json:"seq"`
 }
 
 // AssignRequest is POST /c1/assign: the coordinator places a set of
@@ -120,32 +110,31 @@ type AssignRequest struct {
 	Solver      estimator.Settings `json:"solver"`
 }
 
-// AssignResponse acknowledges placement with each shard's current
+// AssignResponse acknowledges placement with the worker's current
 // (possibly WAL-recovered) sequence, from which the coordinator plans
 // catch-up.
 type AssignResponse struct {
-	WorkerID string     `json:"worker_id"`
-	Shards   []ShardSeq `json:"shards"`
+	WorkerID string `json:"worker_id"`
+	Seq      uint64 `json:"seq"`
 }
 
-// IngestRequest is POST /c1/ingest (all assigned shards) and
-// POST /c1/shards/{k}/ingest (one shard): a batch of intervals, each
-// the congested path IDs in full-universe indexing, based at the
-// sender's pre-batch sequence. A receiver whose shard is already past
-// BaseSeq skips the overlap (idempotent retries); one that is behind it
-// answers seq_gap and applies nothing.
+// IngestRequest is POST /c1/ingest: a batch of intervals, each the
+// congested path IDs in full-universe indexing, based at the sender's
+// pre-batch sequence. A worker already past BaseSeq skips the overlap
+// (idempotent retries); one that is behind it answers seq_gap and
+// applies nothing.
 type IngestRequest struct {
 	BaseSeq   uint64  `json:"base_seq"`
 	Intervals [][]int `json:"intervals"`
 }
 
-// IngestResponse acks the batch with the per-shard sequences after it.
+// IngestResponse acks the batch with the worker's sequence after it.
 type IngestResponse struct {
-	Shards []ShardSeq `json:"shards"`
+	Seq uint64 `json:"seq"`
 }
 
-// ResetRequest is POST /c1/shards/{k}/reset: discard the shard's ring
-// and WAL and fast-forward the empty state to Seq. Used when a worker's
+// ResetRequest is POST /c1/reset: discard the worker's window and WAL
+// and fast-forward the empty state to Seq. Used when a worker's
 // recovered sequence falls outside what the coordinator can replay.
 type ResetRequest struct {
 	Seq uint64 `json:"seq"`
@@ -153,8 +142,7 @@ type ResetRequest struct {
 
 // ResetResponse acknowledges the reset.
 type ResetResponse struct {
-	Shard int    `json:"shard"`
-	Seq   uint64 `json:"seq"`
+	Seq uint64 `json:"seq"`
 }
 
 // WireSubset is one correlation subset of a shard's solved block.
@@ -190,10 +178,10 @@ type ShardResultResponse struct {
 
 // WorkerStatusResponse is GET /c1/status on a worker.
 type WorkerStatusResponse struct {
-	WorkerID    string     `json:"worker_id"`
-	Fingerprint string     `json:"topology_fingerprint"`
-	WindowSize  int        `json:"window_size"`
-	Shards      []ShardSeq `json:"shards"`
+	WorkerID    string `json:"worker_id"`
+	Fingerprint string `json:"topology_fingerprint"`
+	WindowSize  int    `json:"window_size"`
+	Seq         uint64 `json:"seq"`
 }
 
 // Fingerprint identifies a topology on the wire: the hash of its

@@ -4,12 +4,14 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"log/slog"
 	"net/http"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 	"strconv"
+	"strings"
 	"sync"
 
 	"repro/internal/bitset"
@@ -32,26 +34,22 @@ type WorkerConfig struct {
 	// the coordinator's or every RPC is rejected.
 	Topology *topology.Topology
 
-	// WALDir enables per-shard durable ingest: shard k logs under
-	// WALDir/shard-<k>, so multiple shards on one worker never
-	// interleave segment files. Empty disables durability.
-	WALDir string
+	// WAL enables durable ingest when WAL.Dir is set: the worker keeps
+	// one log at the root of that directory, however many shards it
+	// owns, beside a "shards" file naming the shard set the log was
+	// written under (a different assignment discards the log). The
+	// worker sets Horizon (the assigned window) and InitialSeq
+	// (on reset) itself; every other option is used as given.
+	WAL wal.Options
 
 	// Logger receives the worker's structured log events; nil means
 	// slog.Default().
 	Logger *slog.Logger
 }
 
-// workerShard is one assigned shard's state: its ring (the shard's
-// masked rows only), its WAL, and its solve serialization + response
-// cache. The ring pointer and its contents are guarded by the worker's
-// mu; solveMu serializes solves per shard and guards the cache.
+// workerShard is one assigned shard's solve serialization and response
+// cache; solveMu serializes the shard's solves and guards the cache.
 type workerShard struct {
-	shard int
-	mask  *bitset.Set // shard's path universe; nil when the partition is degenerate
-	ring  *stream.Window
-	wal   *wal.WAL
-
 	solveMu   sync.Mutex
 	cached    *ShardResultResponse
 	cachedSeq uint64
@@ -59,9 +57,10 @@ type workerShard struct {
 }
 
 // Worker owns a set of partition shards on behalf of a coordinator: it
-// ingests their masked interval rows (durably, when a WAL directory is
-// configured), solves each shard's block on demand with warm structural
-// plans, and serves the internal /c1/* API.
+// ingests interval rows into one window masked to its shards' paths
+// (durably, when a WAL directory is configured), solves each shard's
+// columns of that window on demand with warm structural plans, and
+// serves the internal /c1/* API.
 type Worker struct {
 	top    *topology.Topology
 	part   *topology.Partition
@@ -69,16 +68,17 @@ type Worker struct {
 	cfg    WorkerConfig
 	logger *slog.Logger
 
-	// mu guards the assignment (id, window, settings, solver, shards)
-	// and every ring mutation; result reads clone their ring under it.
+	// mu guards the assignment (id, settings, solver, shards, mask),
+	// the window and its log; result reads freeze the window under it.
 	// Lock order: mu before a shard's solveMu, never the reverse.
 	mu       sync.Mutex
 	id       string
-	window   int
 	settings estimator.Settings
 	solver   *estimator.ShardedSolver
 	shards   map[int]*workerShard
-	order    []int // assigned shard IDs, ascending
+	mask     *bitset.Set // union of the assigned shards' paths; nil when the partition is degenerate
+	win      *stream.Window
+	wal      *wal.WAL
 }
 
 // NewWorker builds an unassigned worker; placement arrives via
@@ -98,16 +98,14 @@ func NewWorker(cfg WorkerConfig) *Worker {
 	}
 }
 
-// Close releases the per-shard WALs (flushing their tails). The worker
-// must no longer be serving.
+// Close releases the WAL (flushing its tail). The worker must no longer
+// be serving.
 func (wk *Worker) Close() {
 	wk.mu.Lock()
 	defer wk.mu.Unlock()
-	for _, ws := range wk.shards {
-		if ws.wal != nil {
-			ws.wal.Close()
-			ws.wal = nil
-		}
+	if wk.wal != nil {
+		wk.wal.Close()
+		wk.wal = nil
 	}
 }
 
@@ -116,8 +114,7 @@ func (wk *Worker) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /c1/assign", wk.handleAssign)
 	mux.HandleFunc("POST /c1/ingest", wk.handleIngest)
-	mux.HandleFunc("POST /c1/shards/{shard}/ingest", wk.handleShardIngest)
-	mux.HandleFunc("POST /c1/shards/{shard}/reset", wk.handleReset)
+	mux.HandleFunc("POST /c1/reset", wk.handleReset)
 	mux.HandleFunc("GET /c1/shards/{shard}/result", wk.handleResult)
 	mux.HandleFunc("GET /c1/status", wk.handleStatus)
 	mux.HandleFunc("GET /c1/healthz", wk.handleHealthz)
@@ -141,23 +138,11 @@ func (wk *Worker) handleHealthz(w http.ResponseWriter, r *http.Request) {
 func (wk *Worker) handleStatus(w http.ResponseWriter, r *http.Request) {
 	wk.mu.Lock()
 	defer wk.mu.Unlock()
-	resp := WorkerStatusResponse{
-		WorkerID:    wk.id,
-		Fingerprint: wk.fp,
-		WindowSize:  wk.window,
-		Shards:      wk.shardSeqsLocked(),
+	resp := WorkerStatusResponse{WorkerID: wk.id, Fingerprint: wk.fp}
+	if wk.win != nil {
+		resp.WindowSize, resp.Seq = wk.win.Cap(), wk.win.Seq()
 	}
 	writeWire(w, http.StatusOK, resp)
-}
-
-// shardSeqsLocked flattens the per-shard sequences, ascending by shard;
-// the caller holds mu.
-func (wk *Worker) shardSeqsLocked() []ShardSeq {
-	out := make([]ShardSeq, 0, len(wk.order))
-	for _, k := range wk.order {
-		out = append(out, ShardSeq{Shard: k, Seq: wk.shards[k].ring.Seq()})
-	}
-	return out
 }
 
 func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
@@ -208,8 +193,8 @@ func (wk *Worker) handleAssign(w http.ResponseWriter, r *http.Request) {
 		// Re-assign: idempotent when nothing changed (the common rejoin
 		// handshake); anything else needs a worker restart, which
 		// clears in-memory state and re-places cleanly.
-		if wk.window == req.WindowSize && wk.settings == req.Solver && wk.sameShardsLocked(req.Shards) {
-			writeWire(w, http.StatusOK, AssignResponse{WorkerID: wk.id, Shards: wk.shardSeqsLocked()})
+		if wk.win.Cap() == req.WindowSize && wk.settings == req.Solver && wk.sameShardsLocked(req.Shards) {
+			writeWire(w, http.StatusOK, AssignResponse{WorkerID: wk.id, Seq: wk.win.Seq()})
 			return
 		}
 		writeWireError(w, http.StatusConflict, &WireError{Code: CodeAssignmentChanged,
@@ -222,46 +207,45 @@ func (wk *Worker) handleAssign(w http.ResponseWriter, r *http.Request) {
 			Message: fmt.Sprintf("solver settings: %v", err)})
 		return
 	}
-	shards := make(map[int]*workerShard, len(req.Shards))
-	order := append([]int(nil), req.Shards...)
-	sort.Ints(order)
-	for _, k := range order {
-		ws := &workerShard{
-			shard: k,
-			ring:  stream.NewWindow(wk.top.NumPaths(), req.WindowSize),
+	win := stream.NewWindow(wk.top.NumPaths(), req.WindowSize)
+	var log *wal.WAL
+	if wk.cfg.WAL.Dir != "" {
+		if err = wk.bindWAL(req.Shards); err == nil {
+			log, err = wk.restoreWAL(win, 0)
 		}
-		if wk.part.NumShards() > 1 {
-			ws.mask = wk.part.ShardPaths(k)
+		if err != nil {
+			writeWireError(w, http.StatusInternalServerError, &WireError{Code: CodeWALUnavailable,
+				Message: err.Error()})
+			return
 		}
-		if wk.cfg.WALDir != "" {
-			if err := wk.openShardWAL(ws, req.WindowSize, 0); err != nil {
-				for _, prev := range shards {
-					if prev.wal != nil {
-						prev.wal.Close()
-					}
-				}
-				writeWireError(w, http.StatusInternalServerError, &WireError{Code: CodeWALUnavailable,
-					Message: fmt.Sprintf("shard %d WAL: %v", k, err)})
-				return
-			}
-		}
-		shards[k] = ws
 	}
-	wk.window = req.WindowSize
+	shards := make(map[int]*workerShard, len(req.Shards))
+	var mask *bitset.Set
+	if wk.part.NumShards() > 1 {
+		mask = bitset.New(wk.top.NumPaths())
+	}
+	for _, k := range req.Shards {
+		shards[k] = &workerShard{}
+		if mask != nil {
+			mask.UnionWith(wk.part.ShardPaths(k))
+		}
+	}
 	wk.settings = req.Solver
 	wk.solver = sv
 	wk.shards = shards
-	wk.order = order
-	metricWorkerShards.Set(int64(len(order)))
+	wk.mask = mask
+	wk.win = win
+	wk.wal = log
+	metricWorkerShards.Set(int64(len(shards)))
 	wk.logger.Info("assignment accepted",
-		"worker", wk.id, "shards", order, "window", wk.window)
-	writeWire(w, http.StatusOK, AssignResponse{WorkerID: wk.id, Shards: wk.shardSeqsLocked()})
+		"worker", wk.id, "shards", req.Shards, "window", req.WindowSize, "seq", win.Seq())
+	writeWire(w, http.StatusOK, AssignResponse{WorkerID: wk.id, Seq: win.Seq()})
 }
 
 // sameShardsLocked reports whether the request's shard set equals the
 // live assignment; the caller holds mu.
 func (wk *Worker) sameShardsLocked(reqShards []int) bool {
-	if len(reqShards) != len(wk.order) {
+	if len(reqShards) != len(wk.shards) {
 		return false
 	}
 	for _, k := range reqShards {
@@ -272,48 +256,69 @@ func (wk *Worker) sameShardsLocked(reqShards []int) bool {
 	return true
 }
 
-// openShardWAL opens (or recovers) shard ws's log under
-// WALDir/shard-<k> and rebuilds the ring from it, mirroring the
-// standalone server's recovery: fast-forward to the log's first
-// retained sequence, replay through the raw Add path, then attach the
-// log so subsequent ingest logs before applying. initialSeq re-bases an
-// empty log after a reset.
-func (wk *Worker) openShardWAL(ws *workerShard, window int, initialSeq uint64) error {
-	w, err := wal.Open(wal.Options{
-		Dir:        filepath.Join(wk.cfg.WALDir, fmt.Sprintf("shard-%d", ws.shard)),
-		Horizon:    window,
-		InitialSeq: initialSeq,
-	})
-	if err != nil {
-		return err
+// walShardsFile names the file beside the worker's log that records
+// the shard set the logged rows were masked to.
+const walShardsFile = "shards"
+
+// bindWAL ties the log in the WAL directory to the assigned shards.
+// Rows are masked to the owned shards' paths before they are logged, so
+// a log written under another shard set lacks columns this assignment
+// solves. Such a log, or one with no record of its shard set, is
+// removed: the worker then starts empty at seq 0, and the coordinator
+// resets and replays it like any worker that lost its state. The
+// record is synced before the first segment of a new log is written.
+func (wk *Worker) bindWAL(shards []int) error {
+	opts := wk.cfg.WAL
+	fsys := opts.FS
+	if fsys == nil {
+		fsys = wal.OSFS{}
 	}
-	rec := w.Recovered()
-	if rec.Records > 0 {
-		ws.ring.ResetSeq(rec.FirstSeq)
-		if err := w.Replay(func(_ uint64, batch []*bitset.Set) error {
-			for _, obs := range batch {
-				ws.ring.Add(obs)
-			}
+	sorted := slices.Sorted(slices.Values(shards))
+	want := strings.Trim(fmt.Sprint(sorted), "[]") + "\n"
+	name := filepath.Join(opts.Dir, walShardsFile)
+	if f, err := fsys.OpenFile(name, os.O_RDONLY, 0); err == nil {
+		got, err := io.ReadAll(f)
+		f.Close()
+		if err == nil && string(got) == want {
 			return nil
-		}); err != nil {
-			w.Close()
-			return fmt.Errorf("replaying: %w", err)
 		}
 	}
-	ws.ring.SetLog(w)
-	ws.wal = w
-	wk.logger.Info("shard wal recovered",
-		"shard", ws.shard,
-		"records", rec.Records,
-		"first_seq", rec.FirstSeq,
-		"last_seq", rec.LastSeq,
-		"truncated_bytes", rec.TruncatedBytes)
+	if err := wal.Remove(opts); err != nil {
+		return err
+	}
+	if err := fsys.MkdirAll(opts.Dir, 0o755); err != nil {
+		return fmt.Errorf("creating %s: %w", opts.Dir, err)
+	}
+	f, err := fsys.OpenFile(name, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err != nil {
+		return fmt.Errorf("recording WAL shard set: %w", err)
+	}
+	_, err = io.WriteString(f, want)
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return fmt.Errorf("recording WAL shard set: %w", err)
+	}
 	return nil
 }
 
+// restoreWAL opens (or recovers) the worker's one log at the root of
+// the WAL directory and rebuilds the empty win from it, retaining one
+// window of intervals; initialSeq re-bases an empty log after a reset.
+func (wk *Worker) restoreWAL(win *stream.Window, initialSeq uint64) (*wal.WAL, error) {
+	opts := wk.cfg.WAL
+	opts.Horizon = win.Cap()
+	opts.InitialSeq = initialSeq
+	return wal.Restore(opts, win, wk.logger)
+}
+
 // decodeIntervals validates and converts wire intervals to path sets,
-// masked to the shard's universe when mask is non-nil.
-func (wk *Worker) decodeIntervals(intervals [][]int, mask *bitset.Set) ([]*bitset.Set, error) {
+// masked to the assigned shards' paths; the caller holds mu.
+func (wk *Worker) decodeIntervals(intervals [][]int) ([]*bitset.Set, error) {
 	numPaths := wk.top.NumPaths()
 	batch := make([]*bitset.Set, len(intervals))
 	for i, iv := range intervals {
@@ -324,48 +329,23 @@ func (wk *Worker) decodeIntervals(intervals [][]int, mask *bitset.Set) ([]*bitse
 			}
 			set.Add(p)
 		}
-		if mask != nil {
-			set.IntersectWith(mask)
+		if wk.mask != nil {
+			set.IntersectWith(wk.mask)
 		}
 		batch[i] = set
 	}
 	return batch, nil
 }
 
-// applyToShard applies the request's suffix this shard has not yet
-// seen: rows below the shard's sequence were applied by an earlier
-// delivery of the same batch and are skipped, which is what makes
-// coordinator retries after a partial fan-out failure safe. The caller
-// holds mu and has already ruled out a gap.
-func (wk *Worker) applyToShard(ws *workerShard, req *IngestRequest) error {
-	seq := ws.ring.Seq()
-	skip := int(seq - req.BaseSeq)
-	if skip >= len(req.Intervals) {
-		return nil // entire batch already applied
+// notAssignedLocked answers not_assigned before the first assignment;
+// the caller holds mu.
+func (wk *Worker) notAssignedLocked(w http.ResponseWriter) bool {
+	if wk.solver != nil {
+		return false
 	}
-	batch, err := wk.decodeIntervals(req.Intervals[skip:], ws.mask)
-	if err != nil {
-		return &WireError{Code: CodeBadRequest, Message: err.Error()}
-	}
-	if _, err := ws.ring.AddBatch(batch); err != nil {
-		return &WireError{Code: CodeWALUnavailable,
-			Message: fmt.Sprintf("shard %d: %v", ws.shard, err)}
-	}
-	metricWorkerIngested.Add(uint64(len(batch)))
-	return nil
-}
-
-// writeIngestError maps an applyToShard failure.
-func (wk *Worker) writeIngestError(w http.ResponseWriter, err error) {
-	we, ok := err.(*WireError)
-	if !ok {
-		we = &WireError{Code: CodeBadRequest, Message: err.Error()}
-	}
-	status := http.StatusBadRequest
-	if we.Code == CodeWALUnavailable {
-		status = http.StatusServiceUnavailable
-	}
-	writeWireError(w, status, we)
+	writeWireError(w, http.StatusConflict, &WireError{Code: CodeNotAssigned,
+		Message: "no assignment; POST /c1/assign first"})
+	return true
 }
 
 func (wk *Worker) handleIngest(w http.ResponseWriter, r *http.Request) {
@@ -375,96 +355,45 @@ func (wk *Worker) handleIngest(w http.ResponseWriter, r *http.Request) {
 	}
 	wk.mu.Lock()
 	defer wk.mu.Unlock()
-	if wk.solver == nil {
-		writeWireError(w, http.StatusConflict, &WireError{Code: CodeNotAssigned,
-			Message: "no assignment; POST /c1/assign first"})
+	if wk.notAssignedLocked(w) {
 		return
 	}
-	// A base ahead of any shard means this worker missed batches the
-	// coordinator believes delivered (or the shard lags after a rejoin):
-	// refuse the whole request — partial application would break ring
-	// lockstep — and report every sequence so the coordinator can plan
-	// per-shard catch-up.
-	for _, k := range wk.order {
-		if req.BaseSeq > wk.shards[k].ring.Seq() {
-			writeWireError(w, http.StatusConflict, &WireError{
-				Code:    CodeSeqGap,
-				Message: fmt.Sprintf("batch base %d is ahead of shard %d (seq %d)", req.BaseSeq, k, wk.shards[k].ring.Seq()),
-				Shards:  wk.shardSeqsLocked(),
-			})
-			return
-		}
-	}
-	for _, k := range wk.order {
-		if err := wk.applyToShard(wk.shards[k], &req); err != nil {
-			wk.writeIngestError(w, err)
-			return
-		}
-	}
-	writeWire(w, http.StatusOK, IngestResponse{Shards: wk.shardSeqsLocked()})
-}
-
-// shardFromPath resolves the {shard} path value to live state; the
-// caller holds mu.
-func (wk *Worker) shardFromPathLocked(w http.ResponseWriter, r *http.Request) *workerShard {
-	k, err := strconv.Atoi(r.PathValue("shard"))
-	if err != nil {
-		writeWireError(w, http.StatusBadRequest, &WireError{Code: CodeBadRequest,
-			Message: fmt.Sprintf("shard %q is not an integer", r.PathValue("shard"))})
-		return nil
-	}
-	if wk.solver == nil {
-		writeWireError(w, http.StatusConflict, &WireError{Code: CodeNotAssigned,
-			Message: "no assignment; POST /c1/assign first"})
-		return nil
-	}
-	ws, ok := wk.shards[k]
-	if !ok {
-		writeWireError(w, http.StatusNotFound, &WireError{Code: CodeUnknownShard,
-			Message: fmt.Sprintf("shard %d is not assigned to worker %q", k, wk.id)})
-		return nil
-	}
-	return ws
-}
-
-// handleShardIngest is the per-shard catch-up path: the coordinator
-// replays rows one shard missed — whole rows of its window, masked to
-// the shard's paths here like any broadcast batch — without touching
-// the worker's other shards, which may themselves lag at a different
-// sequence.
-func (wk *Worker) handleShardIngest(w http.ResponseWriter, r *http.Request) {
-	var req IngestRequest
-	if !decodeBody(w, r, &req) {
-		return
-	}
-	wk.mu.Lock()
-	defer wk.mu.Unlock()
-	ws := wk.shardFromPathLocked(w, r)
-	if ws == nil {
-		return
-	}
-	if req.BaseSeq > ws.ring.Seq() {
+	// A base ahead of the window means this worker missed batches the
+	// coordinator believes delivered (or lags after a rejoin): refuse
+	// the request and report the sequence to replay from.
+	seq := wk.win.Seq()
+	if req.BaseSeq > seq {
 		writeWireError(w, http.StatusConflict, &WireError{
 			Code:    CodeSeqGap,
-			Message: fmt.Sprintf("batch base %d is ahead of shard %d (seq %d)", req.BaseSeq, ws.shard, ws.ring.Seq()),
-			Shards:  []ShardSeq{{Shard: ws.shard, Seq: ws.ring.Seq()}},
+			Message: fmt.Sprintf("batch base %d is ahead of the worker (seq %d)", req.BaseSeq, seq),
+			Seq:     seq,
 		})
 		return
 	}
-	if err := wk.applyToShard(ws, &req); err != nil {
-		wk.writeIngestError(w, err)
-		return
+	// Rows below the window's sequence were applied by an earlier
+	// delivery of the same batch and are skipped, which is what makes
+	// coordinator retries after a partial fan-out failure safe.
+	if skip := seq - req.BaseSeq; skip < uint64(len(req.Intervals)) {
+		batch, err := wk.decodeIntervals(req.Intervals[skip:])
+		if err != nil {
+			writeWireError(w, http.StatusBadRequest, &WireError{Code: CodeBadRequest, Message: err.Error()})
+			return
+		}
+		if _, err := wk.win.AddBatch(batch); err != nil {
+			writeWireError(w, http.StatusServiceUnavailable, &WireError{Code: CodeWALUnavailable, Message: err.Error()})
+			return
+		}
+		metricWorkerIngested.Add(uint64(len(batch)))
 	}
-	writeWire(w, http.StatusOK, IngestResponse{
-		Shards: []ShardSeq{{Shard: ws.shard, Seq: ws.ring.Seq()}},
-	})
+	writeWire(w, http.StatusOK, IngestResponse{Seq: wk.win.Seq()})
 }
 
-// handleReset discards a shard's ring and WAL and fast-forwards the
-// empty state to the requested base. The coordinator uses it when
-// replay cannot bridge the gap: the worker's recovered sequence has
-// aged out of the coordinator's retained window, or is ahead of a
-// coordinator that lost unsynced tail data in a crash.
+// handleReset discards the window and WAL, fast-forwards the empty
+// state to the requested base and drops every shard's solve cache (the
+// old numbering may now mean different intervals). The coordinator
+// uses it when replay cannot bridge the gap: the worker's recovered
+// sequence has aged out of the coordinator's retained window, or is
+// ahead of a coordinator that lost unsynced tail data in a crash.
 func (wk *Worker) handleReset(w http.ResponseWriter, r *http.Request) {
 	var req ResetRequest
 	if !decodeBody(w, r, &req) {
@@ -472,62 +401,65 @@ func (wk *Worker) handleReset(w http.ResponseWriter, r *http.Request) {
 	}
 	wk.mu.Lock()
 	defer wk.mu.Unlock()
-	ws := wk.shardFromPathLocked(w, r)
-	if ws == nil {
+	if wk.notAssignedLocked(w) {
 		return
 	}
-	ring := stream.NewWindow(wk.top.NumPaths(), wk.window)
-	if req.Seq > 0 {
-		ring.ResetSeq(req.Seq)
-	}
-	if ws.wal != nil {
-		ws.wal.Close()
-		dir := filepath.Join(wk.cfg.WALDir, fmt.Sprintf("shard-%d", ws.shard))
-		if err := os.RemoveAll(dir); err != nil {
-			ws.wal = nil // the old log is closed either way
-			writeWireError(w, http.StatusInternalServerError, &WireError{Code: CodeWALUnavailable,
-				Message: fmt.Sprintf("shard %d: clearing WAL: %v", ws.shard, err)})
-			return
-		}
-		ws.wal = nil
-		prev := ws.ring
-		ws.ring = ring
-		if err := wk.openShardWAL(ws, wk.window, req.Seq); err != nil {
-			ws.ring = prev
-			writeWireError(w, http.StatusInternalServerError, &WireError{Code: CodeWALUnavailable,
-				Message: fmt.Sprintf("shard %d: reopening WAL: %v", ws.shard, err)})
-			return
-		}
+	win := stream.NewWindow(wk.top.NumPaths(), wk.win.Cap())
+	if wk.wal == nil {
+		win.ResetSeq(req.Seq)
 	} else {
-		ws.ring = ring
+		wk.wal.Close()
+		wk.wal = nil // the old log is closed either way
+		err := wal.Remove(wk.cfg.WAL)
+		if err == nil {
+			wk.wal, err = wk.restoreWAL(win, req.Seq)
+		}
+		if err != nil {
+			writeWireError(w, http.StatusInternalServerError, &WireError{Code: CodeWALUnavailable,
+				Message: fmt.Sprintf("resetting WAL: %v", err)})
+			return
+		}
 	}
-	// The old sequence numbering may now mean different intervals:
-	// drop the solve cache.
-	ws.solveMu.Lock()
-	ws.cached, ws.cachedSeq, ws.solvedYet = nil, 0, false
-	ws.solveMu.Unlock()
-	wk.logger.Info("shard reset", "shard", ws.shard, "seq", req.Seq)
-	writeWire(w, http.StatusOK, ResetResponse{Shard: ws.shard, Seq: ws.ring.Seq()})
+	wk.win = win
+	for _, ws := range wk.shards {
+		ws.solveMu.Lock()
+		ws.cached, ws.cachedSeq, ws.solvedYet = nil, 0, false
+		ws.solveMu.Unlock()
+	}
+	wk.logger.Info("worker reset", "seq", req.Seq)
+	writeWire(w, http.StatusOK, ResetResponse{Seq: win.Seq()})
 }
 
-// handleResult solves the shard's block over its current ring (warm
-// plans make the steady state cheap) and returns it with the sequence
+// handleResult solves the shard's columns of the window (warm plans
+// make the steady state cheap) and returns the block with the sequence
 // it covers. Repeated polls at an unchanged sequence serve the cached
 // encoding without re-solving.
 func (wk *Worker) handleResult(w http.ResponseWriter, r *http.Request) {
+	k, err := strconv.Atoi(r.PathValue("shard"))
+	if err != nil {
+		writeWireError(w, http.StatusBadRequest, &WireError{Code: CodeBadRequest,
+			Message: fmt.Sprintf("shard %q is not an integer", r.PathValue("shard"))})
+		return
+	}
 	wk.mu.Lock()
-	ws := wk.shardFromPathLocked(w, r)
-	if ws == nil {
+	if wk.notAssignedLocked(w) {
 		wk.mu.Unlock()
 		return
 	}
-	ring := ws.ring.Clone()
+	ws, ok := wk.shards[k]
+	if !ok {
+		wk.mu.Unlock()
+		writeWireError(w, http.StatusNotFound, &WireError{Code: CodeUnknownShard,
+			Message: fmt.Sprintf("shard %d is not assigned to worker %q", k, wk.id)})
+		return
+	}
+	win := wk.win.Clone()
 	solver := wk.solver
 	wk.mu.Unlock()
 
 	ws.solveMu.Lock()
 	defer ws.solveMu.Unlock()
-	if ws.solvedYet && ws.cachedSeq == ring.Seq() {
+	if ws.solvedYet && ws.cachedSeq == win.Seq() {
 		writeWire(w, http.StatusOK, ws.cached)
 		return
 	}
@@ -536,14 +468,14 @@ func (wk *Worker) handleResult(w http.ResponseWriter, r *http.Request) {
 	// start over — a livelock for solves longer than the caller's
 	// timeout. Completing anyway caches the block, so the retry is an
 	// instant hit.
-	res, info, err := solver.SolveShard(context.Background(), ws.shard, ring)
+	res, info, err := solver.SolveShard(context.Background(), k, win)
 	if err != nil {
 		writeWireError(w, http.StatusInternalServerError, &WireError{Code: CodeSolverFailed,
-			Message: fmt.Sprintf("shard %d: %v", ws.shard, err)})
+			Message: fmt.Sprintf("shard %d: %v", k, err)})
 		return
 	}
-	resp := encodeResult(ws.shard, ring.Seq(), ring.T(), res, info)
-	ws.cached, ws.cachedSeq, ws.solvedYet = resp, ring.Seq(), true
+	resp := encodeResult(k, win.Seq(), win.T(), res, info)
+	ws.cached, ws.cachedSeq, ws.solvedYet = resp, win.Seq(), true
 	metricWorkerSolves.Inc()
 	writeWire(w, http.StatusOK, resp)
 }

@@ -488,44 +488,20 @@ func New(top *topology.Topology, cfg Config) (*Server, error) {
 }
 
 // openWAL opens (or recovers) the write-ahead log and rebuilds the
-// window from it: the store is fast-forwarded to the log's first
-// retained sequence, every surviving record is replayed through the
-// raw Add path (which never re-logs), and only then is the log
-// attached so subsequent ingest logs before applying. A log the scan
-// cannot vouch for (corruption before the torn tail) fails startup
-// loudly rather than serving estimates over silently dropped data.
+// window from it (wal.Restore). A log the scan cannot vouch for fails
+// startup loudly rather than serving estimates over silently dropped
+// data.
 func (s *Server) openWAL() error {
 	opts := s.cfg.WAL
 	if opts.Horizon == 0 {
 		opts.Horizon = s.cfg.WindowSize
 	}
-	w, err := wal.Open(opts)
+	w, err := wal.Restore(opts, s.win, s.logger)
 	if err != nil {
-		return fmt.Errorf("server: opening WAL: %w", err)
+		return fmt.Errorf("server: %w", err)
 	}
-	rec := w.Recovered()
-	if rec.Records > 0 {
-		s.win.ResetSeq(rec.FirstSeq)
-		if err := w.Replay(func(_ uint64, batch []*bitset.Set) error {
-			for _, obs := range batch {
-				s.win.Add(obs)
-			}
-			return nil
-		}); err != nil {
-			w.Close()
-			return fmt.Errorf("server: replaying WAL: %w", err)
-		}
-	}
-	s.win.SetLog(w)
 	s.wal = w
-	s.walRecovered = rec
-	s.logger.Info("wal recovered",
-		"dir", opts.Dir,
-		"records", rec.Records,
-		"intervals", rec.Intervals,
-		"first_seq", rec.FirstSeq,
-		"last_seq", rec.LastSeq,
-		"truncated_bytes", rec.TruncatedBytes)
+	s.walRecovered = w.Recovered()
 	return nil
 }
 

@@ -48,3 +48,30 @@ func TestInitialSeqRebase(t *testing.T) {
 		t.Fatalf("InitialSeq overrode recovery: %+v", rec)
 	}
 }
+
+// A re-based log that is closed before its first append (a worker reset
+// and then restarted) keeps its base: reopening without InitialSeq
+// resumes at it, and the next record is numbered in the same sequence
+// space, so a later recovery does not find it at odds with its
+// segment's name.
+func TestInitialSeqSurvivesEmptyReopen(t *testing.T) {
+	dir := t.TempDir()
+	if err := openT(t, wal.Options{Dir: dir, InitialSeq: 42}).Close(); err != nil {
+		t.Fatal(err)
+	}
+	w := openT(t, wal.Options{Dir: dir})
+	if rec := w.Recovered(); rec.Records != 0 || rec.FirstSeq != 42 || rec.LastSeq != 42 {
+		t.Fatalf("empty re-based log reopened as %+v, want first/last 42", rec)
+	}
+	if got, err := w.AppendBatch(mkBatch([]int{3})); err != nil || got != 43 {
+		t.Fatalf("append returned (%d, %v), want 43", got, err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	w2 := openT(t, wal.Options{Dir: dir})
+	defer w2.Close()
+	if rec := w2.Recovered(); rec.Records != 1 || rec.FirstSeq != 42 || rec.LastSeq != 43 {
+		t.Fatalf("reopen recovered %+v, want one record at base 42", rec)
+	}
+}

@@ -165,12 +165,12 @@ type Options struct {
 	StallTimeout time.Duration
 
 	// InitialSeq re-bases an empty log: when the directory holds no
-	// records, the first appended record carries this base sequence
-	// instead of 0, so a store fast-forwarded with ResetSeq and its log
-	// agree on numbering. Cluster workers use it when a shard is reset
-	// past the coordinator's window (the old log is discarded and a
-	// fresh one starts at the resync base). Ignored when recovery finds
-	// any records.
+	// segment, the first appended record carries this base sequence
+	// instead of 0, so a window fast-forwarded with ResetSeq and its log
+	// agree on numbering. Cluster workers use it when the coordinator
+	// resets them past its window (the old log is removed and a fresh
+	// one starts at the resync base). Ignored when the directory holds
+	// any segment: recovery's numbering wins.
 	InitialSeq uint64
 }
 
@@ -259,7 +259,7 @@ func Open(opts Options) (*WAL, error) {
 	if err := w.scan(); err != nil {
 		return nil, err
 	}
-	if w.recovered.Records == 0 && opts.InitialSeq > 0 {
+	if len(w.segs) == 0 && opts.InitialSeq > 0 {
 		// Empty log: re-base the numbering before the active segment is
 		// created, so the segment name and first record base agree.
 		w.seq.Store(opts.InitialSeq)
@@ -403,9 +403,11 @@ func (w *WAL) scan() error {
 		w.bytes.Add(int64(len(data)))
 	}
 	w.recovered.LastSeq = runningSeq
-	if len(found) == 0 {
-		w.recovered.FirstSeq = 0
-		w.recovered.LastSeq = 0
+	if first && len(found) > 0 {
+		// Segments but no records (a re-based log closed before its
+		// first append): the numbering lives in the newest segment name.
+		base := found[len(found)-1].base
+		w.recovered.FirstSeq, w.recovered.LastSeq = base, base
 	}
 	w.seq.Store(w.recovered.LastSeq)
 	w.segCount.Store(int32(len(w.segs)))
