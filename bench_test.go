@@ -631,8 +631,9 @@ func planRepairFixture(b *testing.B) (top *topology.Topology, cfg core.Config, b
 
 // BenchmarkPlanRepair measures an epoch solve across an always-good
 // drift with the plan repaired in place (core.Plan.Repair re-keys the
-// retained structure in O(Δ)) against the cold rebuild the same drift
-// used to force. Every iteration of the repaired leg really drifts:
+// retained structure in O(Δ)) and across a frontier move back to a
+// frontier the plan chain retains (recall), against the cold rebuild
+// the same drift used to force. Every iteration of the repaired leg really drifts:
 // the two windows alternate, so each solve absorbs a fresh always-good
 // change. Results are bit-identical (TestPlanRepairMatchesColdUnderDrift
 // and the metamorphic drift suite pin this).
@@ -660,6 +661,34 @@ func BenchmarkPlanRepair(b *testing.B) {
 			}
 		}
 		b.ReportMetric(float64(plan.RepairCount()), "repairs")
+	})
+	b.Run("recall", func(b *testing.B) {
+		// A frontier that moves back and forth: each solve recalls the
+		// retained plan built for the returning frontier (re-key plus
+		// refactorization) instead of rebuilding it.
+		top, cfg, base, drifted := frontierMoveFixture(b)
+		cfg.NumericalPlanRepair = false
+		_, planA, err := core.ComputePlanned(ctx, top, base, cfg, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		_, planB, err := core.ComputePlanned(ctx, top, drifted, cfg, planA)
+		if err != nil {
+			b.Fatal(err)
+		}
+		stores, plan := []*stream.Window{base, drifted}, planB
+		before := planA.RepairCount() + planB.RepairCount()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, plan, err = core.ComputePlanned(ctx, top, stores[i%2], cfg, plan); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.StopTimer()
+		if got := planA.RepairCount() + planB.RepairCount() - before; got != b.N {
+			b.Fatalf("%d of %d iterations were recalls", got, b.N)
+		}
 	})
 	b.Run("cold-rebuild", func(b *testing.B) {
 		b.ReportAllocs()

@@ -32,7 +32,7 @@ type buildArena struct {
 	covered  *bitset.Set
 	one      *bitset.Set
 	pathsBuf []int
-	iterIdx  []int
+	cursors  []augCursor // per-subset augmentation cursors, by subset index
 	order    []int
 	weights  []int
 	rowBuf   []float64
@@ -65,20 +65,32 @@ func (ar *buildArena) release() {
 	arenaPool.Put(ar)
 }
 
+// augCursor is one subset's position in its augmentation candidate
+// stream, carried across rounds: the comboIter state (size and
+// combination indices; the path list is re-derived from the seed set
+// on each visit), the MaxEnumPathSets budget left, and whether the
+// stream is spent (exhausted or out of budget). A candidate behind the
+// cursor never needs a second look — every reject reason is monotone
+// (a used path set stays used, decomposition against the frozen
+// universe is constant, a row inside the row space stays inside as
+// the null space only shrinks) — so resuming evaluates each candidate
+// at most once and commits exactly what a restart would.
+type augCursor struct {
+	size   int
+	idx    []int
+	budget int
+	spent  bool
+}
+
 // comboIter streams the non-empty subsets of a path list in increasing
 // size, lexicographic combinations within a size, without allocating
-// per candidate. (arena_test.go holds the closure form it replaced as
-// its executable specification.)
+// per candidate. The zero size starts the stream; augCursor resumes it.
+// (arena_test.go holds the closure form it replaced as its executable
+// specification.)
 type comboIter struct {
 	paths []int
 	size  int
 	idx   []int
-}
-
-func (it *comboIter) reset(paths []int, idxScratch []int) {
-	it.paths = paths
-	it.size = 0
-	it.idx = idxScratch[:0]
 }
 
 // next advances to the next subset, reporting false when exhausted.

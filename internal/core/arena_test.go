@@ -62,8 +62,7 @@ func TestComboIterMatchesEnumerateSubsetsOfPaths(t *testing.T) {
 			want = append(want, append([]int(nil), chosen...))
 			return true
 		})
-		var it comboIter
-		it.reset(paths, nil)
+		it := comboIter{paths: paths}
 		var got [][]int
 		for it.next() {
 			got = append(got, it.appendChosen(nil))

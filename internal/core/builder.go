@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"slices"
 	"sort"
 
 	"repro/internal/bitset"
@@ -46,12 +47,18 @@ type builder struct {
 
 	nullspace *linalg.Matrix
 
+	// evaluated counts the candidate path sets augmentation examined;
+	// the cursors keep it to at most one look per candidate.
+	evaluated int
+
 	// arena is the pooled scratch of this build. close() returns it;
 	// only buildPlan calls that — builders driven phase-by-phase in
 	// tests simply don't recycle.
 	arena *buildArena
 }
 
+// subsetEntry is one unknown of Ê. cover and seedSet are build-only:
+// plan() clears them, so a retained plan carries just the links.
 type subsetEntry struct {
 	links   *bitset.Set
 	corrSet int
@@ -377,13 +384,18 @@ func (b *builder) seed(ctx context.Context) error {
 // augment performs Algorithm 1 lines 8–22: repeatedly find a path set
 // whose row leaves the current row space, preferring subsets whose
 // null-space row has the largest Hamming weight, and update the null
-// space with Algorithm 2 after each addition.
+// space with Algorithm 2 after each addition. Each subset's candidate
+// stream resumes where the previous round left it (augCursor).
 func (b *builder) augment(ctx context.Context) error {
 	setStage("augment")
 	ar := b.arena
 	maxEnum := b.cfg.MaxEnumPathSets
 	if maxEnum <= 0 {
 		maxEnum = 128
+	}
+	ar.cursors = slices.Grow(ar.cursors[:0], len(b.subsets))[:len(b.subsets)]
+	for i := range ar.cursors {
+		ar.cursors[i] = augCursor{idx: ar.cursors[i].idx[:0], budget: maxEnum}
 	}
 	for b.nullspace.Cols > 0 {
 		if err := ctx.Err(); err != nil {
@@ -396,11 +408,11 @@ func (b *builder) augment(ctx context.Context) error {
 		}
 		order := sortSubsetsByNullWeight(b.nullspace, len(b.subsets), ar.order[:len(b.subsets)], ar.weights[:len(b.subsets)])
 		for _, si := range order {
-			s := &b.subsets[si]
-			if s.seedSet.IsEmpty() {
+			s, cur := &b.subsets[si], &ar.cursors[si]
+			if cur.spent || s.seedSet.IsEmpty() {
 				continue
 			}
-			committed, err := b.augmentSubset(ctx, s, maxEnum)
+			committed, err := b.augmentSubset(ctx, s, cur)
 			if err != nil {
 				return err
 			}
@@ -417,22 +429,25 @@ func (b *builder) augment(ctx context.Context) error {
 }
 
 // augmentSubset scans one subset's candidate path sets (subsets of its
-// isolation paths, in increasing size, capped at maxEnum) for the first
-// that is not yet selected, whose equation decomposes within the frozen
-// universe and whose row leaves the current row space, and commits it:
-// append the path set and its row, mark it used, and fold the equation
-// into the null space (Algorithm 2).
-func (b *builder) augmentSubset(ctx context.Context, s *subsetEntry, maxEnum int) (bool, error) {
+// isolation paths, in increasing size, capped at MaxEnumPathSets over
+// the whole build) from its cursor for the first that is not yet
+// selected, whose equation decomposes within the frozen universe and
+// whose row leaves the current row space, and commits it: append the
+// path set and its row, mark it used, and fold the equation into the
+// null space (Algorithm 2). A scan that finds none marks the cursor
+// spent.
+func (b *builder) augmentSubset(ctx context.Context, s *subsetEntry, cur *augCursor) (bool, error) {
 	ar := b.arena
 	ar.pathsBuf = s.seedSet.AppendIndices(ar.pathsBuf[:0])
-	var it comboIter
-	it.reset(ar.pathsBuf, ar.iterIdx)
-	defer func() { ar.iterIdx = it.idx[:0] }()
+	it := comboIter{paths: ar.pathsBuf, size: cur.size, idx: cur.idx}
+	defer func() { cur.size, cur.idx = it.size, it.idx }()
 
-	for budget := maxEnum; budget > 0 && it.next(); budget-- {
+	for cur.budget > 0 && it.next() {
 		if err := ctx.Err(); err != nil {
 			return false, err
 		}
+		cur.budget--
+		b.evaluated++
 		ar.chosen = it.appendChosen(ar.chosen[:0])
 		ar.pathBuf.Clear()
 		for _, p := range ar.chosen {
@@ -456,5 +471,6 @@ func (b *builder) augmentSubset(ctx context.Context, s *subsetEntry, maxEnum int
 		linalg.NullSpaceUpdateInPlace(b.nullspace, b.denseRow(cols))
 		return true, nil
 	}
+	cur.spent = true
 	return false, nil
 }

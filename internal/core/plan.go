@@ -26,6 +26,12 @@ import (
 // frequencies; the moment the always-good set (or topology, or config)
 // changes, the plan invalidates and the from-scratch path runs.
 //
+// Because the structure depends on the always-good set only through
+// its good-link frontier, a plan also remembers the plans it replaced:
+// the chain behind the current plan keeps up to maxRetainedPlans-1
+// retired plans, each keyed to its own frontier, so a frontier that
+// comes back is recalled instead of rebuilt (see reusable).
+//
 // A Plan is owned by one solver loop: it is not safe for concurrent
 // use (ComputePlanned reuses its scratch buffers).
 type Plan struct {
@@ -68,7 +74,20 @@ type Plan struct {
 	batchSlab    []float64
 	batchVecs    [][]float64
 	batchScratch []float64
+
+	// retired is the chain behind this plan: earlier plans of the same
+	// topology and config, most recent last, each still keyed to its
+	// own frontier but stripped of qr and scratch (retire). Only a
+	// chain's current plan holds the list.
+	retired []*Plan
 }
+
+// maxRetainedPlans caps a plan chain: the current plan plus up to
+// seven retired ones. Sized on a frontier that oscillates around the
+// always-good tolerance (tomobench's sparse_drift): with eight, about
+// 7 % of its epochs stay cold instead of 17 %, well under the tenth
+// that sets its p90 freshness.
+const maxRetainedPlans = 8
 
 // RepairCount returns how many always-good drifts this plan absorbed
 // via Repair rather than a rebuild. Callers use it to distinguish a
@@ -100,8 +119,9 @@ func Compute(ctx context.Context, top *topology.Topology, rec observe.Store, cfg
 // the single store rec: it returns the result together with the plan
 // that produced it. The returned plan is prev itself when prev served
 // the epoch (unchanged always-good set, or a drift a repair tier
-// absorbed: RepairCount / NumericRepairCount increment), a fresh plan
-// after a cold rebuild.
+// absorbed: RepairCount / NumericRepairCount increment), a retained
+// plan of prev's chain when tier-1 recalled it (its RepairCount
+// increments), a fresh plan after a cold rebuild.
 func ComputePlanned(ctx context.Context, top *topology.Topology, rec observe.Store, cfg Config, prev *Plan) (*Result, *Plan, error) {
 	var (
 		result [1]*Result
@@ -132,48 +152,127 @@ func buildPlan(ctx context.Context, top *topology.Topology, rec observe.Store, c
 	return b.plan(ctx)
 }
 
-// reusable tries to carry the plan onto rec's epoch and reports how in
-// info (Warm is the verdict): the topology and config must match, and
-// the store's always-good path set (within the plan's restriction) must
-// either be unchanged or drift within a repair tier's class — tier-1
-// Repair's provably structure-preserving (bit-identical) re-key first,
-// then, when enabled, tier-2 RepairNumeric's factorization patch across
-// frontier moves. drain runs before a tier-2 attempt, the one step that
-// rewrites the retained factorization: stores already accepted against
-// the pre-patch state must be solved first.
-func (pl *Plan) reusable(top *topology.Topology, rec observe.Store, cfg Config, drain func() error) (info EpochInfo, err error) {
+// reusable tries to carry the plan chain onto rec's epoch and returns
+// the plan that serves it, reporting how in info (Warm is the verdict).
+// The topology and config must match, and the store's always-good path
+// set (within the plan's restriction) must either be unchanged or drift
+// within a repair tier's class: tier-1 first — the current plan's
+// provably structure-preserving (bit-identical) re-key, then the recall
+// of a retired plan keyed to the same frontier — then, when enabled,
+// tier-2 RepairNumeric's factorization patch across frontier moves.
+// drain runs before the current plan stops serving (a recall) or has
+// its factorization rewritten (a tier-2 attempt): stores already
+// accepted against it must be solved first.
+func (pl *Plan) reusable(top *topology.Topology, rec observe.Store, cfg Config, drain func() error) (next *Plan, info EpochInfo, err error) {
 	if pl.top != top || !configsEqual(pl.cfg, cfg) {
-		return info, nil
+		return pl, info, nil
 	}
+	pl.factor() // a no-op unless a failed call left pl retired
 	good := rec.AlwaysGoodPaths(cfg.AlwaysGoodTol)
 	if pl.restrict != nil {
 		good = good.Intersect(pl.restrict)
 	}
 	if good.Key() == pl.goodKey {
 		info.Warm = true
-		return info, nil
+		return pl, info, nil
 	}
 	if cfg.DisablePlanRepair {
-		return info, nil
+		return pl, info, nil
 	}
 	start := time.Now()
-	info.Repaired = pl.Repair(good)
+	next, err = pl.recall(good, drain)
 	info.RepairTime = time.Since(start)
-	if !info.Repaired && cfg.NumericalPlanRepair {
-		if err := drain(); err != nil {
-			return info, err
+	if err != nil {
+		return nil, info, err
+	}
+	info.Repaired = next != nil
+	if next == nil {
+		next = pl
+		if cfg.NumericalPlanRepair {
+			if err := drain(); err != nil {
+				return nil, info, err
+			}
+			start = time.Now()
+			info.RepairedNumeric = pl.RepairNumeric(good)
+			info.RepairTime += time.Since(start)
 		}
-		start = time.Now()
-		info.RepairedNumeric = pl.RepairNumeric(good)
-		info.RepairTime += time.Since(start)
 	}
 	info.Warm = info.Repaired || info.RepairedNumeric
 	info.RepairFailed = !info.Warm
-	return info, nil
+	return next, info, nil
+}
+
+// recall is tier-1 over the chain: it returns the plan whose good-link
+// frontier equals good's, re-keyed to good, or nil when no plan of the
+// chain has it. The current plan is tried first (Repair); then the
+// retired plans, most recent first. A retired hit is refactored and
+// becomes current — it takes over the chain, and pl retires into it —
+// after drain has solved the stores pending against pl. The recalled
+// plan is exactly what a cold build over good would produce, because
+// the structural phase reads the always-good set only through its
+// frontier (see Repair) and tier-2-patched plans are never retired.
+func (pl *Plan) recall(good *bitset.Set, drain func() error) (*Plan, error) {
+	links := pl.top.LinksOf(good)
+	if pl.rekey(good, links) {
+		return pl, nil
+	}
+	for j := len(pl.retired) - 1; j >= 0; j-- {
+		hit := pl.retired[j]
+		if !hit.goodLinks.Equal(links) {
+			continue
+		}
+		if err := drain(); err != nil {
+			return nil, err
+		}
+		hit.retired = retire(slices.Delete(pl.retired, j, j+1), pl)
+		hit.factor()
+		hit.rekey(good, links)
+		return hit, nil
+	}
+	return nil, nil
+}
+
+// retire appends p to a chain as its most recent retired plan, evicting
+// the oldest beyond maxRetainedPlans-1, and returns the chain. A
+// retired plan keeps its structure and frontier but drops its
+// factorization and solve scratch (factor rebuilds the one on recall,
+// the solve regrows the other), so a chain costs little more than the
+// plans' selected rows. A plan tier-2 ever patched is dropped instead:
+// its structure is no longer a cold build's, and recall promises one.
+func retire(chain []*Plan, p *Plan) []*Plan {
+	p.retired = nil
+	if p.numRepairs > 0 {
+		return chain
+	}
+	p.qr = nil
+	p.batchSlab, p.batchVecs, p.batchScratch = nil, nil, nil
+	if len(chain) == maxRetainedPlans-1 {
+		chain = slices.Delete(chain, 0, 1)
+	}
+	return append(chain, p)
+}
+
+// factor restores a retired plan's factorization: it refactors the
+// reduced 0/1 system of plan()'s final iteration, rebuilt from rows,
+// activeRows and colMap by the same reducedSystem call, so the result
+// is the same bits plan() retained. A no-op while the plan holds one
+// (or has no identifiable column to factor).
+func (pl *Plan) factor() {
+	if pl.qr != nil || len(pl.colMap) == 0 {
+		return
+	}
+	colIdx := make([]int, len(pl.subsets))
+	for c := range colIdx {
+		colIdx[c] = -1
+	}
+	for j, c := range pl.colMap {
+		colIdx[c] = j
+	}
+	pl.qr = linalg.FactorInPlace(reducedSystem(pl.rows, pl.activeRows, colIdx, len(pl.colMap)))
 }
 
 // Repair attempts to absorb a drift of the always-good path set into
-// the retained plan without rebuilding, reporting whether it did. The
+// the plan without rebuilding, reporting whether it did. The
 // repairable class is exactly the drift that leaves the good-link
 // frontier in place: LinksOf(newGood) == LinksOf(oldGood), i.e. every
 // link of every drifted path is still covered by some always-good
@@ -182,8 +281,8 @@ func (pl *Plan) reusable(top *topology.Topology, rec observe.Store, cfg Config, 
 // keep vouching for its links.
 //
 // Under that single condition the from-scratch rebuild would reproduce
-// the retained plan bit for bit, because the whole structural phase is
-// a pure function of (topology, config, potentially-congested links,
+// the plan bit for bit, because the whole structural phase is a pure
+// function of (topology, config, potentially-congested links,
 // single-path registrations):
 //
 //   - the potentially congested set is the frontier's complement, so it
@@ -201,14 +300,21 @@ func (pl *Plan) reusable(top *topology.Topology, rec observe.Store, cfg Config, 
 //
 // Repair therefore just re-keys the plan to the new good set, at the
 // cost of one LinksOf sweep — O(Δ) relative to the rebuild it avoids.
-// Any frontier move (the delta too large to leave coverage intact, a
-// potentially congested link going quiet, a good link losing its last
-// vouching path) reports false and the caller rebuilds cold; rebuild
-// also re-checks full column rank, which repair never degrades since
-// it leaves the factorization untouched. good must already be
-// restricted to the plan's shard.
+// The same argument holds for any plan of the chain, however many
+// epochs ago it served: ComputePlannedBatch's tier-1 tries Repair on
+// the current plan and then recalls the retired plan whose frontier
+// matches. Any other frontier move (a potentially congested link going
+// quiet, a good link losing its last vouching path) reports false and
+// the caller rebuilds cold; rebuild also re-checks full column rank,
+// which repair never degrades since it leaves the factorization
+// untouched. good must already be restricted to the plan's shard.
 func (pl *Plan) Repair(good *bitset.Set) bool {
-	if !pl.top.LinksOf(good).Equal(pl.goodLinks) {
+	return pl.rekey(good, pl.top.LinksOf(good))
+}
+
+// rekey is Repair with good's frontier already computed.
+func (pl *Plan) rekey(good, links *bitset.Set) bool {
+	if !links.Equal(pl.goodLinks) {
 		return false
 	}
 	pl.goodKey = good.Key()
@@ -217,14 +323,15 @@ func (pl *Plan) Repair(good *bitset.Set) bool {
 }
 
 // Tier says which path through the plan served an epoch: Warm means
-// the structural phase was skipped, Repaired that the plan additionally
-// absorbed an always-good drift via the tier-1 re-key, RepairedNumeric
-// that the tier-2 factorization patch absorbed a frontier move (only
-// with Config.NumericalPlanRepair), and RepairFailed that a cold
-// rebuild ran because a repair attempt lost (rather than because
-// topology or config changed, where none is attempted). It is the
-// record every layer above embeds — snapshots, /v1/status, /v1/epochs,
-// the cluster wire — hence the JSON keys.
+// the structural phase was skipped, Repaired that the epoch's
+// always-good drift was absorbed by the tier-1 re-key — of the current
+// plan, or of a retained plan recalled because its frontier came back —
+// RepairedNumeric that the tier-2 factorization patch absorbed a
+// frontier move (only with Config.NumericalPlanRepair), and
+// RepairFailed that a cold rebuild ran because a repair attempt lost
+// (rather than because topology or config changed, where none is
+// attempted). It is the record every layer above embeds — snapshots,
+// /v1/status, /v1/epochs, the cluster wire — hence the JSON keys.
 type Tier struct {
 	Warm            bool `json:"warm"`
 	Repaired        bool `json:"repaired"`
@@ -254,13 +361,15 @@ type EpochInfo struct {
 // an unchanged always-good path set — so the structural phases
 // (enumeration, seeding, augmentation, identifiability, factorization)
 // are skipped and the retained factorization is re-solved against fresh
-// frequencies. When the always-good set has drifted, Repair is attempted
+// frequencies. When the always-good set has drifted, tier-1 is attempted
 // first: a drift that provably leaves the structural phase unchanged is
-// absorbed in O(Δ). With Config.NumericalPlanRepair set, a frontier
-// move that tier-1 rejects is then offered to RepairNumeric, which
-// patches the factorization column by column (results are numerically,
-// not bitwise, equivalent to the rebuild skipped). Otherwise the
-// from-scratch path runs and a fresh plan takes over.
+// absorbed in O(Δ) by Repair, and a frontier that an earlier plan of
+// the chain was built for recalls that plan (one refactorization, still
+// bit-identical to a rebuild). With Config.NumericalPlanRepair set, a
+// frontier move that tier-1 rejects is then offered to RepairNumeric,
+// which patches the factorization column by column (results are
+// numerically, not bitwise, equivalent to the rebuild skipped).
+// Otherwise the from-scratch path runs and a fresh plan takes over.
 //
 // Each maximal run of plan-compatible stores drains through one batched
 // multi-RHS solve, which is how a lag burst of queued window snapshots
@@ -270,7 +379,10 @@ type EpochInfo struct {
 // K, so results are bit-identical however the stores are grouped into
 // calls. infos reports per store how the plan served it; the returned
 // plan is the one that served the last store (prev itself if it served
-// them all).
+// them all), carrying the chain. A cold build inherits prev's chain —
+// prev retires into it — when topology and config match and
+// Config.DisablePlanRepair is off (which disables recall too); it
+// starts a new chain otherwise. On error prev stays usable.
 func ComputePlannedBatch(ctx context.Context, top *topology.Topology, recs []observe.Store, cfg Config, prev *Plan) ([]*Result, []EpochInfo, *Plan, error) {
 	results := make([]*Result, len(recs))
 	infos := make([]EpochInfo, len(recs))
@@ -291,10 +403,11 @@ func advance(ctx context.Context, top *topology.Topology, recs []observe.Store, 
 	plan := prev
 	run := 0 // recs[i-run:i] await the solve tail against plan
 	// flush solves the pending run ending before store end. A tier-1
-	// repair inside the run is sound: Repair only re-keys the plan —
-	// structure, rows and factorization are untouched — so earlier
-	// stores of the run still solve over exactly the state their own
-	// call would have used.
+	// repair of the current plan inside the run is sound: Repair only
+	// re-keys the plan — structure, rows and factorization are
+	// untouched — so earlier stores of the run still solve over exactly
+	// the state their own call would have used. A recall switches plans
+	// and so flushes first (reusable's drain).
 	flush := func(end int) error {
 		if run == 0 {
 			return nil
@@ -315,11 +428,13 @@ func advance(ctx context.Context, top *topology.Topology, recs []observe.Store, 
 			return nil, fmt.Errorf("core: recorder has %d paths, topology has %d", rec.NumPaths(), top.NumPaths())
 		}
 		if plan != nil {
-			var err error
-			if infos[i], err = plan.reusable(top, rec, cfg, func() error { return flush(i) }); err != nil {
+			next, info, err := plan.reusable(top, rec, cfg, func() error { return flush(i) })
+			if err != nil {
 				return nil, err
 			}
-			if infos[i].Warm {
+			infos[i] = info
+			if info.Warm {
+				plan = next
 				run++
 				continue
 			}
@@ -335,6 +450,9 @@ func advance(ctx context.Context, top *topology.Topology, recs []observe.Store, 
 			return nil, err
 		}
 		infos[i].BuildTime = time.Since(start)
+		if plan != nil && plan.top == top && configsEqual(plan.cfg, cfg) && !cfg.DisablePlanRepair {
+			fresh.retired = retire(plan.retired, plan)
+		}
 		plan, run = fresh, 1
 	}
 	if err := flush(len(recs)); err != nil {
@@ -382,6 +500,9 @@ func (b *builder) plan(ctx context.Context) (*Plan, error) {
 		goodLinks:  b.goodLinks,
 		restrict:   b.restrictPaths,
 		shardLinks: b.shardLinks,
+	}
+	for i := range pl.subsets {
+		pl.subsets[i].cover, pl.subsets[i].seedSet = nil, nil // build-only
 	}
 	nCols := len(b.subsets)
 	if len(b.rows) == 0 {
@@ -452,27 +573,16 @@ func (b *builder) plan(ctx context.Context) (*Plan, error) {
 				colMap = append(colMap, c)
 			}
 		}
-		var mRows [][]float64
-		for ri, cols := range b.rows {
-			if !activeRows[ri] {
-				continue
-			}
-			row := make([]float64, len(colMap))
-			for _, c := range cols {
-				row[colIdx[c]] = 1
-			}
-			mRows = append(mRows, row)
-		}
 		pl.activeRows = activeRows
 		if len(colMap) == 0 {
 			pl.colMap = nil
 			return pl, nil
 		}
-		if len(mRows) >= len(colMap) {
-			// FromRows copies mRows, so the in-place factorization may
-			// destroy its result; the rank-deficient fallback below
-			// rebuilds from mRows.
-			f := linalg.FactorInPlace(linalg.FromRows(mRows))
+		// The in-place factorization destroys its input, so the
+		// rank-deficient fallback below rebuilds the system.
+		sys := reducedSystem(b.rows, activeRows, colIdx, len(colMap))
+		if sys.Rows >= len(colMap) {
+			f := linalg.FactorInPlace(sys)
 			if f.FullColumnRank() {
 				pl.colMap = colMap
 				pl.qr = f
@@ -482,7 +592,7 @@ func (b *builder) plan(ctx context.Context) (*Plan, error) {
 		// Rank fell after dropping rows (or the system is
 		// under-determined): recompute identifiability on the reduced
 		// system and iterate.
-		ns := linalg.NullSpaceBasis(linalg.FromRows(mRows))
+		ns := linalg.NullSpaceBasis(reducedSystem(b.rows, activeRows, colIdx, len(colMap)))
 		for k, c := range colMap {
 			for j := 0; j < ns.Cols; j++ {
 				if math.Abs(ns.At(k, j)) > 1e-7 {
@@ -497,6 +607,37 @@ func (b *builder) plan(ctx context.Context) (*Plan, error) {
 			return nil, linalg.ErrRankDeficient
 		}
 	}
+}
+
+// reducedSystem builds the dense 0/1 system plan() factors: one row
+// per active equation, one column per identifiable subset (colIdx maps
+// a subset to its column, -1 when dropped). With no active row it is
+// 0×0, as linalg.FromRows builds an empty system. factor rebuilds a
+// retired plan's factorization through it too, which is what makes a
+// recall bit-identical to the build.
+func reducedSystem(rows [][]int, activeRows []bool, colIdx []int, n int) *linalg.Matrix {
+	active := 0
+	for _, a := range activeRows {
+		if a {
+			active++
+		}
+	}
+	if active == 0 {
+		return linalg.NewMatrix(0, 0)
+	}
+	m := linalg.NewMatrix(active, n)
+	r := 0
+	for ri, cols := range rows {
+		if !activeRows[ri] {
+			continue
+		}
+		row := m.Row(r)
+		for _, c := range cols {
+			row[colIdx[c]] = 1
+		}
+		r++
+	}
+	return m
 }
 
 // MergeResults assembles per-shard restricted Results (one per

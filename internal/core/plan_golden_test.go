@@ -177,3 +177,55 @@ func TestPlanFingerprintGolden(t *testing.T) {
 		})
 	}
 }
+
+// TestAugmentCandidateCountGolden pins how many candidate path sets
+// augmentation evaluates on the golden fixtures whose augmentation does
+// real work. The per-subset cursors evaluate each candidate at most
+// once; restarting every subset's enumeration each round evaluated
+// 1 / 2,732 / 2,644 / 2,731 to commit the same path sets (which
+// TestPlanFingerprintGolden pins).
+func TestAugmentCandidateCountGolden(t *testing.T) {
+	cfg := Config{MaxSubsetSize: 2, AlwaysGoodTol: 0.02}
+	briteTop, sparseTop := smallTopology(t, false), smallTopology(t, true)
+	briteRec := observe.NewRecorder(briteTop.NumPaths())
+	simulateInto(t, briteTop, false, 200, briteRec.Add)
+	sparseRec := observe.NewRecorder(sparseTop.NumPaths())
+	simulateInto(t, sparseTop, false, 200, sparseRec.Add)
+	window := stream.NewWindow(sparseTop.NumPaths(), 1000)
+	simulateInto(t, sparseTop, true, 1200, window.Add)
+	shardCfg := cfg
+	shardCfg.RestrictCorrSets = topology.NewPartition(sparseTop).ShardCorrSets(0)
+
+	for _, tc := range []struct {
+		name                 string
+		top                  *topology.Topology
+		rec                  observe.Store
+		cfg                  Config
+		evaluated, committed int
+	}{
+		{"brite-small", briteTop, briteRec, cfg, 1, 1},
+		{"sparse-small", sparseTop, sparseRec, cfg, 2623, 6},
+		{"stream-window", sparseTop, window, cfg, 2508, 6},
+		{"federation-shard", sparseTop, sparseRec, shardCfg, 2622, 6},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ctx := context.Background()
+			b := newBuilder(tc.top, tc.rec, tc.cfg)
+			defer b.close()
+			if err := b.enumerate(ctx); err != nil {
+				t.Fatal(err)
+			}
+			if err := b.seed(ctx); err != nil {
+				t.Fatal(err)
+			}
+			seeds := len(b.rows)
+			if err := b.augment(ctx); err != nil {
+				t.Fatal(err)
+			}
+			if b.evaluated != tc.evaluated || len(b.rows)-seeds != tc.committed {
+				t.Errorf("evaluated %d candidates to commit %d, want %d and %d",
+					b.evaluated, len(b.rows)-seeds, tc.evaluated, tc.committed)
+			}
+		})
+	}
+}

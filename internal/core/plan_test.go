@@ -554,3 +554,305 @@ func TestRestrictedSolveMatchesShardSlice(t *testing.T) {
 		}
 	}
 }
+
+// oscillationStores streams driftTopology through a window the size of
+// one epoch, so each epoch's frontier is its own: odd epochs run
+// driftEpoch's frontier move, even ones do not. The good-link
+// frontier then flips A/B/A/B… (link 4 leaves it whenever path 2 and
+// path 7 both congest) while the flappy paths drift inside each
+// frontier.
+func oscillationStores(top *topology.Topology, seed int64, epochs int) []observe.Store {
+	const intervals = 400
+	rng := rand.New(rand.NewSource(seed))
+	w := stream.NewWindow(top.NumPaths(), intervals)
+	stores := make([]observe.Store, epochs)
+	for epoch := range stores {
+		driftEpoch(w, rng, top.NumPaths(), intervals, epoch%2 == 1)
+		stores[epoch] = w.Clone()
+	}
+	return stores
+}
+
+// chainTally classifies a chain's epochs from their EpochInfo alone: a
+// recall is a Repaired epoch whose frontier differs from the previous
+// epoch's (a re-key of the current plan keeps the frontier).
+type chainTally struct {
+	cold, recalls, rekeys, warm int
+	frontiers                   map[string]bool
+}
+
+func tallyChain(t *testing.T, label string, infos []EpochInfo, plans []*Plan) chainTally {
+	t.Helper()
+	tally := chainTally{frontiers: map[string]bool{}}
+	prevFrontier := ""
+	for i, info := range infos {
+		frontier := plans[i].goodLinks.Key()
+		switch {
+		case !info.Warm:
+			tally.cold++
+		case info.Repaired && frontier != prevFrontier:
+			tally.recalls++
+			if i == 0 || plans[i] == plans[i-1] {
+				t.Fatalf("%s epoch %d: recall reported but the plan did not change", label, i)
+			}
+			if info.BuildTime != 0 || info.RepairTime <= 0 {
+				t.Fatalf("%s epoch %d: recall timed as %+v", label, i, info)
+			}
+		case info.Repaired:
+			tally.rekeys++
+		default:
+			tally.warm++
+		}
+		tally.frontiers[frontier] = true
+		prevFrontier = frontier
+		if len(plans[i].retired) > maxRetainedPlans-1 {
+			t.Fatalf("%s epoch %d: %d retired plans", label, i, len(plans[i].retired))
+		}
+	}
+	return tally
+}
+
+// On a frontier that oscillates between two states, tier-1 recalls the
+// plan built for the returning frontier instead of rebuilding it: the
+// chain runs exactly one cold build per distinct frontier, and every
+// epoch — recalled ones included — stays bit-identical to a stateless
+// Compute. A RestrictCorrSets shard holding the moving link behaves the
+// same way.
+func TestPlanRecallUnderFrontierOscillation(t *testing.T) {
+	top := driftTopology(t)
+	cfg := Config{MaxSubsetSize: 2, AlwaysGoodTol: 0.02}
+	shardCfg := cfg
+	shardCfg.RestrictCorrSets = topology.NewPartition(top).ShardCorrSets(0) // links 0–5
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{{"plain", cfg}, {"restricted-shard", shardCfg}} {
+		t.Run(tc.name, func(t *testing.T) {
+			stores := oscillationStores(top, 3, 16)
+			infos := make([]EpochInfo, len(stores))
+			plans := make([]*Plan, len(stores))
+			var plan *Plan
+			for i, rec := range stores {
+				var res *Result
+				res, infos[i], plan = computeOne(t, top, rec, tc.cfg, plan)
+				plans[i] = plan
+				cold, err := Compute(context.Background(), top, rec, tc.cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				resultsEqual(t, fmt.Sprintf("epoch %d", i), res, cold)
+			}
+			tally := tallyChain(t, tc.name, infos, plans)
+			if len(tally.frontiers) != 2 {
+				t.Fatalf("schedule visited %d frontiers, want 2", len(tally.frontiers))
+			}
+			if tally.cold != len(tally.frontiers) {
+				t.Fatalf("%d cold builds for %d distinct frontiers", tally.cold, len(tally.frontiers))
+			}
+			if tally.recalls == 0 || tally.warm+tally.rekeys == 0 {
+				t.Fatalf("schedule too narrow: %+v", tally)
+			}
+		})
+	}
+}
+
+// A recall in the middle of a K-store ComputePlannedBatch switches the
+// serving plan under a pending run: the batch must drain that run
+// first and reproduce the one-store-at-a-time chain store for store.
+func TestComputePlannedBatchRecallMidRun(t *testing.T) {
+	top := driftTopology(t)
+	cfg := Config{MaxSubsetSize: 2, AlwaysGoodTol: 0.02}
+	stores := oscillationStores(top, 3, 16)
+	sequential, seqInfos, _ := sequentialChain(t, top, stores, cfg)
+	batched, infos, _, err := ComputePlannedBatch(context.Background(), top, stores, cfg, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	midRunRecall := false
+	for i := range stores {
+		resultsEqual(t, fmt.Sprintf("store %d", i), batched[i], sequential[i])
+		infosAgree(t, i, infos[i], seqInfos[i])
+		if i > 0 && infos[i-1].Warm && infos[i].Repaired &&
+			!batched[i].AlwaysGoodLinks.Equal(batched[i-1].AlwaysGoodLinks) {
+			midRunRecall = true
+		}
+	}
+	if !midRunRecall {
+		t.Fatal("no recall landed behind a pending warm run")
+	}
+}
+
+// toggleTopology has n links, each its own correlation set, each
+// covered by a dedicated toggle path and by one spanning path: link i
+// leaves the good-link frontier exactly when toggle path i congests,
+// so every subset of links is a frontier some store selects.
+func toggleTopology(t *testing.T, n int) *topology.Topology {
+	t.Helper()
+	links := make([]topology.Link, n)
+	paths := make([]topology.Path, n+1)
+	corrSets := make([][]int, n)
+	spanning := make([]int, n)
+	for i := range links {
+		links[i] = topology.Link{ID: i, AS: i}
+		paths[i] = topology.Path{ID: i, Links: []int{i}}
+		corrSets[i] = []int{i}
+		spanning[i] = i
+	}
+	paths[n] = topology.Path{ID: n, Links: spanning}
+	top, err := topology.NewChecked(links, paths, corrSets)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return top
+}
+
+// toggleStore records a store whose potentially congested links are
+// the bits of mask.
+func toggleStore(top *topology.Topology, mask int, seed int64) observe.Store {
+	rng := rand.New(rand.NewSource(seed))
+	rec := observe.NewRecorder(top.NumPaths())
+	cong := bitset.New(top.NumLinks())
+	for i := 0; i < 300; i++ {
+		cong.Clear()
+		for e := 0; e < top.NumLinks(); e++ {
+			if mask&(1<<e) != 0 && rng.Float64() < 0.3 {
+				cong.Add(e)
+			}
+		}
+		paths := bitset.New(top.NumPaths())
+		for p := 0; p < top.NumPaths(); p++ {
+			if top.PathLinks(p).Intersects(cong) {
+				paths.Add(p)
+			}
+		}
+		rec.Add(paths)
+	}
+	return rec
+}
+
+// retiredFrontiers lists a chain's retired plans by potentially
+// congested mask, oldest first.
+func retiredFrontiers(pl *Plan) []int {
+	var masks []int
+	for _, r := range pl.retired {
+		mask := 0
+		r.potLinks.ForEach(func(e int) bool {
+			mask |= 1 << e
+			return true
+		})
+		masks = append(masks, mask)
+	}
+	return masks
+}
+
+// The chain keeps at most seven retired plans and evicts the oldest
+// first; a config change starts a new chain; a recalled plan takes the
+// old current's place in the list.
+func TestPlanChainRetention(t *testing.T) {
+	top := toggleTopology(t, 4)
+	cfg := Config{MaxSubsetSize: 2, AlwaysGoodTol: 0.02}
+	var plan *Plan
+	solve := func(mask int) EpochInfo {
+		t.Helper()
+		rec := toggleStore(top, mask, int64(mask))
+		res, info, next := computeOne(t, top, rec, cfg, plan)
+		cold, err := Compute(context.Background(), top, rec, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resultsEqual(t, fmt.Sprintf("mask %b", mask), res, cold)
+		plan = next
+		return info
+	}
+	for mask := 1; mask <= 9; mask++ {
+		if info := solve(mask); info.Warm || (mask > 1 && !info.RepairFailed) {
+			t.Fatalf("mask %b: new frontier served as %+v", mask, info.Tier)
+		}
+	}
+	if got, want := fmt.Sprint(retiredFrontiers(plan)), fmt.Sprint([]int{2, 3, 4, 5, 6, 7, 8}); got != want {
+		t.Fatalf("retired frontiers %s, want %s (mask 1 evicted first)", got, want)
+	}
+	if info := solve(3); !info.Warm || !info.Repaired || info.BuildTime != 0 {
+		t.Fatalf("retained frontier not recalled: %+v", info)
+	}
+	if got, want := fmt.Sprint(retiredFrontiers(plan)), fmt.Sprint([]int{2, 4, 5, 6, 7, 8, 9}); got != want {
+		t.Fatalf("after recall retired frontiers %s, want %s", got, want)
+	}
+	for _, r := range plan.retired {
+		if r.qr != nil || r.batchSlab != nil || r.retired != nil {
+			t.Fatal("a retired plan kept its factorization, scratch or chain")
+		}
+	}
+	if info := solve(1); info.Warm {
+		t.Fatalf("evicted frontier served warm: %+v", info)
+	}
+	if got, want := fmt.Sprint(retiredFrontiers(plan)), fmt.Sprint([]int{4, 5, 6, 7, 8, 9, 3}); got != want {
+		t.Fatalf("after rebuild retired frontiers %s, want %s", got, want)
+	}
+
+	cfg.MaxSubsetSize = 1
+	if info := solve(2); info.Warm || info.RepairFailed {
+		t.Fatalf("config change served as %+v", info.Tier)
+	}
+	if len(plan.retired) != 0 {
+		t.Fatalf("config change kept %d retired plans", len(plan.retired))
+	}
+}
+
+// A plan tier-2 patched no longer has a cold build's structure, so it
+// is dropped rather than retired and never recalled: returning to the
+// frontier it was built for rebuilds.
+func TestPlanChainDropsNumericallyRepaired(t *testing.T) {
+	top := toggleTopology(t, 4)
+	// One moved link out of two passes the Δ gate; the 3-link moves
+	// below do not.
+	cfg := Config{MaxSubsetSize: 2, AlwaysGoodTol: 0.02, NumericalPlanRepair: true, NumericalRepairMaxFrac: 0.5}
+	var plan *Plan
+	solve := func(mask int) EpochInfo {
+		t.Helper()
+		var info EpochInfo
+		_, info, plan = computeOne(t, top, toggleStore(top, mask, int64(mask)), cfg, plan)
+		return info
+	}
+	solve(0b0011)
+	patched := plan
+	if info := solve(0b0001); !info.RepairedNumeric || plan != patched {
+		t.Fatalf("frontier move not patched: %+v", info.Tier)
+	}
+	if info := solve(0b1100); info.Warm {
+		t.Fatalf("3-link move passed the Δ gate: %+v", info.Tier)
+	}
+	if len(plan.retired) != 0 {
+		t.Fatal("the tier-2-patched plan was retired")
+	}
+	if info := solve(0b0001); info.Warm || !info.RepairFailed {
+		t.Fatalf("patched plan's original frontier served as %+v", info.Tier)
+	}
+}
+
+// A batch that fails after a recall has already retired prev leaves
+// prev usable: the caller keeps it, and its next epoch refactors it and
+// still matches Compute.
+func TestPlanUsableAfterFailedRecallBatch(t *testing.T) {
+	top := toggleTopology(t, 4)
+	cfg := Config{MaxSubsetSize: 2, AlwaysGoodTol: 0.02}
+	storeA, storeB := toggleStore(top, 0b0011, 1), toggleStore(top, 0b0110, 2)
+	_, _, plan := computeOne(t, top, storeA, cfg, nil)
+	_, _, prev := computeOne(t, top, storeB, cfg, plan)
+	bad := observe.NewRecorder(top.NumPaths() - 1)
+	if _, _, _, err := ComputePlannedBatch(context.Background(), top, []observe.Store{storeA, bad}, cfg, prev); err == nil {
+		t.Fatal("mismatched store accepted")
+	}
+	if prev.qr != nil {
+		t.Fatal("the recall did not retire prev; the test no longer covers the failed-batch path")
+	}
+	res, info, _ := computeOne(t, top, storeB, cfg, prev)
+	if !info.Warm {
+		t.Fatalf("prev's own frontier served as %+v", info.Tier)
+	}
+	cold, err := Compute(context.Background(), top, storeB, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resultsEqual(t, "prev after a failed batch", res, cold)
+}

@@ -37,7 +37,7 @@ var (
 		"HTTP request latency by route pattern.", telemetry.ExpBuckets(1e-4, 4, 10), "route")
 
 	metricEpochSolves = telemetry.Default().CounterVec("tomod_epoch_solves_total",
-		"Published epoch solves by plan path: cold (structural rebuild), warm (carried-forward plan), repaired (warm after the tier-1 Plan.Repair re-key), repaired_numeric (warm after the tier-2 Plan.RepairNumeric factorization patch).", "path")
+		"Published epoch solves by plan path: cold (structural rebuild), warm (carried-forward plan), repaired (warm after the tier-1 re-key of the current plan, or the recall of a retained plan built for the same good-link frontier), repaired_numeric (warm after the tier-2 Plan.RepairNumeric factorization patch).", "path")
 	solvesCold            = metricEpochSolves.With("cold")
 	solvesWarm            = metricEpochSolves.With("warm")
 	solvesRepaired        = metricEpochSolves.With("repaired")
