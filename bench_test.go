@@ -10,7 +10,9 @@
 package tomography
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -552,6 +554,56 @@ func BenchmarkSnapshotQuery(b *testing.B) {
 	b.Run("link", func(b *testing.B) { serve(b, http.MethodGet, "/v1/links/3") })
 	b.Run("status", func(b *testing.B) { serve(b, http.MethodGet, "/v1/status") })
 	b.Run("congested-paths", func(b *testing.B) { serve(b, http.MethodGet, "/v1/paths/congested?min=0.25") })
+}
+
+// BenchmarkIngestHandler measures POST /v1/observations through
+// Server.Handler() — body read, decode and validation, window add and
+// the response envelope — on a bulk_ingest-shaped batch: 50 intervals
+// of ≈ 365 congested paths over a 1,500-path universe, WAL off. Under
+// the alloc gate: decoding allocates one set per interval and nothing
+// per index, so a decoder that starts allocating per index shows here.
+func BenchmarkIngestHandler(b *testing.B) {
+	const numPaths, intervals, congested = 1500, 50, 365
+	links := make([]topology.Link, numPaths)
+	paths := make([]topology.Path, numPaths)
+	for i := range paths {
+		links[i] = topology.Link{ID: i, AS: -1}
+		paths[i] = topology.Path{ID: i, Links: []int{i}}
+	}
+	top, err := topology.NewChecked(links, paths, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	s, err := server.New(top, server.Config{WindowSize: 1000})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer s.Close()
+	rng := rand.New(rand.NewSource(1))
+	req := server.ObservationsRequest{Intervals: make([]server.IntervalObs, intervals)}
+	for i := range req.Intervals {
+		for p := 0; p < numPaths; p++ {
+			if rng.Intn(numPaths) < congested {
+				req.Intervals[i].CongestedPaths = append(req.Intervals[i].CongestedPaths, p)
+			}
+		}
+	}
+	body, err := json.Marshal(req)
+	if err != nil {
+		b.Fatal(err)
+	}
+	handler := s.Handler()
+	b.SetBytes(int64(len(body)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rw := httptest.NewRecorder()
+		handler.ServeHTTP(rw, httptest.NewRequest(http.MethodPost, "/v1/observations", bytes.NewReader(body)))
+		if rw.Code != http.StatusOK {
+			b.Fatalf("ingest answered %d: %s", rw.Code, rw.Body)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/1e3/float64(b.N*intervals), "us/interval")
 }
 
 // BenchmarkFigure4Parallel measures the parallel experiment engine:

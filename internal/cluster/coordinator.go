@@ -344,13 +344,21 @@ func (c *Coordinator) SolveShard(ctx context.Context, shard int, _ *stream.Windo
 		}
 		return server.ShardSolve{}, fmt.Errorf("%w: shard %d: %v", server.ErrShardUnavailable, shard, err)
 	}
+	// A block for another shard, or one naming a link, path or
+	// correlation set outside the topology, is refused like a transport
+	// failure: the worker cannot serve until the health loop rejoins it.
+	var res *core.Result
 	if resp.Shard != shard {
-		err := fmt.Errorf("worker %s answered for shard %d, wanted %d", h.id, resp.Shard, shard)
+		err = fmt.Errorf("worker %s answered for shard %d, wanted %d", h.id, resp.Shard, shard)
+	} else if res, err = resp.decodeResult(c.top); err != nil {
+		err = fmt.Errorf("worker %s sent an invalid shard %d block: %w", h.id, shard, err)
+	}
+	if err != nil {
 		c.markUnreachable(h, err)
 		return server.ShardSolve{}, fmt.Errorf("%w: %v", server.ErrShardUnavailable, err)
 	}
 	return server.ShardSolve{
-		Res:     resp.decodeResult(c.top.NumPaths(), c.top.NumLinks()),
+		Res:     res,
 		SeqHigh: resp.SeqHigh,
 		T:       resp.T,
 		Info: estimator.SolveInfo{

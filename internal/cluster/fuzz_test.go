@@ -2,13 +2,18 @@ package cluster
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/bitset"
+	"repro/internal/estimator"
+	"repro/internal/server"
 	"repro/internal/topology"
 )
 
@@ -124,6 +129,118 @@ func FuzzWorkerIngest(f *testing.F) {
 			want.IntersectWith(mask)
 			if got := win.CongestedAt(i); !got.Equal(want) {
 				t.Fatalf("row %d holds %v, want %v", i, got.Indices(), want.Indices())
+			}
+		}
+	})
+}
+
+// recorderTransport serves every request in-process from h through an
+// httptest recorder.
+type recorderTransport struct{ h http.Handler }
+
+func (t recorderTransport) RoundTrip(r *http.Request) (*http.Response, error) {
+	rw := httptest.NewRecorder()
+	t.h.ServeHTTP(rw, r)
+	return rw.Result(), nil
+}
+
+// FuzzShardResult answers the coordinator's shard-0 result RPC with
+// arbitrary bodies from an httptest stub worker. SolveShard never
+// panics: it returns a block whose sets all lie inside their universes
+// and whose subsets name correlation sets of the topology, or an error
+// wrapping server.ErrShardUnavailable.
+func FuzzShardResult(f *testing.F) {
+	top := shardedTopology(f)
+	sv, err := estimator.NewShardedSolver(top, testSolverOpts()...)
+	if err != nil {
+		f.Fatal(err)
+	}
+	rec := randomRecorder(top, 200, 7)
+	res, info, err := sv.SolveShard(context.Background(), 0, rec)
+	if err != nil {
+		f.Fatal(err)
+	}
+	if len(res.Subsets) < 2 || len(res.PathSets) < 2 {
+		f.Fatal("shard 0 solved to a block of fewer than two subsets or path sets")
+	}
+	answer := func(edit func(*ShardResultResponse)) []byte {
+		resp := encodeResult(0, 200, rec.T(), res, info)
+		// Two of each keep the seeds small: on inputs the size of the
+		// whole block the mutator barely advances.
+		resp.Subsets, resp.PathSets = resp.Subsets[:2], resp.PathSets[:2]
+		edit(resp)
+		data, err := json.Marshal(resp)
+		if err != nil {
+			f.Fatal(err)
+		}
+		env, err := json.Marshal(envelope{WireVersion: WireVersion, Data: data})
+		if err != nil {
+			f.Fatal(err)
+		}
+		return env
+	}
+	for _, seed := range [][]byte{
+		answer(func(*ShardResultResponse) {}),
+		answer(func(r *ShardResultResponse) { r.Subsets[0].Links = append(r.Subsets[0].Links, -1) }),
+		answer(func(r *ShardResultResponse) { r.Subsets[0].Links = append(r.Subsets[0].Links, top.NumLinks()) }),
+		answer(func(r *ShardResultResponse) { r.Subsets[0].Links = append(r.Subsets[0].Links, 1<<20) }),
+		answer(func(r *ShardResultResponse) { r.PathSets[0] = append(r.PathSets[0], -1) }),
+		answer(func(r *ShardResultResponse) { r.PathSets[0] = append(r.PathSets[0], top.NumPaths()) }),
+		answer(func(r *ShardResultResponse) { r.Subsets[0].CorrSet = -1 }),
+		answer(func(r *ShardResultResponse) { r.Subsets[0].CorrSet = len(top.CorrSets) }),
+		answer(func(r *ShardResultResponse) { r.Shard = 1 }),
+		[]byte(`{"wire_version":"c2","data":{"shard":0}}`),
+		[]byte(`{"wire_version":"c2","error":{"code":"solver_failed","message":"singular"}}`),
+		[]byte(`{"wire_version":"c1","data":{"shard":0}}`),
+		[]byte(`{"wire_version":"c2","data":{"shard":0,"path_sets":[[1e40]]}}`),
+		[]byte(`not json`),
+		nil,
+	} {
+		f.Add(seed)
+	}
+
+	var body atomic.Pointer[[]byte]
+	stub := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "application/json")
+		w.Write(*body.Load())
+	})
+	c, err := NewCoordinator(CoordinatorConfig{
+		Topology:   top,
+		Workers:    []WorkerSpec{{Addr: "http://stub"}},
+		WindowSize: 8,
+		SolverOpts: testSolverOpts(),
+		Logger:     discardLogger(),
+		Retries:    -1,
+	})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Cleanup(c.Close)
+	h := c.owner[0]
+	// In-process round trips: no sockets or connection-pool goroutines,
+	// whose varying coverage would make every input look new.
+	h.client.hc = &http.Client{Transport: recorderTransport{stub}}
+
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		body.Store(&raw)
+		h.mu.Lock()
+		h.state = stateHealthy // a refused block latched it out
+		h.mu.Unlock()
+		sol, err := c.SolveShard(context.Background(), 0, nil)
+		if err != nil {
+			if !errors.Is(err, server.ErrShardUnavailable) {
+				t.Fatalf("SolveShard error %v does not wrap ErrShardUnavailable", err)
+			}
+			return
+		}
+		for i, sub := range sol.Res.Subsets {
+			if sub.Links.Len() != top.NumLinks() || sub.CorrSet < 0 || sub.CorrSet >= len(top.CorrSets) {
+				t.Fatalf("subset %d: %d-link universe, correlation set %d", i, sub.Links.Len(), sub.CorrSet)
+			}
+		}
+		for i, ps := range sol.Res.PathSets {
+			if ps.Len() != top.NumPaths() {
+				t.Fatalf("path set %d over a %d-path universe, want %d", i, ps.Len(), top.NumPaths())
 			}
 		}
 	})

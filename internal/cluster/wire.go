@@ -232,17 +232,28 @@ func encodeResult(shard int, seqHigh uint64, t int, res *core.Result, info estim
 	return out
 }
 
-// decodeResult reconstructs the block over the given universe sizes.
-// Unidentifiable subsets get their NaN back.
-func (r *ShardResultResponse) decodeResult(numPaths, numLinks int) *core.Result {
+// decodeResult reconstructs the block over top's universes.
+// Unidentifiable subsets get their NaN back. The block comes from
+// another process, so it is refused unless every link and path index
+// lies in its universe and every subset names a correlation set of top:
+// bitset.Add panics on a negative index and grows a set to fit a huge
+// one.
+func (r *ShardResultResponse) decodeResult(top *topology.Topology) (*core.Result, error) {
 	subsets := make([]core.SubsetResult, len(r.Subsets))
 	for i, ws := range r.Subsets {
+		if ws.CorrSet < 0 || ws.CorrSet >= len(top.CorrSets) {
+			return nil, fmt.Errorf("subset %d: correlation set %d outside [0,%d)", i, ws.CorrSet, len(top.CorrSets))
+		}
+		links, err := indexSet(top.NumLinks(), ws.Links)
+		if err != nil {
+			return nil, fmt.Errorf("subset %d: link %v", i, err)
+		}
 		g := math.NaN()
 		if ws.GoodProb != nil {
 			g = *ws.GoodProb
 		}
 		subsets[i] = core.SubsetResult{
-			Links:        bitset.FromIndices(numLinks, ws.Links...),
+			Links:        links,
 			CorrSet:      ws.CorrSet,
 			GoodProb:     g,
 			Identifiable: ws.Identifiable,
@@ -250,9 +261,26 @@ func (r *ShardResultResponse) decodeResult(numPaths, numLinks int) *core.Result 
 	}
 	pathSets := make([]*bitset.Set, len(r.PathSets))
 	for i, ps := range r.PathSets {
-		pathSets[i] = bitset.FromIndices(numPaths, ps...)
+		set, err := indexSet(top.NumPaths(), ps)
+		if err != nil {
+			return nil, fmt.Errorf("path set %d: path %v", i, err)
+		}
+		pathSets[i] = set
 	}
-	return core.NewShardResult(subsets, pathSets, r.Rank, r.Nullity, r.ClampedRows)
+	return core.NewShardResult(subsets, pathSets, r.Rank, r.Nullity, r.ClampedRows), nil
+}
+
+// indexSet is the set of indices over [0, n), or an error naming the
+// first index outside it.
+func indexSet(n int, indices []int) (*bitset.Set, error) {
+	set := bitset.New(n)
+	for _, i := range indices {
+		if i < 0 || i >= n {
+			return nil, fmt.Errorf("%d outside universe [0,%d)", i, n)
+		}
+		set.Add(i)
+	}
+	return set, nil
 }
 
 // intervalsOf flattens a batch of congested-path sets into wire

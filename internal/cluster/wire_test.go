@@ -100,7 +100,10 @@ func TestResultWireRoundTrip(t *testing.T) {
 		if over.Shard != shard || over.SeqHigh != 200 || over.T != rec.T() {
 			t.Fatalf("shard %d: header mangled: %+v", shard, over)
 		}
-		got := over.decodeResult(top.NumPaths(), top.NumLinks())
+		got, err := over.decodeResult(top)
+		if err != nil {
+			t.Fatalf("shard %d: %v", shard, err)
+		}
 		if len(got.Subsets) != len(res.Subsets) {
 			t.Fatalf("shard %d: %d subsets, want %d", shard, len(got.Subsets), len(res.Subsets))
 		}

@@ -4,13 +4,13 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"runtime"
 	"sort"
 	"strconv"
 	"time"
 
-	"repro/internal/bitset"
 	"repro/internal/core"
 	"repro/internal/estimator"
 	"repro/internal/telemetry"
@@ -333,34 +333,52 @@ func withMetrics(h http.Handler) http.Handler {
 	})
 }
 
-// writeData wraps v in the versioned envelope.
+// dataPrefix and dataSuffix frame a data payload exactly as encoding
+// Envelope{APIVersion: APIVersion, Data: raw} does, newline included.
+const (
+	dataPrefix = `{"api_version":"` + APIVersion + `","data":`
+	dataSuffix = "}\n"
+)
+
+// writeData wraps v in the versioned envelope. v is encoded once and the
+// envelope written around its bytes: passing them through Envelope.Data
+// would have encoding/json validate and compact them a second time. The
+// bytes are the same, since json.Marshal output is already compact and
+// HTML-escaped.
 func writeData(w http.ResponseWriter, status int, v any) {
 	raw, err := json.Marshal(v)
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, CodeInternal, "encoding response: %v", err)
 		return
 	}
-	writeEnvelope(w, status, Envelope{APIVersion: APIVersion, Data: raw})
+	out := make([]byte, 0, len(dataPrefix)+len(raw)+len(dataSuffix))
+	out = append(append(append(out, dataPrefix...), raw...), dataSuffix...)
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(status)
+	w.Write(out)
 }
 
 // writeError wraps a machine-readable error in the versioned envelope.
 func writeError(w http.ResponseWriter, status int, code, format string, args ...any) {
-	writeEnvelope(w, status, Envelope{
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(status)
+	json.NewEncoder(w).Encode(Envelope{
 		APIVersion: APIVersion,
 		Error:      &APIError{Code: code, Message: fmt.Sprintf(format, args...)},
 	})
 }
 
-func writeEnvelope(w http.ResponseWriter, status int, env Envelope) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(env)
-}
-
+// handleObservations ingests one batch. The body is read whole, up to
+// MaxIngestBytes — a longer body is a 413 even when its JSON value ends
+// before the limit — and decoded by decodeObservations: one pass that
+// checks every path against the universe as it sets it, for bodies in
+// the canonical shape, and encoding/json for any other. The batch is
+// then applied atomically by Ingest.
 func (s *Server) handleObservations(w http.ResponseWriter, r *http.Request) {
-	var req ObservationsRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.cfg.MaxIngestBytes))
-	if err := dec.Decode(&req); err != nil {
+	// Not presized from Content-Length: a lying header would make the
+	// request allocate up to the limit before a byte arrives.
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxIngestBytes))
+	if err != nil {
 		var tooLarge *http.MaxBytesError
 		if errors.As(err, &tooLarge) {
 			rejTooLarge.Inc()
@@ -372,20 +390,16 @@ func (s *Server) handleObservations(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, CodeBadRequest, "decoding body: %v", err)
 		return
 	}
-	numPaths := s.top.NumPaths()
-	batch := make([]*bitset.Set, len(req.Intervals))
-	for i, iv := range req.Intervals {
-		set := bitset.New(numPaths)
-		for _, p := range iv.CongestedPaths {
-			if p < 0 || p >= numPaths {
-				rejBadPath.Inc()
-				writeError(w, http.StatusBadRequest, CodeBadRequest,
-					"interval %d: path %d outside universe [0,%d)", i, p, numPaths)
-				return
-			}
-			set.Add(p)
+	batch, err := decodeObservations(body, s.top.NumPaths())
+	if err != nil {
+		var bad *badPathError
+		if errors.As(err, &bad) {
+			rejBadPath.Inc()
+		} else {
+			rejBadRequest.Inc()
 		}
-		batch[i] = set
+		writeError(w, http.StatusBadRequest, CodeBadRequest, "%v", err)
+		return
 	}
 	seq, err := s.Ingest(batch)
 	if err != nil {

@@ -258,3 +258,28 @@ func TestErrorEnvelopeCodes(t *testing.T) {
 }
 
 func itoa(n int) string { return strconv.Itoa(n) }
+
+// writeData frames one json.Marshal of the payload; its bytes must be
+// those of encoding the Envelope, HTML escaping and newline included.
+func TestWriteDataMatchesEnvelope(t *testing.T) {
+	g := 0.5
+	for _, v := range []any{
+		HealthResponse{Status: "<ok> & " + string(rune(0x2028))},
+		SubsetsResponse{Subsets: []SubsetResponse{{Links: []int{1, 2}, GoodProb: &g}}},
+		nil,
+	} {
+		rw := httptest.NewRecorder()
+		writeData(rw, http.StatusOK, v)
+		raw, err := json.Marshal(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want strings.Builder
+		if err := json.NewEncoder(&want).Encode(Envelope{APIVersion: APIVersion, Data: raw}); err != nil {
+			t.Fatal(err)
+		}
+		if got := rw.Body.String(); got != want.String() {
+			t.Fatalf("writeData wrote %q, want %q", got, want.String())
+		}
+	}
+}
