@@ -21,6 +21,7 @@ import (
 	"testing"
 
 	"repro/internal/bitset"
+	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/estimator"
 	"repro/internal/experiment"
@@ -604,6 +605,77 @@ func BenchmarkIngestHandler(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/1e3/float64(b.N*intervals), "us/interval")
+}
+
+// BenchmarkClusterCodec times the two binary bodies a fed_cluster batch
+// crosses the wire in. "ingest" encodes and parses a 5-interval batch of
+// ≈ 515 congested paths each over a 2,800-path universe — one WAL record,
+// the POST /c1/ingest body. "result" encodes and decodes the solved
+// block of one Brite Medium() member, the shard a fed_cluster worker
+// ships on GET /c1/shards/{k}/result. Under the alloc gate: parsing
+// allocates one set per interval or per list and nothing per index.
+func BenchmarkClusterCodec(b *testing.B) {
+	// The block's solve is set-up, done once: b.Run calls each
+	// sub-benchmark several times while it sizes b.N.
+	top, err := experiment.BuildTopology(experiment.Brite, experiment.Medium(), 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(1))
+	model, err := netsim.NewModel(top, netsim.DefaultConfig(netsim.RandomCongestion), 1000, rng)
+	if err != nil {
+		b.Fatal(err)
+	}
+	win := stream.NewWindow(top.NumPaths(), 1000)
+	for t := 0; t < 1000; t++ {
+		win.Add(model.Interval(t, rng).CongestedPaths)
+	}
+	sv, err := estimator.NewShardedSolver(top, estimator.WithMaxSubsetSize(2), estimator.WithAlwaysGoodTol(0.02))
+	if err != nil {
+		b.Fatal(err)
+	}
+	res, info, err := sv.SolveShard(context.Background(), 0, win)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Run("ingest", func(b *testing.B) {
+		const numPaths, intervals, congested = 2800, 5, 515
+		rng := rand.New(rand.NewSource(1))
+		batch := make([]*bitset.Set, intervals)
+		for i := range batch {
+			batch[i] = bitset.New(numPaths)
+			for p := 0; p < numPaths; p++ {
+				if rng.Intn(numPaths) < congested {
+					batch[i].Add(p)
+				}
+			}
+		}
+		var rec []byte
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			rec = wal.AppendRecord(rec[:0], uint64(i), batch)
+			if _, _, err := wal.ParseRecord(rec, numPaths); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.SetBytes(int64(len(rec)))
+	})
+	b.Run("result", func(b *testing.B) {
+		block := &cluster.ShardResultResponse{SeqHigh: win.Seq(), T: win.T(), Tier: info.Tier, Result: res}
+		var body []byte
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			body = block.AppendTo(body[:0])
+			if _, err := cluster.ParseShardResult(body, top); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.SetBytes(int64(len(body)))
+		b.ReportMetric(float64(len(res.Subsets)), "subsets")
+		b.ReportMetric(float64(len(res.PathSets)), "path-sets")
+	})
 }
 
 // BenchmarkFigure4Parallel measures the parallel experiment engine:

@@ -18,6 +18,7 @@ import (
 	"repro/internal/server"
 	"repro/internal/stream"
 	"repro/internal/topology"
+	"repro/internal/wal"
 )
 
 // Worker lifecycle states as the coordinator sees them.
@@ -290,7 +291,8 @@ func (c *Coordinator) Forward(baseSeq uint64, batch []*bitset.Set) error {
 			return fmt.Errorf("%w: worker %s is %s", server.ErrShardUnavailable, h.id, st)
 		}
 	}
-	req := &IngestRequest{BaseSeq: baseSeq, Intervals: intervalsOf(batch)}
+	// One encoding, shared read-only by every worker's request.
+	rec := wal.AppendRecord(nil, baseSeq, batch)
 	start := time.Now()
 	errCh := make(chan error, len(c.workers))
 	n := 0
@@ -301,7 +303,7 @@ func (c *Coordinator) Forward(baseSeq uint64, batch []*bitset.Set) error {
 		n++
 		go func(h *workerHandle) {
 			var resp IngestResponse
-			if err := c.rpc(context.Background(), h, "ingest", http.MethodPost, "/c1/ingest", req, &resp); err != nil {
+			if err := c.rpc(context.Background(), h, "ingest", http.MethodPost, "/c1/ingest", rec, &resp); err != nil {
 				c.markUnreachable(h, err)
 				errCh <- fmt.Errorf("%w: worker %s: %v", server.ErrShardUnavailable, h.id, err)
 				return
@@ -331,8 +333,8 @@ func (c *Coordinator) SolveShard(ctx context.Context, shard int, _ *stream.Windo
 	if st := h.getState(); st != stateHealthy {
 		return server.ShardSolve{}, fmt.Errorf("%w: shard %d owner %s is %s", server.ErrShardUnavailable, shard, h.id, st)
 	}
-	var resp ShardResultResponse
-	err := c.rpc(ctx, h, "result", http.MethodGet, fmt.Sprintf("/c1/shards/%d/result", shard), nil, &resp)
+	var body []byte
+	err := c.rpc(ctx, h, "result", http.MethodGet, fmt.Sprintf("/c1/shards/%d/result", shard), nil, &body)
 	if err != nil {
 		// A solver failure means the worker is alive and the shard
 		// genuinely failed; anything else (transport, not_assigned
@@ -344,21 +346,22 @@ func (c *Coordinator) SolveShard(ctx context.Context, shard int, _ *stream.Windo
 		}
 		return server.ShardSolve{}, fmt.Errorf("%w: shard %d: %v", server.ErrShardUnavailable, shard, err)
 	}
-	// A block for another shard, or one naming a link, path or
-	// correlation set outside the topology, is refused like a transport
-	// failure: the worker cannot serve until the health loop rejoins it.
-	var res *core.Result
-	if resp.Shard != shard {
-		err = fmt.Errorf("worker %s answered for shard %d, wanted %d", h.id, resp.Shard, shard)
-	} else if res, err = resp.decodeResult(c.top); err != nil {
+	// A block for another shard, one naming a link, path or correlation
+	// set outside the topology, or a body that is not a c3 block at all
+	// is refused like a transport failure: the worker cannot serve until
+	// the health loop rejoins it.
+	resp, err := ParseShardResult(body, c.top)
+	if err != nil {
 		err = fmt.Errorf("worker %s sent an invalid shard %d block: %w", h.id, shard, err)
+	} else if resp.Shard != shard {
+		err = fmt.Errorf("worker %s answered for shard %d, wanted %d", h.id, resp.Shard, shard)
 	}
 	if err != nil {
 		c.markUnreachable(h, err)
 		return server.ShardSolve{}, fmt.Errorf("%w: %v", server.ErrShardUnavailable, err)
 	}
 	return server.ShardSolve{
-		Res:     res,
+		Res:     resp.Result,
 		SeqHigh: resp.SeqHigh,
 		T:       resp.T,
 		Info: estimator.SolveInfo{
@@ -465,16 +468,16 @@ func (c *Coordinator) catchUp(h *workerHandle, wseq uint64, win *stream.Window) 
 	for wseq < seq {
 		t := int(wseq - low)
 		end := min(t+catchUpChunk, win.T())
-		intervals := make([][]int, 0, end-t)
+		rows := make([]*bitset.Set, 0, end-t)
 		for i := t; i < end; i++ {
-			intervals = append(intervals, win.CongestedAt(i).Indices())
+			rows = append(rows, win.CongestedAt(i))
 		}
 		err := c.rpc(context.Background(), h, "catchup", http.MethodPost, "/c1/ingest",
-			&IngestRequest{BaseSeq: wseq, Intervals: intervals}, nil)
+			wal.AppendRecord(nil, wseq, rows), nil)
 		if err != nil {
 			return fmt.Errorf("replaying to %s: %w", h.id, err)
 		}
-		replayed += len(intervals)
+		replayed += len(rows)
 		wseq = low + uint64(end)
 	}
 	if replayed > 0 {

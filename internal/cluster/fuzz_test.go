@@ -3,18 +3,23 @@ package cluster
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
-	"fmt"
+	"hash/crc32"
+	"math"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"sync/atomic"
 	"testing"
 
 	"repro/internal/bitset"
+	"repro/internal/core"
 	"repro/internal/estimator"
 	"repro/internal/server"
 	"repro/internal/topology"
+	"repro/internal/wal"
 )
 
 // serveWire runs one request through h and decodes the envelope every
@@ -34,34 +39,50 @@ func serveWire(t testing.TB, h http.Handler, method, path string, body []byte) (
 }
 
 // FuzzWorkerIngest posts arbitrary POST /c1/ingest bodies to an
-// assigned worker reset to sequence 0. It never panics and always
-// answers with an envelope; a body naming a path outside the universe
-// is refused as bad_request with the sequence unchanged; and an
-// accepted batch round-trips — the window's rows are the body's
-// intervals masked to the worker's shard, the smallest one, so the
-// mask drops most paths.
+// assigned worker reset to sequence 0. When reframe is set, the body's
+// length prefix and checksum are rewritten to fit its payload first:
+// a random edit almost never keeps them right, and the mutator would
+// otherwise never get past the checksum. It never panics and always
+// answers with an envelope; a body that is not exactly one WAL record
+// over the path universe is refused as bad_request with the sequence
+// unchanged; an accepted body re-encodes to the same bytes, and its
+// batch round-trips — the window's rows are the record's intervals
+// masked to the worker's shard, the smallest one, so the mask drops
+// most paths.
 func FuzzWorkerIngest(f *testing.F) {
 	top := shardedTopology(f)
 	const window = 8
-	all := make([]int, top.NumPaths())
-	for p := range all {
-		all[p] = p
+	numPaths := top.NumPaths()
+	all := bitset.New(numPaths)
+	for p := 0; p < numPaths; p++ {
+		all.Add(p)
 	}
-	recorded, err := json.Marshal(&IngestRequest{Intervals: append(randomIntervals(top, 3, 1), all)})
-	if err != nil {
-		f.Fatal(err)
+	small := func() []byte {
+		return wal.AppendRecord(nil, 0, []*bitset.Set{bitset.FromIndices(numPaths, 0, 1), bitset.FromIndices(numPaths, 2), bitset.New(0)})
 	}
-	for _, seed := range []string{
-		string(recorded),
-		`{"base_seq":0,"intervals":[[0,1],[2],[]]}`,
-		`{"base_seq":0,"intervals":[[-1]]}`,
-		fmt.Sprintf(`{"intervals":[[0],[%d]]}`, top.NumPaths()),
-		`{"base_seq":7,"intervals":[[1]]}`,
-		`{"intervals":null}`,
-		`{"base_seq":-1}`,
-		`not json`,
+	badCRC := small()
+	badCRC[len(badCRC)-1] ^= 1
+	overrun := small() // the last interval claims 1000 paths
+	binary.LittleEndian.PutUint32(overrun[len(overrun)-4:], 1000)
+	descending := small() // first interval lists 1, 1
+	binary.LittleEndian.PutUint32(descending[24:], 1)
+	for _, seed := range []struct {
+		body    []byte
+		reframe bool
+	}{
+		{wal.AppendRecord(nil, 0, append(randomIntervals(top, 3, 1), all)), false},
+		{small(), false},
+		{wal.AppendRecord(nil, 0, []*bitset.Set{bitset.FromIndices(numPaths+1, 0, numPaths)}), false},
+		{wal.AppendRecord(nil, 7, []*bitset.Set{bitset.FromIndices(numPaths, 1)}), false},
+		{badCRC, false},
+		{overrun, true},
+		{descending, true},
+		{append(small(), 0), false},
+		{append(small(), 0, 0, 0, 0), true},
+		{[]byte(`{"base_seq":0,"intervals":[[0,1],[2],[]]}`), false},
+		{nil, false},
 	} {
-		f.Add([]byte(seed))
+		f.Add(seed.body, seed.reframe)
 	}
 
 	part := topology.NewPartition(top)
@@ -81,9 +102,13 @@ func FuzzWorkerIngest(f *testing.F) {
 	if code, env := serveWire(f, h, http.MethodPost, "/c1/assign", assign); code != http.StatusOK {
 		f.Fatalf("assign answered HTTP %d: %+v", code, env.Error)
 	}
-	numPaths := top.NumPaths()
 
-	f.Fuzz(func(t *testing.T, body []byte) {
+	f.Fuzz(func(t *testing.T, body []byte, reframe bool) {
+		if reframe && len(body) >= 8 {
+			body = bytes.Clone(body)
+			binary.LittleEndian.PutUint32(body, uint32(len(body)-8))
+			binary.LittleEndian.PutUint32(body[4:], crc32.Checksum(body[8:], crc32.MakeTable(crc32.Castagnoli)))
+		}
 		if code, env := serveWire(t, h, http.MethodPost, "/c1/reset", []byte(`{"seq":0}`)); code != http.StatusOK {
 			t.Fatalf("reset answered HTTP %d: %+v", code, env.Error)
 		}
@@ -92,19 +117,21 @@ func FuzzWorkerIngest(f *testing.F) {
 		win := wk.win.Clone()
 		wk.mu.Unlock()
 
-		// The oracle decodes the body the way the worker does.
-		var req IngestRequest
+		// The oracle parses the body the way the worker does.
+		base, batch, perr := wal.ParseRecord(body, numPaths)
 		wantCode := ""
-		if err := json.NewDecoder(bytes.NewReader(body)).Decode(&req); err != nil {
+		if perr != nil {
 			wantCode = CodeBadRequest
-		} else if req.BaseSeq > 0 {
+		} else if base > 0 {
 			wantCode = CodeSeqGap
-		} else {
-			for _, iv := range req.Intervals {
-				for _, p := range iv {
-					if p < 0 || p >= numPaths {
-						wantCode = CodeBadRequest
-					}
+		}
+		if perr == nil {
+			if again := wal.AppendRecord(nil, base, batch); !bytes.Equal(again, body) {
+				t.Fatalf("accepted record re-encodes to %x, want %x", again, body)
+			}
+			for i, set := range batch {
+				if set.Len() > numPaths {
+					t.Fatalf("interval %d decoded over a %d-path universe, want at most %d", i, set.Len(), numPaths)
 				}
 			}
 		}
@@ -120,12 +147,12 @@ func FuzzWorkerIngest(f *testing.F) {
 		if code != http.StatusOK || env.Error != nil {
 			t.Fatalf("valid body answered HTTP %d: %+v", code, env.Error)
 		}
-		n := len(req.Intervals)
+		n := len(batch)
 		if win.Seq() != uint64(n) || win.T() != min(n, window) {
 			t.Fatalf("accepted %d intervals: seq %d T %d", n, win.Seq(), win.T())
 		}
 		for i := 0; i < win.T(); i++ {
-			want := bitset.FromIndices(numPaths, req.Intervals[n-win.T()+i]...)
+			want := batch[n-win.T()+i].Clone()
 			want.IntersectWith(mask)
 			if got := win.CongestedAt(i); !got.Equal(want) {
 				t.Fatalf("row %d holds %v, want %v", i, got.Indices(), want.Indices())
@@ -145,10 +172,11 @@ func (t recorderTransport) RoundTrip(r *http.Request) (*http.Response, error) {
 }
 
 // FuzzShardResult answers the coordinator's shard-0 result RPC with
-// arbitrary bodies from an httptest stub worker. SolveShard never
-// panics: it returns a block whose sets all lie inside their universes
-// and whose subsets name correlation sets of the topology, or an error
-// wrapping server.ErrShardUnavailable.
+// arbitrary bodies from an httptest stub worker, at 200 or, when ok is
+// false, at 500. SolveShard never panics: it returns a block whose sets
+// all lie inside their universes, whose subsets name correlation sets
+// of the topology, and whose re-encoding is the body it came from — or
+// an error wrapping server.ErrShardUnavailable.
 func FuzzShardResult(f *testing.F) {
 	top := shardedTopology(f)
 	sv, err := estimator.NewShardedSolver(top, testSolverOpts()...)
@@ -160,49 +188,85 @@ func FuzzShardResult(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	if len(res.Subsets) < 2 || len(res.PathSets) < 2 {
-		f.Fatal("shard 0 solved to a block of fewer than two subsets or path sets")
+	multi := slices.IndexFunc(res.Subsets, func(s core.SubsetResult) bool { return s.Links.Count() >= 2 })
+	if len(res.Subsets) < 2 || len(res.PathSets) < 2 || multi < 0 {
+		f.Fatal("shard 0 solved to a block of fewer than two subsets or path sets, or with no subset of two links")
 	}
-	answer := func(edit func(*ShardResultResponse)) []byte {
-		resp := encodeResult(0, 200, rec.T(), res, info)
+	block := func(edit func(*ShardResultResponse)) []byte {
 		// Two of each keep the seeds small: on inputs the size of the
-		// whole block the mutator barely advances.
-		resp.Subsets, resp.PathSets = resp.Subsets[:2], resp.PathSets[:2]
+		// whole block the mutator barely advances. The first subset has
+		// two links or more, which the patched seeds below rely on.
+		subsets := []core.SubsetResult{res.Subsets[multi], res.Subsets[(multi+1)%len(res.Subsets)]}
+		pathSets := slices.Clone(res.PathSets[:2])
+		resp := &ShardResultResponse{
+			SeqHigh: 200, T: rec.T(), Tier: info.Tier,
+			BuildNs: info.BuildTime.Nanoseconds(), RepairNs: info.RepairTime.Nanoseconds(), SolveNs: info.SolveTime.Nanoseconds(),
+			Result: core.NewShardResult(subsets, pathSets, res.Rank, res.Nullity, res.ClampedRows),
+		}
 		edit(resp)
-		data, err := json.Marshal(resp)
-		if err != nil {
-			f.Fatal(err)
-		}
-		env, err := json.Marshal(envelope{WireVersion: WireVersion, Data: data})
-		if err != nil {
-			f.Fatal(err)
-		}
-		return env
+		return resp.AppendTo(nil)
 	}
-	for _, seed := range [][]byte{
-		answer(func(*ShardResultResponse) {}),
-		answer(func(r *ShardResultResponse) { r.Subsets[0].Links = append(r.Subsets[0].Links, -1) }),
-		answer(func(r *ShardResultResponse) { r.Subsets[0].Links = append(r.Subsets[0].Links, top.NumLinks()) }),
-		answer(func(r *ShardResultResponse) { r.Subsets[0].Links = append(r.Subsets[0].Links, 1<<20) }),
-		answer(func(r *ShardResultResponse) { r.PathSets[0] = append(r.PathSets[0], -1) }),
-		answer(func(r *ShardResultResponse) { r.PathSets[0] = append(r.PathSets[0], top.NumPaths()) }),
-		answer(func(r *ShardResultResponse) { r.Subsets[0].CorrSet = -1 }),
-		answer(func(r *ShardResultResponse) { r.Subsets[0].CorrSet = len(top.CorrSets) }),
-		answer(func(r *ShardResultResponse) { r.Shard = 1 }),
-		[]byte(`{"wire_version":"c2","data":{"shard":0}}`),
-		[]byte(`{"wire_version":"c2","error":{"code":"solver_failed","message":"singular"}}`),
-		[]byte(`{"wire_version":"c1","data":{"shard":0}}`),
-		[]byte(`{"wire_version":"c2","data":{"shard":0,"path_sets":[[1e40]]}}`),
-		[]byte(`not json`),
-		nil,
+	// patch overwrites the u32 at off of a valid block.
+	patch := func(off int, v uint32) []byte {
+		b := block(func(*ShardResultResponse) {})
+		binary.LittleEndian.PutUint32(b[off:], v)
+		return b
+	}
+	const sub0 = resultHeaderSize // subset 0: corr_set, identifiable, good_prob, link count, links
+	valid := block(func(*ShardResultResponse) {})
+	badIdent := block(func(*ShardResultResponse) {})
+	badIdent[sub0+4] = 2
+	badVersion := block(func(*ShardResultResponse) {})
+	badVersion[4] = 2
+	badTier := block(func(*ShardResultResponse) {})
+	badTier[5] = 1 << 4
+	firstLink := binary.LittleEndian.Uint32(valid[sub0+17:])
+	for _, seed := range []struct {
+		ok   bool
+		body []byte
+	}{
+		{true, valid},
+		{true, block(func(r *ShardResultResponse) { r.Subsets[0].GoodProb = math.NaN() })},
+		{true, patch(sub0+17, math.MaxUint32)},
+		{true, block(func(r *ShardResultResponse) {
+			r.Subsets[0].Links = bitset.FromIndices(top.NumLinks()+1, top.NumLinks())
+		})},
+		{true, block(func(r *ShardResultResponse) { r.Subsets[0].Links = bitset.FromIndices(1<<20+1, 1<<20) })},
+		{true, block(func(r *ShardResultResponse) { r.PathSets[0] = bitset.FromIndices(top.NumPaths()+1, top.NumPaths()) })},
+		{true, patch(sub0, math.MaxUint32)},
+		{true, patch(sub0, uint32(len(top.CorrSets)))},
+		{true, patch(6, 1)},
+		{true, patch(58, math.MaxUint32)},
+		{true, patch(sub0+13, math.MaxUint32)},
+		{true, patch(sub0+21, firstLink)},
+		{true, badIdent},
+		{true, badVersion},
+		{true, badTier},
+		{true, append(slices.Clone(valid), 0)},
+		{true, valid[:len(valid)-1]},
+		{true, []byte(`{"wire_version":"c2","data":{"shard":0}}`)},
+		{false, []byte(`{"wire_version":"c3","error":{"code":"solver_failed","message":"singular"}}`)},
+		{false, []byte(`{"wire_version":"c2","error":{"code":"solver_failed","message":"singular"}}`)},
+		{false, []byte(`not json`)},
+		{true, nil},
 	} {
-		f.Add(seed)
+		f.Add(seed.ok, seed.body)
 	}
 
-	var body atomic.Pointer[[]byte]
+	type answer struct {
+		ok   bool
+		body []byte
+	}
+	var current atomic.Pointer[answer]
 	stub := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		a := current.Load()
+		if a.ok {
+			writeBlock(w, a.body)
+			return
+		}
 		w.Header().Set("Content-Type", "application/json")
-		w.Write(*body.Load())
+		w.WriteHeader(http.StatusInternalServerError)
+		w.Write(a.body)
 	})
 	c, err := NewCoordinator(CoordinatorConfig{
 		Topology:   top,
@@ -221,8 +285,8 @@ func FuzzShardResult(f *testing.F) {
 	// whose varying coverage would make every input look new.
 	h.client.hc = &http.Client{Transport: recorderTransport{stub}}
 
-	f.Fuzz(func(t *testing.T, raw []byte) {
-		body.Store(&raw)
+	f.Fuzz(func(t *testing.T, ok bool, raw []byte) {
+		current.Store(&answer{ok, raw})
 		h.mu.Lock()
 		h.state = stateHealthy // a refused block latched it out
 		h.mu.Unlock()
@@ -242,6 +306,14 @@ func FuzzShardResult(f *testing.F) {
 			if ps.Len() != top.NumPaths() {
 				t.Fatalf("path set %d over a %d-path universe, want %d", i, ps.Len(), top.NumPaths())
 			}
+		}
+		again := (&ShardResultResponse{
+			SeqHigh: sol.SeqHigh, T: sol.T, Tier: sol.Info.Tier,
+			BuildNs: sol.Info.BuildTime.Nanoseconds(), RepairNs: sol.Info.RepairTime.Nanoseconds(), SolveNs: sol.Info.SolveTime.Nanoseconds(),
+			Result: sol.Res,
+		}).AppendTo(nil)
+		if !bytes.Equal(again, raw) {
+			t.Fatalf("accepted block re-encodes to %x, want %x", again, raw)
 		}
 	})
 }

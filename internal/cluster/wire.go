@@ -3,29 +3,41 @@
 // owns the public /v1/* surface and the full ingest window, workers own
 // disjoint sets of partition shards (one masked window and one WAL per
 // worker, a warm structural plan per shard), and the two sides speak a
-// small versioned JSON-over-HTTP wire format. The block-diagonal
-// structure makes the distribution exact: each shard's solve reads only
-// its own paths, so the coordinator's scatter-gather merge
-// (core.MergeResults) is bit-identical to a single-process sharded
-// solve over the same intervals.
+// small versioned wire format over HTTP. The block-diagonal structure
+// makes the distribution exact: each shard's solve reads only its own
+// paths, so the coordinator's scatter-gather merge (core.MergeResults)
+// is bit-identical to a single-process sharded solve over the same
+// intervals.
 //
-// Wire contract (version "c2"; all responses wrapped in an envelope
-// carrying the version and exactly one of data/error):
+// Wire contract (version "c3"). The two RPCs every batch pays for carry
+// length-checked binary bodies; the control RPCs carry JSON. Every JSON
+// body, and every non-2xx answer of any route, is an envelope carrying
+// the version and exactly one of data/error:
 //
-//   - POST /c1/assign        — shard placement: topology fingerprint,
-//     window size, solver settings, shard list. Idempotent; replies
-//     with the worker's recovered (WAL-replayed) sequence.
-//   - POST /c1/ingest        — batched ingest, keyed by the sender's
-//     pre-batch sequence; the worker skips the already-applied prefix
-//     (retry dedupe) and rejects gaps. Catch-up replay uses it too.
+//   - POST /c1/assign        — shard placement (JSON): topology
+//     fingerprint, window size, solver settings, shard list.
+//     Idempotent; replies with the worker's recovered (WAL-replayed)
+//     sequence.
+//   - POST /c1/ingest        — batched ingest. The body is exactly one
+//     WAL record (wal.AppendRecord: u32 len | u32 crc32c | u64 base |
+//     u32 n | n × (u32 count | count × u32 path)), keyed by the
+//     sender's pre-batch sequence; the worker skips the already-applied
+//     prefix (retry dedupe) and rejects gaps. Catch-up replay uses it
+//     too. The ack is a JSON envelope.
 //   - POST /c1/reset         — discard the worker's window and WAL and
 //     fast-forward to a base sequence (worker fell behind the
 //     coordinator's retained window, or ran ahead of a recovered
 //     coordinator).
 //   - GET  /c1/shards/{k}/result — the shard's solved block at the
 //     worker's current sequence (solved on demand, warm plans, cached
-//     until the window advances).
+//     until the window advances), as a binary block: see
+//     ShardResultResponse.AppendTo.
 //   - GET  /c1/status        — worker identity, fingerprint, sequence.
+//
+// The binary bodies are one codec for disk and wire: an ingest batch
+// crosses the wire in the bytes the worker's WAL logs, and the result
+// block carries good-probabilities as raw IEEE-754 words, so a NaN
+// crosses as itself and merged estimates stay bit-identical.
 //
 // Failure semantics: the coordinator health-checks each worker and
 // latches it unreachable on any RPC failure; while any shard is
@@ -42,12 +54,16 @@ import (
 	"bytes"
 	"context"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math"
 	"net/http"
+	"slices"
+	"strconv"
 
 	"repro/internal/bitset"
 	"repro/internal/core"
@@ -57,7 +73,7 @@ import (
 
 // WireVersion tags every internal-API response envelope; both sides
 // reject versions they do not understand. (The URL prefix stays /c1/.)
-const WireVersion = "c2"
+const WireVersion = "c3"
 
 // maxRPCBody bounds one internal-API body on both sides (decode and
 // reply), mirroring the public API's ingest bound.
@@ -118,16 +134,6 @@ type AssignResponse struct {
 	Seq      uint64 `json:"seq"`
 }
 
-// IngestRequest is POST /c1/ingest: a batch of intervals, each the
-// congested path IDs in full-universe indexing, based at the sender's
-// pre-batch sequence. A worker already past BaseSeq skips the overlap
-// (idempotent retries); one that is behind it answers seq_gap and
-// applies nothing.
-type IngestRequest struct {
-	BaseSeq   uint64  `json:"base_seq"`
-	Intervals [][]int `json:"intervals"`
-}
-
 // IngestResponse acks the batch with the worker's sequence after it.
 type IngestResponse struct {
 	Seq uint64 `json:"seq"`
@@ -145,35 +151,222 @@ type ResetResponse struct {
 	Seq uint64 `json:"seq"`
 }
 
-// WireSubset is one correlation subset of a shard's solved block.
-// GoodProb is omitted (not NaN, which JSON cannot carry) when the
-// subset is unidentifiable; links are full-universe IDs. encoding/json
-// round-trips float64 exactly (shortest-representation encoding), so a
-// decoded block is bit-identical to the worker's.
-type WireSubset struct {
-	Links        []int    `json:"links"`
-	CorrSet      int      `json:"corr_set"`
-	GoodProb     *float64 `json:"good_prob,omitempty"`
-	Identifiable bool     `json:"identifiable"`
-}
-
 // ShardResultResponse is GET /c1/shards/{k}/result: the shard's solved
 // block — the exported fields core.MergeResults reads — plus the
-// sequence it was solved at and how the worker's warm plan served.
+// sequence it was solved at and how the worker's warm plan served. It
+// crosses the wire as the binary block AppendTo writes and
+// ParseShardResult reads.
 type ShardResultResponse struct {
-	Shard   int    `json:"shard"`
-	SeqHigh uint64 `json:"seq_high"`
-	T       int    `json:"t"`
+	Shard   int
+	SeqHigh uint64
+	T       int
 	core.Tier
-	BuildNs  int64 `json:"build_ns,omitempty"`
-	RepairNs int64 `json:"repair_ns,omitempty"`
-	SolveNs  int64 `json:"solve_ns,omitempty"`
+	BuildNs  int64
+	RepairNs int64
+	SolveNs  int64
+	*core.Result
+}
 
-	Subsets     []WireSubset `json:"subsets"`
-	PathSets    [][]int      `json:"path_sets"`
-	Rank        int          `json:"rank"`
-	Nullity     int          `json:"nullity"`
-	ClampedRows int          `json:"clamped_rows"`
+// resultMagic and resultVersion open every result block. A 2xx body
+// without them is not a c3 block — a c2 worker answers with a JSON
+// envelope — and is refused as wire_version.
+var resultMagic = [4]byte{'T', 'O', 'M', 'R'}
+
+const resultVersion = 3
+
+// Fixed sizes of the result block: the header (magic, version, tier
+// bits, shard, seq_high, t, build / repair / solve ns, rank, nullity,
+// clamped_rows, subset count) and a subset's fixed part (corr_set,
+// identifiable, good_prob, link count).
+const (
+	resultHeaderSize = 62
+	subsetFixedSize  = 17
+)
+
+// Tier bits of the result header.
+const (
+	tierWarm = 1 << iota
+	tierRepaired
+	tierRepairedNumeric
+	tierRepairFailed
+)
+
+// AppendTo appends the block's wire encoding to dst and returns the
+// extended slice. All integers are little-endian:
+//
+//	block  := header | u32 nSubsets | nSubsets × subset | u32 nPathSets | nPathSets × list
+//	header := "TOMR" | u8 version (3) | u8 tier bits (warm, repaired, repaired_numeric,
+//	          repair_failed) | u32 shard | u64 seq_high | u32 t | i64 build_ns |
+//	          i64 repair_ns | i64 solve_ns | u32 rank | u32 nullity | u32 clamped_rows
+//	subset := u32 corr_set | u8 identifiable | u64 good_prob (IEEE-754 bits) | list (links)
+//	list   := u32 count | count × u32 index, strictly ascending
+func (r *ShardResultResponse) AppendTo(dst []byte) []byte {
+	size := resultHeaderSize + 4
+	for _, sub := range r.Subsets {
+		size += subsetFixedSize + 4*sub.Links.Count()
+	}
+	for _, ps := range r.PathSets {
+		size += 4 + 4*ps.Count()
+	}
+	dst = slices.Grow(dst, size)
+	var tier byte
+	for bit, set := range []bool{r.Warm, r.Repaired, r.RepairedNumeric, r.RepairFailed} {
+		if set {
+			tier |= 1 << bit
+		}
+	}
+	le := binary.LittleEndian
+	dst = append(dst, resultMagic[:]...)
+	dst = append(dst, resultVersion, tier)
+	dst = le.AppendUint32(dst, uint32(r.Shard))
+	dst = le.AppendUint64(dst, r.SeqHigh)
+	dst = le.AppendUint32(dst, uint32(r.T))
+	dst = le.AppendUint64(dst, uint64(r.BuildNs))
+	dst = le.AppendUint64(dst, uint64(r.RepairNs))
+	dst = le.AppendUint64(dst, uint64(r.SolveNs))
+	dst = le.AppendUint32(dst, uint32(r.Rank))
+	dst = le.AppendUint32(dst, uint32(r.Nullity))
+	dst = le.AppendUint32(dst, uint32(r.ClampedRows))
+	dst = le.AppendUint32(dst, uint32(len(r.Subsets)))
+	for _, sub := range r.Subsets {
+		dst = le.AppendUint32(dst, uint32(sub.CorrSet))
+		var ident byte
+		if sub.Identifiable {
+			ident = 1
+		}
+		dst = append(dst, ident)
+		dst = le.AppendUint64(dst, math.Float64bits(sub.GoodProb))
+		dst = appendList(dst, sub.Links)
+	}
+	dst = le.AppendUint32(dst, uint32(len(r.PathSets)))
+	for _, ps := range r.PathSets {
+		dst = appendList(dst, ps)
+	}
+	return dst
+}
+
+// appendList appends a set as a counted, ascending index list.
+func appendList(dst []byte, s *bitset.Set) []byte {
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(s.Count()))
+	s.ForEach(func(i int) bool {
+		dst = binary.LittleEndian.AppendUint32(dst, uint32(i))
+		return true
+	})
+	return dst
+}
+
+// ParseShardResult decodes a result block over top's universes; AppendTo
+// of what it returns gives back body. The block comes from another
+// process, so it is refused unless it is exactly one canonical block:
+// every subset names a correlation set of top, every link and path
+// index lies in its universe and every list ascends strictly, and no
+// byte trails it. Every count is checked against the bytes left before
+// anything is sized by it. A body that is not a c3 block at all comes
+// back as a wire_version *WireError.
+func ParseShardResult(body []byte, top *topology.Topology) (*ShardResultResponse, error) {
+	if len(body) < len(resultMagic)+1 || [4]byte(body) != resultMagic || body[4] != resultVersion {
+		return nil, &WireError{Code: CodeWireVersion,
+			Message: fmt.Sprintf("result body is not a %s block", WireVersion)}
+	}
+	if len(body) < resultHeaderSize {
+		return nil, fmt.Errorf("block of %d bytes ends inside its %d-byte header", len(body), resultHeaderSize)
+	}
+	le := binary.LittleEndian
+	tier := body[5]
+	if tier >= tierRepairFailed<<1 {
+		return nil, fmt.Errorf("unknown tier bits %#x", tier)
+	}
+	r := &ShardResultResponse{
+		Shard:   int(le.Uint32(body[6:])),
+		SeqHigh: le.Uint64(body[10:]),
+		T:       int(le.Uint32(body[18:])),
+		Tier: core.Tier{
+			Warm:            tier&tierWarm != 0,
+			Repaired:        tier&tierRepaired != 0,
+			RepairedNumeric: tier&tierRepairedNumeric != 0,
+			RepairFailed:    tier&tierRepairFailed != 0,
+		},
+		BuildNs:  int64(le.Uint64(body[22:])),
+		RepairNs: int64(le.Uint64(body[30:])),
+		SolveNs:  int64(le.Uint64(body[38:])),
+	}
+	rest := body[resultHeaderSize:]
+	n := le.Uint32(body[58:])
+	if n > uint32(len(rest)/subsetFixedSize) {
+		return nil, fmt.Errorf("%d subsets overrun the %d bytes left", n, len(rest))
+	}
+	subsets := make([]core.SubsetResult, n)
+	for i := range subsets {
+		if len(rest) < subsetFixedSize {
+			return nil, fmt.Errorf("subset %d: block ends inside it", i)
+		}
+		cs := le.Uint32(rest)
+		if cs >= uint32(len(top.CorrSets)) {
+			return nil, fmt.Errorf("subset %d: correlation set %d outside [0,%d)", i, cs, len(top.CorrSets))
+		}
+		if rest[4] > 1 {
+			return nil, fmt.Errorf("subset %d: identifiable byte %d", i, rest[4])
+		}
+		links, tail, err := readList(rest[subsetFixedSize-4:], top.NumLinks())
+		if err != nil {
+			return nil, fmt.Errorf("subset %d: link %v", i, err)
+		}
+		subsets[i] = core.SubsetResult{
+			Links:        links,
+			CorrSet:      int(cs),
+			GoodProb:     math.Float64frombits(le.Uint64(rest[5:])),
+			Identifiable: rest[4] == 1,
+		}
+		rest = tail
+	}
+	if len(rest) < 4 {
+		return nil, errors.New("block ends before its path-set count")
+	}
+	n, rest = le.Uint32(rest), rest[4:]
+	if n > uint32(len(rest)/4) {
+		return nil, fmt.Errorf("%d path sets overrun the %d bytes left", n, len(rest))
+	}
+	pathSets := make([]*bitset.Set, n)
+	for i := range pathSets {
+		set, tail, err := readList(rest, top.NumPaths())
+		if err != nil {
+			return nil, fmt.Errorf("path set %d: path %v", i, err)
+		}
+		pathSets[i], rest = set, tail
+	}
+	if len(rest) != 0 {
+		return nil, fmt.Errorf("%d bytes after the last path set", len(rest))
+	}
+	r.Result = core.NewShardResult(subsets, pathSets,
+		int(le.Uint32(body[46:])), int(le.Uint32(body[50:])), int(le.Uint32(body[54:])))
+	return r, nil
+}
+
+// readList decodes one counted index list at the head of b into a set
+// over [0, n), returning what follows it.
+func readList(b []byte, n int) (*bitset.Set, []byte, error) {
+	if len(b) < 4 {
+		return nil, nil, errors.New("list: block ends before its count")
+	}
+	count := binary.LittleEndian.Uint32(b)
+	b = b[4:]
+	if count > uint32(len(b)/4) {
+		return nil, nil, fmt.Errorf("list: count %d overruns the %d bytes left", count, len(b))
+	}
+	set := bitset.New(n)
+	prev := -1
+	for j := 0; j < int(count); j++ {
+		i := int(binary.LittleEndian.Uint32(b[4*j:]))
+		if i >= n {
+			return nil, nil, fmt.Errorf("%d outside universe [0,%d)", i, n)
+		}
+		if i <= prev {
+			return nil, nil, fmt.Errorf("%d after %d (indices must ascend)", i, prev)
+		}
+		set.Add(i)
+		prev = i
+	}
+	return set, b[4*count:], nil
 }
 
 // WorkerStatusResponse is GET /c1/status on a worker.
@@ -198,134 +391,56 @@ func Fingerprint(top *topology.Topology) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// encodeResult flattens a shard's solved block for the wire.
-func encodeResult(shard int, seqHigh uint64, t int, res *core.Result, info estimator.SolveInfo) *ShardResultResponse {
-	out := &ShardResultResponse{
-		Shard:       shard,
-		SeqHigh:     seqHigh,
-		T:           t,
-		Tier:        info.Tier,
-		BuildNs:     info.BuildTime.Nanoseconds(),
-		RepairNs:    info.RepairTime.Nanoseconds(),
-		SolveNs:     info.SolveTime.Nanoseconds(),
-		Subsets:     make([]WireSubset, len(res.Subsets)),
-		PathSets:    make([][]int, len(res.PathSets)),
-		Rank:        res.Rank,
-		Nullity:     res.Nullity,
-		ClampedRows: res.ClampedRows,
-	}
-	for i, sub := range res.Subsets {
-		ws := WireSubset{
-			Links:        sub.Links.Indices(),
-			CorrSet:      sub.CorrSet,
-			Identifiable: sub.Identifiable,
-		}
-		if !math.IsNaN(sub.GoodProb) {
-			g := sub.GoodProb
-			ws.GoodProb = &g
-		}
-		out.Subsets[i] = ws
-	}
-	for i, ps := range res.PathSets {
-		out.PathSets[i] = ps.Indices()
-	}
-	return out
-}
-
-// decodeResult reconstructs the block over top's universes.
-// Unidentifiable subsets get their NaN back. The block comes from
-// another process, so it is refused unless every link and path index
-// lies in its universe and every subset names a correlation set of top:
-// bitset.Add panics on a negative index and grows a set to fit a huge
-// one.
-func (r *ShardResultResponse) decodeResult(top *topology.Topology) (*core.Result, error) {
-	subsets := make([]core.SubsetResult, len(r.Subsets))
-	for i, ws := range r.Subsets {
-		if ws.CorrSet < 0 || ws.CorrSet >= len(top.CorrSets) {
-			return nil, fmt.Errorf("subset %d: correlation set %d outside [0,%d)", i, ws.CorrSet, len(top.CorrSets))
-		}
-		links, err := indexSet(top.NumLinks(), ws.Links)
-		if err != nil {
-			return nil, fmt.Errorf("subset %d: link %v", i, err)
-		}
-		g := math.NaN()
-		if ws.GoodProb != nil {
-			g = *ws.GoodProb
-		}
-		subsets[i] = core.SubsetResult{
-			Links:        links,
-			CorrSet:      ws.CorrSet,
-			GoodProb:     g,
-			Identifiable: ws.Identifiable,
-		}
-	}
-	pathSets := make([]*bitset.Set, len(r.PathSets))
-	for i, ps := range r.PathSets {
-		set, err := indexSet(top.NumPaths(), ps)
-		if err != nil {
-			return nil, fmt.Errorf("path set %d: path %v", i, err)
-		}
-		pathSets[i] = set
-	}
-	return core.NewShardResult(subsets, pathSets, r.Rank, r.Nullity, r.ClampedRows), nil
-}
-
-// indexSet is the set of indices over [0, n), or an error naming the
-// first index outside it.
-func indexSet(n int, indices []int) (*bitset.Set, error) {
-	set := bitset.New(n)
-	for _, i := range indices {
-		if i < 0 || i >= n {
-			return nil, fmt.Errorf("%d outside universe [0,%d)", i, n)
-		}
-		set.Add(i)
-	}
-	return set, nil
-}
-
-// intervalsOf flattens a batch of congested-path sets into wire
-// intervals.
-func intervalsOf(batch []*bitset.Set) [][]int {
-	out := make([][]int, len(batch))
-	for i, set := range batch {
-		out[i] = set.Indices()
-	}
-	return out
-}
-
 // client is one peer's view of a worker's internal API.
 type client struct {
 	base string // e.g. "http://127.0.0.1:9101"
 	hc   *http.Client
 }
 
-// do performs one RPC: marshal in (nil means no body), decode the
-// envelope, enforce the wire version, and unmarshal data into out (nil
-// means discard). Application errors come back as *WireError; transport
-// errors as whatever the HTTP client produced.
+// do performs one RPC. in is the request body: nil for none, a []byte
+// sent as is (the binary ingest record), anything else as JSON. A 2xx
+// answer is a versioned JSON envelope whose data is unmarshalled into
+// out (nil discards it) — unless out is a *[]byte, which receives the
+// raw body (the binary result block). Every other answer carries the
+// envelope: application errors come back as *WireError, an envelope of
+// another version as a wire_version *WireError, and transport errors
+// as whatever the HTTP client produced.
 func (c *client) do(ctx context.Context, method, path string, in, out any) error {
 	var body io.Reader
-	if in != nil {
+	ctype := ""
+	switch in := in.(type) {
+	case nil:
+	case []byte:
+		body, ctype = bytes.NewReader(in), "application/octet-stream"
+	default:
 		raw, err := json.Marshal(in)
 		if err != nil {
 			return fmt.Errorf("cluster: encoding %s %s: %w", method, path, err)
 		}
-		body = bytes.NewReader(raw)
+		body, ctype = bytes.NewReader(raw), "application/json"
 	}
 	req, err := http.NewRequestWithContext(ctx, method, c.base+path, body)
 	if err != nil {
 		return err
 	}
-	if in != nil {
-		req.Header.Set("Content-Type", "application/json")
+	if ctype != "" {
+		req.Header.Set("Content-Type", ctype)
 	}
 	resp, err := c.hc.Do(req)
 	if err != nil {
 		return err
 	}
 	defer resp.Body.Close()
+	raw, err := io.ReadAll(io.LimitReader(resp.Body, maxRPCBody))
+	if err != nil {
+		return fmt.Errorf("cluster: reading %s %s (HTTP %d): %w", method, path, resp.StatusCode, err)
+	}
+	if blob, ok := out.(*[]byte); ok && resp.StatusCode/100 == 2 {
+		*blob = raw
+		return nil
+	}
 	var env envelope
-	if err := json.NewDecoder(io.LimitReader(resp.Body, maxRPCBody)).Decode(&env); err != nil {
+	if err := json.Unmarshal(raw, &env); err != nil {
 		return fmt.Errorf("cluster: decoding %s %s (HTTP %d): %w", method, path, resp.StatusCode, err)
 	}
 	if env.WireVersion != WireVersion {
@@ -357,6 +472,14 @@ func writeWire(w http.ResponseWriter, status int, v any) {
 // writeWireError wraps a wire error in the versioned envelope.
 func writeWireError(w http.ResponseWriter, status int, e *WireError) {
 	writeWireEnvelope(w, status, envelope{WireVersion: WireVersion, Error: e})
+}
+
+// writeBlock answers 200 with a binary body.
+func writeBlock(w http.ResponseWriter, body []byte) {
+	w.Header().Set("Content-Type", "application/octet-stream")
+	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
+	w.WriteHeader(http.StatusOK)
+	w.Write(body)
 }
 
 func writeWireEnvelope(w http.ResponseWriter, status int, env envelope) {

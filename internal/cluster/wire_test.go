@@ -1,13 +1,14 @@
 package cluster
 
 import (
+	"bytes"
 	"context"
-	"encoding/json"
-	"fmt"
+	"encoding/hex"
+	"errors"
 	"math"
 	"math/rand"
+	"net/http"
 	"os"
-	"sort"
 	"strings"
 	"testing"
 
@@ -16,7 +17,9 @@ import (
 	"repro/internal/estimator"
 	"repro/internal/experiment"
 	"repro/internal/observe"
+	"repro/internal/server"
 	"repro/internal/topology"
+	"repro/internal/wal"
 )
 
 // testTopology builds the deterministic sparse topology the server
@@ -72,7 +75,7 @@ func TestFingerprint(t *testing.T) {
 	}
 }
 
-// A solved shard block must survive encode → JSON → decode with every
+// A solved shard block must survive encode → bytes → decode with every
 // field bit-identical, NaN good-probabilities included: merged cluster
 // estimates are only exact if the wire is.
 func TestResultWireRoundTrip(t *testing.T) {
@@ -89,21 +92,19 @@ func TestResultWireRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("shard %d: %v", shard, err)
 		}
-		raw, err := json.Marshal(encodeResult(shard, 200, rec.T(), res, info))
+		raw := (&ShardResultResponse{
+			Shard: shard, SeqHigh: 200, T: rec.T(), Tier: info.Tier,
+			BuildNs: info.BuildTime.Nanoseconds(), RepairNs: info.RepairTime.Nanoseconds(), SolveNs: info.SolveTime.Nanoseconds(),
+			Result: res,
+		}).AppendTo(nil)
+		over, err := ParseShardResult(raw, top)
 		if err != nil {
-			t.Fatal(err)
-		}
-		var over ShardResultResponse
-		if err := json.Unmarshal(raw, &over); err != nil {
-			t.Fatal(err)
+			t.Fatalf("shard %d: %v", shard, err)
 		}
 		if over.Shard != shard || over.SeqHigh != 200 || over.T != rec.T() {
 			t.Fatalf("shard %d: header mangled: %+v", shard, over)
 		}
-		got, err := over.decodeResult(top)
-		if err != nil {
-			t.Fatalf("shard %d: %v", shard, err)
-		}
+		got := over.Result
 		if len(got.Subsets) != len(res.Subsets) {
 			t.Fatalf("shard %d: %d subsets, want %d", shard, len(got.Subsets), len(res.Subsets))
 		}
@@ -150,39 +151,94 @@ func TestResultWireRoundTrip(t *testing.T) {
 	}
 }
 
-// TestShardResultJSONShape pins the top-level key set of the c1 result
-// body, fully populated and zero, against
-// testdata/result_shape.golden — the wire twin of the server's
-// TestStatusJSONShape.
-func TestShardResultJSONShape(t *testing.T) {
-	info := estimator.SolveInfo{BuildTime: 1, RepairTime: 1, SolveTime: 1}
-	info.Warm, info.Repaired, info.RepairedNumeric, info.RepairFailed = true, true, true, true
-	full := encodeResult(1, 1, 1, core.NewShardResult(nil, nil, 1, 1, 1), info)
-	var got strings.Builder
-	for _, c := range []struct {
-		name string
-		body *ShardResultResponse
-	}{{"ShardResultResponse populated", full}, {"ShardResultResponse zero", &ShardResultResponse{}}} {
-		raw, err := json.Marshal(c.body)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var obj map[string]json.RawMessage
-		if err := json.Unmarshal(raw, &obj); err != nil {
-			t.Fatal(err)
-		}
-		keys := make([]string, 0, len(obj))
-		for k := range obj {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		fmt.Fprintf(&got, "== %s\n%s\n", c.name, strings.Join(keys, "\n"))
+// TestShardResultGolden pins the byte layout of the result block
+// against testdata/result_c3.golden (a hex dump of a small fixed
+// block): a change to it is a wire-version bump. The golden bytes also
+// decode back to the same block, NaN good-probability included.
+func TestShardResultGolden(t *testing.T) {
+	links := make([]topology.Link, 8)
+	paths := make([]topology.Path, 6)
+	for i := range links {
+		links[i] = topology.Link{ID: i, AS: -1}
 	}
-	want, err := os.ReadFile("testdata/result_shape.golden")
+	for i := range paths {
+		paths[i] = topology.Path{ID: i, Links: []int{i}}
+	}
+	top, err := topology.NewChecked(links, paths, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.String() != string(want) {
-		t.Errorf("c1 result body shape changed; if intended, update testdata/result_shape.golden and MIGRATION.md.\ngot:\n%swant:\n%s", got.String(), want)
+	block := &ShardResultResponse{
+		Shard: 1, SeqHigh: 200, T: 150,
+		Tier:    core.Tier{Warm: true, Repaired: true},
+		BuildNs: 1, RepairNs: 2, SolveNs: 3,
+		Result: core.NewShardResult([]core.SubsetResult{
+			{Links: bitset.FromIndices(8, 1, 4), CorrSet: 2, GoodProb: 0.75, Identifiable: true},
+			{Links: bitset.FromIndices(8, 5), CorrSet: 5, GoodProb: math.NaN()},
+		}, []*bitset.Set{bitset.FromIndices(6, 0, 2), bitset.FromIndices(6, 5)}, 2, 1, 3),
+	}
+	raw := block.AppendTo(nil)
+	want, err := os.ReadFile("testdata/result_c3.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := hex.Dump(raw); got != string(want) {
+		t.Fatalf("c3 result block layout changed; if intended, bump WireVersion, update testdata/result_c3.golden and MIGRATION.md.\ngot:\n%swant:\n%s", got, want)
+	}
+	back, err := ParseShardResult(raw, top)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again := back.AppendTo(nil); !bytes.Equal(again, raw) {
+		t.Fatalf("golden block re-encodes to\n%s", hex.Dump(again))
+	}
+	if g := back.Subsets[1].GoodProb; math.Float64bits(g) != math.Float64bits(math.NaN()) {
+		t.Fatalf("NaN good-probability decoded as %v", g)
+	}
+}
+
+// A fleet mixing c2 and c3 builds fails loudly: a c2 worker's JSON
+// result at 200 is refused as wire_version and latches the worker
+// unreachable, and a c2 coordinator's JSON ingest body is a 400 that
+// applies nothing.
+func TestMixedVersionRefused(t *testing.T) {
+	top := shardedTopology(t)
+	stub := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "application/json")
+		w.Write([]byte(`{"wire_version":"c2","data":{"shard":0,"seq_high":1,"t":1,"subsets":[],"path_sets":[]}}` + "\n"))
+	})
+	c, err := NewCoordinator(CoordinatorConfig{
+		Topology:   top,
+		Workers:    []WorkerSpec{{Addr: "http://stub"}},
+		WindowSize: 8,
+		SolverOpts: testSolverOpts(),
+		Logger:     discardLogger(),
+		Retries:    -1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	h := c.owner[0]
+	h.client.hc = &http.Client{Transport: recorderTransport{stub}}
+	h.state = stateHealthy
+	if _, err := c.SolveShard(context.Background(), 0, nil); !errors.Is(err, server.ErrShardUnavailable) {
+		t.Fatalf("c2 result: got %v, want ErrShardUnavailable", err)
+	}
+	if st := c.ClusterStatus().Workers[0]; st.State != stateUnreachable || !strings.Contains(st.LastError, CodeWireVersion) {
+		t.Fatalf("after a c2 result the worker is %s (%q), want unreachable on %s", st.State, st.LastError, CodeWireVersion)
+	}
+
+	_, cl, stop := workerClient(t, top, wal.Options{})
+	defer stop()
+	if err := cl.do(context.Background(), http.MethodPost, "/c1/assign", testAssignRequest(top, []int{0, 1}, 16), nil); err != nil {
+		t.Fatal(err)
+	}
+	status, env := postStatus(t, cl, "/c1/ingest", []byte(`{"base_seq":0,"intervals":[[0,1],[2]]}`))
+	if status != http.StatusBadRequest || env.Error == nil || env.Error.Code != CodeBadRequest {
+		t.Fatalf("c2 ingest body answered HTTP %d %+v, want 400 %s", status, env.Error, CodeBadRequest)
+	}
+	if seq := statusSeq(t, cl); seq != 0 {
+		t.Fatalf("c2 ingest body moved the worker to seq %d", seq)
 	}
 }

@@ -51,7 +51,7 @@ type WorkerConfig struct {
 // cache; solveMu serializes the shard's solves and guards the cache.
 type workerShard struct {
 	solveMu   sync.Mutex
-	cached    *ShardResultResponse
+	cached    []byte // the encoded block
 	cachedSeq uint64
 	solvedYet bool
 }
@@ -316,27 +316,6 @@ func (wk *Worker) restoreWAL(win *stream.Window, initialSeq uint64) (*wal.WAL, e
 	return wal.Restore(opts, win, wk.logger)
 }
 
-// decodeIntervals validates and converts wire intervals to path sets,
-// masked to the assigned shards' paths; the caller holds mu.
-func (wk *Worker) decodeIntervals(intervals [][]int) ([]*bitset.Set, error) {
-	numPaths := wk.top.NumPaths()
-	batch := make([]*bitset.Set, len(intervals))
-	for i, iv := range intervals {
-		set := bitset.New(numPaths)
-		for _, p := range iv {
-			if p < 0 || p >= numPaths {
-				return nil, fmt.Errorf("interval %d: path %d outside universe [0,%d)", i, p, numPaths)
-			}
-			set.Add(p)
-		}
-		if wk.mask != nil {
-			set.IntersectWith(wk.mask)
-		}
-		batch[i] = set
-	}
-	return batch, nil
-}
-
 // notAssignedLocked answers not_assigned before the first assignment;
 // the caller holds mu.
 func (wk *Worker) notAssignedLocked(w http.ResponseWriter) bool {
@@ -348,9 +327,20 @@ func (wk *Worker) notAssignedLocked(w http.ResponseWriter) bool {
 	return true
 }
 
+// handleIngest applies one batch. The body is one WAL record over the
+// topology's path universe; a bad frame, checksum or index is refused
+// as bad_request before anything is applied.
 func (wk *Worker) handleIngest(w http.ResponseWriter, r *http.Request) {
-	var req IngestRequest
-	if !decodeBody(w, r, &req) {
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxRPCBody))
+	if err != nil {
+		writeWireError(w, http.StatusBadRequest,
+			&WireError{Code: CodeBadRequest, Message: fmt.Sprintf("reading body: %v", err)})
+		return
+	}
+	base, batch, err := wal.ParseRecord(body, wk.top.NumPaths())
+	if err != nil {
+		writeWireError(w, http.StatusBadRequest,
+			&WireError{Code: CodeBadRequest, Message: fmt.Sprintf("decoding ingest record: %v", err)})
 		return
 	}
 	wk.mu.Lock()
@@ -362,22 +352,24 @@ func (wk *Worker) handleIngest(w http.ResponseWriter, r *http.Request) {
 	// coordinator believes delivered (or lags after a rejoin): refuse
 	// the request and report the sequence to replay from.
 	seq := wk.win.Seq()
-	if req.BaseSeq > seq {
+	if base > seq {
 		writeWireError(w, http.StatusConflict, &WireError{
 			Code:    CodeSeqGap,
-			Message: fmt.Sprintf("batch base %d is ahead of the worker (seq %d)", req.BaseSeq, seq),
+			Message: fmt.Sprintf("batch base %d is ahead of the worker (seq %d)", base, seq),
 			Seq:     seq,
 		})
 		return
 	}
 	// Rows below the window's sequence were applied by an earlier
 	// delivery of the same batch and are skipped, which is what makes
-	// coordinator retries after a partial fan-out failure safe.
-	if skip := seq - req.BaseSeq; skip < uint64(len(req.Intervals)) {
-		batch, err := wk.decodeIntervals(req.Intervals[skip:])
-		if err != nil {
-			writeWireError(w, http.StatusBadRequest, &WireError{Code: CodeBadRequest, Message: err.Error()})
-			return
+	// coordinator retries after a partial fan-out failure safe. The
+	// rest are masked to the assigned shards' paths.
+	if skip := seq - base; skip < uint64(len(batch)) {
+		batch = batch[skip:]
+		if wk.mask != nil {
+			for _, set := range batch {
+				set.IntersectWith(wk.mask)
+			}
 		}
 		if _, err := wk.win.AddBatch(batch); err != nil {
 			writeWireError(w, http.StatusServiceUnavailable, &WireError{Code: CodeWALUnavailable, Message: err.Error()})
@@ -432,8 +424,8 @@ func (wk *Worker) handleReset(w http.ResponseWriter, r *http.Request) {
 
 // handleResult solves the shard's columns of the window (warm plans
 // make the steady state cheap) and returns the block with the sequence
-// it covers. Repeated polls at an unchanged sequence serve the cached
-// encoding without re-solving.
+// it covers, as a binary block. Repeated polls at an unchanged sequence
+// serve the cached encoding without re-solving.
 func (wk *Worker) handleResult(w http.ResponseWriter, r *http.Request) {
 	k, err := strconv.Atoi(r.PathValue("shard"))
 	if err != nil {
@@ -460,7 +452,7 @@ func (wk *Worker) handleResult(w http.ResponseWriter, r *http.Request) {
 	ws.solveMu.Lock()
 	defer ws.solveMu.Unlock()
 	if ws.solvedYet && ws.cachedSeq == win.Seq() {
-		writeWire(w, http.StatusOK, ws.cached)
+		writeBlock(w, ws.cached)
 		return
 	}
 	// Solve detached from the request context: a poller that times out
@@ -474,8 +466,17 @@ func (wk *Worker) handleResult(w http.ResponseWriter, r *http.Request) {
 			Message: fmt.Sprintf("shard %d: %v", k, err)})
 		return
 	}
-	resp := encodeResult(k, win.Seq(), win.T(), res, info)
-	ws.cached, ws.cachedSeq, ws.solvedYet = resp, win.Seq(), true
+	block := &ShardResultResponse{
+		Shard:    k,
+		SeqHigh:  win.Seq(),
+		T:        win.T(),
+		Tier:     info.Tier,
+		BuildNs:  info.BuildTime.Nanoseconds(),
+		RepairNs: info.RepairTime.Nanoseconds(),
+		SolveNs:  info.SolveTime.Nanoseconds(),
+		Result:   res,
+	}
+	ws.cached, ws.cachedSeq, ws.solvedYet = block.AppendTo(nil), win.Seq(), true
 	metricWorkerSolves.Inc()
-	writeWire(w, http.StatusOK, resp)
+	writeBlock(w, ws.cached)
 }

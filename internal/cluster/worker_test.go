@@ -67,27 +67,38 @@ func wantCode(t *testing.T, err error, code string) *WireError {
 	return we
 }
 
-// randomIntervals builds n wire intervals over the topology's paths.
-func randomIntervals(top *topology.Topology, n int, seed int64) [][]int {
+// randomIntervals builds n congested-path rows over the topology's
+// paths.
+func randomIntervals(top *topology.Topology, n int, seed int64) []*bitset.Set {
 	rng := rand.New(rand.NewSource(seed))
-	out := make([][]int, n)
+	out := make([]*bitset.Set, n)
 	for i := range out {
-		var iv []int
+		set := bitset.New(top.NumPaths())
 		for p := 0; p < top.NumPaths(); p++ {
 			if rng.Float64() < 0.15 {
-				iv = append(iv, p)
+				set.Add(p)
 			}
 		}
-		out[i] = iv
+		out[i] = set
 	}
 	return out
 }
 
+// ingestBatch is one POST /c1/ingest: rows based at the sender's
+// pre-batch sequence.
+type ingestBatch struct {
+	BaseSeq   uint64
+	Intervals []*bitset.Set
+}
+
+// record is the batch's wire body, one WAL record.
+func (b *ingestBatch) record() []byte { return wal.AppendRecord(nil, b.BaseSeq, b.Intervals) }
+
 // ingest posts one batch and returns the worker's acked sequence.
-func ingest(t *testing.T, cl *client, req *IngestRequest) uint64 {
+func ingest(t *testing.T, cl *client, req *ingestBatch) uint64 {
 	t.Helper()
 	var ack IngestResponse
-	if err := cl.do(context.Background(), http.MethodPost, "/c1/ingest", req, &ack); err != nil {
+	if err := cl.do(context.Background(), http.MethodPost, "/c1/ingest", req.record(), &ack); err != nil {
 		t.Fatal(err)
 	}
 	return ack.Seq
@@ -103,14 +114,18 @@ func statusSeq(t *testing.T, cl *client) uint64 {
 	return st.Seq
 }
 
-// shardResult fetches one shard's solved block.
-func shardResult(t *testing.T, cl *client, shard int) ShardResultResponse {
+// shardResult fetches one shard's solved block over top's universes.
+func shardResult(t *testing.T, top *topology.Topology, cl *client, shard int) ShardResultResponse {
 	t.Helper()
-	var res ShardResultResponse
-	if err := cl.do(context.Background(), http.MethodGet, fmt.Sprintf("/c1/shards/%d/result", shard), nil, &res); err != nil {
+	var body []byte
+	if err := cl.do(context.Background(), http.MethodGet, fmt.Sprintf("/c1/shards/%d/result", shard), nil, &body); err != nil {
 		t.Fatal(err)
 	}
-	return res
+	res, err := ParseShardResult(body, top)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return *res
 }
 
 // postStatus posts a raw body and returns the HTTP status with the
@@ -132,11 +147,12 @@ func postStatus(t *testing.T, cl *client, path string, body []byte) (int, envelo
 // solvedBlock strips what legitimately differs between two solves of
 // the same data — stage timings and the plan tier (a recovered or
 // differently fed solver may be cold where the other was warm) —
-// leaving the solved block itself.
-func solvedBlock(res ShardResultResponse) ShardResultResponse {
+// leaving the solved block itself, encoded: the bytes compare NaN
+// good-probabilities bit for bit, where the decoded floats would not.
+func solvedBlock(res ShardResultResponse) []byte {
 	res.BuildNs, res.RepairNs, res.SolveNs = 0, 0, 0
 	res.Tier = core.Tier{}
-	return res
+	return res.AppendTo(nil)
 }
 
 // TestWorkerProtocol walks the wire contract end to end on one worker:
@@ -151,7 +167,7 @@ func TestWorkerProtocol(t *testing.T) {
 	ctx := context.Background()
 
 	// RPCs before assignment are refused.
-	err := cl.do(ctx, http.MethodPost, "/c1/ingest", &IngestRequest{Intervals: [][]int{{0}}}, nil)
+	err := cl.do(ctx, http.MethodPost, "/c1/ingest", (&ingestBatch{Intervals: []*bitset.Set{bitset.FromIndices(top.NumPaths(), 0)}}).record(), nil)
 	wantCode(t, err, CodeNotAssigned)
 	wantCode(t, cl.do(ctx, http.MethodPost, "/c1/reset", &ResetRequest{}, nil), CodeNotAssigned)
 
@@ -179,7 +195,7 @@ func TestWorkerProtocol(t *testing.T) {
 	// Ingest advances the one sequence; re-delivering the same batch (a
 	// coordinator retry) is a no-op.
 	rows := randomIntervals(top, 5, 1)
-	batch := &IngestRequest{BaseSeq: 0, Intervals: rows[:3]}
+	batch := &ingestBatch{BaseSeq: 0, Intervals: rows[:3]}
 	for i := 0; i < 2; i++ {
 		if got := ingest(t, cl, batch); got != 3 {
 			t.Fatalf("delivery %d: ack %d, want 3", i, got)
@@ -188,8 +204,8 @@ func TestWorkerProtocol(t *testing.T) {
 
 	// A base past the worker means missed batches: refused with the
 	// worker's sequence, nothing applied.
-	gap := &IngestRequest{BaseSeq: 5, Intervals: randomIntervals(top, 2, 2)}
-	we := wantCode(t, cl.do(ctx, http.MethodPost, "/c1/ingest", gap, nil), CodeSeqGap)
+	gap := &ingestBatch{BaseSeq: 5, Intervals: randomIntervals(top, 2, 2)}
+	we := wantCode(t, cl.do(ctx, http.MethodPost, "/c1/ingest", gap.record(), nil), CodeSeqGap)
 	if we.Seq != 3 || statusSeq(t, cl) != 3 {
 		t.Fatalf("gap report at %d, status %d, want both 3", we.Seq, statusSeq(t, cl))
 	}
@@ -197,7 +213,7 @@ func TestWorkerProtocol(t *testing.T) {
 	// Catch-up is ordinary ingest from the coordinator's window: a replay
 	// based below the worker dedupes the applied prefix and applies the
 	// rest.
-	catchUp := &IngestRequest{BaseSeq: 1, Intervals: rows[1:]}
+	catchUp := &ingestBatch{BaseSeq: 1, Intervals: rows[1:]}
 	if got := ingest(t, cl, catchUp); got != 5 {
 		t.Fatalf("ack %d after catch-up, want 5", got)
 	}
@@ -210,9 +226,9 @@ func TestWorkerProtocol(t *testing.T) {
 		t.Fatal(err)
 	}
 	ingest(t, bcl, batch)
-	ingest(t, bcl, &IngestRequest{BaseSeq: 3, Intervals: rows[3:]})
+	ingest(t, bcl, &ingestBatch{BaseSeq: 3, Intervals: rows[3:]})
 	for _, k := range []int{0, 1} {
-		caught, broadcast := shardResult(t, cl, k), shardResult(t, bcl, k)
+		caught, broadcast := shardResult(t, top, cl, k), shardResult(t, top, bcl, k)
 		if caught.Shard != k || caught.SeqHigh != 5 || caught.T != 5 || len(caught.Subsets) == 0 {
 			t.Fatalf("shard %d block after catch-up: shard %d seq %d T %d, %d subsets",
 				k, caught.Shard, caught.SeqHigh, caught.T, len(caught.Subsets))
@@ -237,11 +253,11 @@ func TestWorkerProtocol(t *testing.T) {
 	if rst.Seq != 2 || statusSeq(t, cl) != 2 {
 		t.Fatalf("reset ack %+v, status %d, want both at 2", rst, statusSeq(t, cl))
 	}
-	if got := ingest(t, cl, &IngestRequest{BaseSeq: 2, Intervals: rows[:1]}); got != 3 {
+	if got := ingest(t, cl, &ingestBatch{BaseSeq: 2, Intervals: rows[:1]}); got != 3 {
 		t.Fatalf("ack %d after reset, want 3", got)
 	}
 	for _, k := range []int{0, 1} {
-		if res := shardResult(t, cl, k); res.SeqHigh != 3 || res.T != 1 {
+		if res := shardResult(t, top, cl, k); res.SeqHigh != 3 || res.T != 1 {
 			t.Fatalf("shard %d after reset: seq %d T %d, want 3/1", k, res.SeqHigh, res.T)
 		}
 	}
@@ -254,16 +270,16 @@ func TestWorkerMasksRows(t *testing.T) {
 	top := shardedTopology(t)
 	part := topology.NewPartition(top)
 	// One row congesting every path.
-	all := make([]int, top.NumPaths())
-	for p := range all {
-		all[p] = p
+	all := bitset.New(top.NumPaths())
+	for p := 0; p < top.NumPaths(); p++ {
+		all.Add(p)
 	}
 	for _, shards := range [][]int{{0}, {1}, {0, 1}} {
 		wk, cl, stop := workerClient(t, top, wal.Options{})
 		if err := cl.do(context.Background(), http.MethodPost, "/c1/assign", testAssignRequest(top, shards, 16), nil); err != nil {
 			t.Fatal(err)
 		}
-		ingest(t, cl, &IngestRequest{Intervals: [][]int{all}})
+		ingest(t, cl, &ingestBatch{Intervals: []*bitset.Set{all}})
 		want := bitset.New(top.NumPaths())
 		for _, k := range shards {
 			want.UnionWith(part.ShardPaths(k))
@@ -292,11 +308,11 @@ func TestWorkerWALRecoveryTwoShards(t *testing.T) {
 	if err := cl1.do(ctx, http.MethodPost, "/c1/assign", testAssignRequest(top, []int{0, 1}, 64), nil); err != nil {
 		t.Fatal(err)
 	}
-	first := &IngestRequest{BaseSeq: 0, Intervals: randomIntervals(top, n, 9)}
+	first := &ingestBatch{BaseSeq: 0, Intervals: randomIntervals(top, n, 9)}
 	ingest(t, cl1, first)
 	before := map[int]ShardResultResponse{}
 	for _, k := range []int{0, 1} {
-		before[k] = shardResult(t, cl1, k)
+		before[k] = shardResult(t, top, cl1, k)
 	}
 	stop1()
 
@@ -327,14 +343,14 @@ func TestWorkerWALRecoveryTwoShards(t *testing.T) {
 	for _, k := range []int{0, 1} {
 		// A recovered solve is cold where the original may have been
 		// warm; only the solved block itself must match.
-		if got, want := solvedBlock(shardResult(t, cl2, k)), solvedBlock(before[k]); !reflect.DeepEqual(got, want) {
+		if got, want := solvedBlock(shardResult(t, top, cl2, k)), solvedBlock(before[k]); !reflect.DeepEqual(got, want) {
 			t.Fatalf("shard %d: recovered block differs from pre-restart block\n got %+v\nwant %+v", k, got, want)
 		}
 	}
 
 	// Ingest continues at the recovered sequence, and the old batch
 	// still dedupes.
-	if got := ingest(t, cl2, &IngestRequest{BaseSeq: n, Intervals: randomIntervals(top, 5, 10)}); got != n+5 {
+	if got := ingest(t, cl2, &ingestBatch{BaseSeq: n, Intervals: randomIntervals(top, 5, 10)}); got != n+5 {
 		t.Fatalf("post-recovery ack %d, want %d", got, n+5)
 	}
 	if got := ingest(t, cl2, first); got != n+5 {
@@ -353,7 +369,7 @@ func TestWorkerWALReplacement(t *testing.T) {
 	top := shardedTopology(t)
 	ctx := context.Background()
 	walDir := t.TempDir()
-	rows := &IngestRequest{BaseSeq: 0, Intervals: randomIntervals(top, 30, 14)}
+	rows := &ingestBatch{BaseSeq: 0, Intervals: randomIntervals(top, 30, 14)}
 
 	_, cl, stop := workerClient(t, top, wal.Options{Dir: walDir})
 	if err := cl.do(ctx, http.MethodPost, "/c1/assign", testAssignRequest(top, []int{0}, 64), nil); err != nil {
@@ -387,7 +403,7 @@ func TestWorkerWALReplacement(t *testing.T) {
 			t.Fatalf("%s: catch-up ack %d, want 30", lost, got)
 		}
 		for _, k := range []int{0, 1} {
-			if got, want := solvedBlock(shardResult(t, cl, k)), solvedBlock(shardResult(t, bcl, k)); !reflect.DeepEqual(got, want) {
+			if got, want := solvedBlock(shardResult(t, top, cl, k)), solvedBlock(shardResult(t, top, bcl, k)); !reflect.DeepEqual(got, want) {
 				t.Fatalf("%s: shard %d after catch-up differs from broadcast\n got %+v\nwant %+v", lost, k, got, want)
 			}
 		}
@@ -412,10 +428,7 @@ func TestWorkerWALReplacement(t *testing.T) {
 // same batch and syncs in the background.
 func TestWorkerWALFsyncPolicy(t *testing.T) {
 	top := shardedTopology(t)
-	body, err := json.Marshal(&IngestRequest{Intervals: randomIntervals(top, 4, 11)})
-	if err != nil {
-		t.Fatal(err)
-	}
+	body := (&ingestBatch{Intervals: randomIntervals(top, 4, 11)}).record()
 	for _, c := range []struct {
 		policy wal.SyncPolicy
 		status int
@@ -456,8 +469,8 @@ func TestWorkerWALAppendFailureAtomic(t *testing.T) {
 	assign := testAssignRequest(top, []int{0, 1}, 64)
 	ffs := faultfs.New(nil)
 	opts := wal.Options{Dir: t.TempDir(), FS: ffs, Policy: wal.SyncOff}
-	first := &IngestRequest{BaseSeq: 0, Intervals: randomIntervals(top, 5, 12)}
-	second := &IngestRequest{BaseSeq: 5, Intervals: randomIntervals(top, 5, 13)}
+	first := &ingestBatch{BaseSeq: 0, Intervals: randomIntervals(top, 5, 12)}
+	second := &ingestBatch{BaseSeq: 5, Intervals: randomIntervals(top, 5, 13)}
 
 	_, cl, stop := workerClient(t, top, opts)
 	if err := cl.do(ctx, http.MethodPost, "/c1/assign", assign, nil); err != nil {
@@ -466,13 +479,13 @@ func TestWorkerWALAppendFailureAtomic(t *testing.T) {
 	ingest(t, cl, first)
 	ffs.LimitWrites(10) // the next record tears mid-frame
 	for i := 0; i < 2; i++ {
-		wantCode(t, cl.do(ctx, http.MethodPost, "/c1/ingest", second, nil), CodeWALUnavailable)
+		wantCode(t, cl.do(ctx, http.MethodPost, "/c1/ingest", second.record(), nil), CodeWALUnavailable)
 		if got := statusSeq(t, cl); got != 5 {
 			t.Fatalf("attempt %d: worker at seq %d after a failed append, want 5", i, got)
 		}
 	}
 	for _, k := range []int{0, 1} {
-		if res := shardResult(t, cl, k); res.SeqHigh != 5 {
+		if res := shardResult(t, top, cl, k); res.SeqHigh != 5 {
 			t.Fatalf("shard %d solved at seq %d after a failed append, want 5", k, res.SeqHigh)
 		}
 	}
@@ -502,7 +515,7 @@ func TestWorkerWALAppendFailureAtomic(t *testing.T) {
 	ingest(t, bcl, first)
 	ingest(t, bcl, second)
 	for _, k := range []int{0, 1} {
-		if got, want := solvedBlock(shardResult(t, cl, k)), solvedBlock(shardResult(t, bcl, k)); !reflect.DeepEqual(got, want) {
+		if got, want := solvedBlock(shardResult(t, top, cl, k)), solvedBlock(shardResult(t, top, bcl, k)); !reflect.DeepEqual(got, want) {
 			t.Fatalf("shard %d after the retried batch differs from broadcast\n got %+v\nwant %+v", k, got, want)
 		}
 	}

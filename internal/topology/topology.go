@@ -18,6 +18,7 @@
 package topology
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/internal/bitset"
@@ -82,8 +83,13 @@ func NewChecked(links []Link, paths []Path, corrSets [][]int) (*Topology, error)
 }
 
 // Build (re)derives the coverage indices and validates the structure.
+// A topology needs at least one path: with none there is nothing to
+// observe, and no estimator can solve it.
 func (t *Topology) Build() error {
 	n, m := len(t.Links), len(t.Paths)
+	if m == 0 {
+		return errors.New("topology: no paths")
+	}
 	for i := range t.Links {
 		if t.Links[i].ID != i {
 			return fmt.Errorf("topology: link %d has ID %d; IDs must be dense indices", i, t.Links[i].ID)

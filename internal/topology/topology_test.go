@@ -148,6 +148,8 @@ func TestBuildRejectsBadInput(t *testing.T) {
 		{"empty corr set", []Link{{ID: 0}}, []Path{{ID: 0, Links: []int{0}}}, [][]int{{0}, {}}},
 		{"dup corr membership", []Link{{ID: 0}}, []Path{{ID: 0, Links: []int{0}}}, [][]int{{0}, {0}}},
 		{"uncovered link", []Link{{ID: 0}, {ID: 1}}, []Path{{ID: 0, Links: []int{0, 1}}}, [][]int{{0}}},
+		{"no paths", nil, nil, nil},
+		{"links but no paths", []Link{{ID: 0}}, nil, nil},
 	}
 	for _, c := range badCases {
 		top := &Topology{Links: c.links, Paths: c.paths, CorrSets: c.sets}

@@ -16,8 +16,11 @@
 // One record is one committed ingest batch; baseSeq is the total
 // number of intervals logged before the batch, so records carry the
 // exact commit order of the store they mirror (stream.Window sequence
-// numbers). All integers are little-endian;
-// the checksum is CRC-32C (Castagnoli).
+// numbers). Path indices ascend strictly within an interval. All
+// integers are little-endian; the checksum is CRC-32C (Castagnoli).
+// AppendRecord and ParseRecord are this encoding, and it is the one
+// batch codec for disk and wire: a cluster worker's POST /c1/ingest
+// body is exactly one record.
 //
 // Durability policies. SyncPerBatch fsyncs inside every append (the
 // batch is on stable storage before ingest acknowledges); SyncInterval
@@ -54,8 +57,10 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -230,7 +235,7 @@ type WAL struct {
 	file     File
 	segs     []segmentMeta // retained segments, oldest first; the last is active
 	segBytes int64         // active segment size
-	slab     []byte        // reused append encode buffer
+	slab     []byte        // reused AppendRecord buffer
 	closed   bool
 
 	seq      atomic.Uint64 // intervals logged (high-water mark)
@@ -457,7 +462,7 @@ func scanSegment(data []byte, nameBase uint64, haveSeq bool, expectSeq uint64, f
 	off := len(magic)
 	seq := expectSeq
 	for off < len(data) {
-		rec, ok := parseRecord(data, off)
+		base, n, end, ok := recordAt(data, off)
 		if !ok {
 			if !final {
 				return res, fmt.Errorf("%w: invalid record at offset %d", ErrCorrupt, off)
@@ -471,70 +476,144 @@ func scanSegment(data []byte, nameBase uint64, haveSeq bool, expectSeq uint64, f
 			res.truncateAt = off
 			return res, nil
 		}
-		if haveSeq && rec.base != seq {
-			return res, fmt.Errorf("%w: record at offset %d has base seq %d, want %d", ErrCorrupt, off, rec.base, seq)
+		if haveSeq && base != seq {
+			return res, fmt.Errorf("%w: record at offset %d has base seq %d, want %d", ErrCorrupt, off, base, seq)
 		}
 		if !haveSeq {
-			if rec.base != nameBase {
-				return res, fmt.Errorf("%w: first record base %d does not match segment name base %d", ErrCorrupt, rec.base, nameBase)
+			if base != nameBase {
+				return res, fmt.Errorf("%w: first record base %d does not match segment name base %d", ErrCorrupt, base, nameBase)
 			}
-			seq = rec.base
 			haveSeq = true
-			res.firstBase = rec.base
+			res.firstBase = base
 		}
-		seq = rec.base + uint64(rec.n)
+		seq = base + uint64(n)
 		res.records++
-		res.intervals += rec.n
-		off = rec.end
+		res.intervals += n
+		off = end
 	}
 	return res, nil
 }
 
-// parsedRecord is one framed record's geometry and header.
-type parsedRecord struct {
-	base       uint64
-	n          int
-	payloadOff int
-	end        int
+// AppendRecord appends the framed record of one batch to dst and
+// returns the extended slice; base is the number of intervals logged
+// before the batch. It is the one batch encoding, for segment files and
+// for the cluster ingest body, and allocates nothing when dst has room
+// for the record.
+func AppendRecord(dst []byte, base uint64, batch []*bitset.Set) []byte {
+	size := frameHeaderSize + payloadMinSize
+	for _, s := range batch {
+		size += 4 + 4*s.Count()
+	}
+	start := len(dst)
+	dst = slices.Grow(dst, size)[:start+size]
+	buf := dst[start:]
+	binary.LittleEndian.PutUint64(buf[frameHeaderSize:], base)
+	binary.LittleEndian.PutUint32(buf[frameHeaderSize+8:], uint32(len(batch)))
+	off := frameHeaderSize + payloadMinSize
+	for _, s := range batch {
+		countOff := off
+		off += 4
+		n := 0
+		s.ForEach(func(p int) bool {
+			binary.LittleEndian.PutUint32(buf[off:], uint32(p))
+			off += 4
+			n++
+			return true
+		})
+		binary.LittleEndian.PutUint32(buf[countOff:], uint32(n))
+	}
+	payload := buf[frameHeaderSize:]
+	binary.LittleEndian.PutUint32(buf, uint32(len(payload)))
+	binary.LittleEndian.PutUint32(buf[4:], crc32.Checksum(payload, castagnoli))
+	return dst
 }
 
-// parseRecord validates the frame, checksum and payload structure of
-// the record at off. ok is false on any defect — framing overrun, CRC
-// mismatch, or a payload whose interval lists do not tile its length.
-func parseRecord(data []byte, off int) (parsedRecord, bool) {
-	var rec parsedRecord
-	if off+frameHeaderSize > len(data) {
-		return rec, false
+// ParseRecord decodes rec, which must be exactly one framed record:
+// the frame length matches len(rec), the checksum holds, the interval
+// lists tile the payload, and every list ascends strictly with indices
+// below numPaths. Every count is checked against the bytes left before
+// anything is sized by it, and each set is sized to its largest index,
+// so a bounded universe bounds what a record can make it allocate. It
+// returns the base sequence and the batch; AppendRecord of them gives
+// back rec.
+func ParseRecord(rec []byte, numPaths int) (base uint64, batch []*bitset.Set, err error) {
+	base, n, err := checkRecord(rec, numPaths)
+	if err != nil {
+		return 0, nil, err
 	}
-	plen := int(binary.LittleEndian.Uint32(data[off:]))
-	if plen < payloadMinSize || plen > maxRecordPayload || off+frameHeaderSize+plen > len(data) {
-		return rec, false
+	batch = make([]*bitset.Set, n)
+	p := frameHeaderSize + payloadMinSize
+	for i := range batch {
+		count := int(binary.LittleEndian.Uint32(rec[p:]))
+		p += 4
+		size := 0
+		if count > 0 {
+			size = int(binary.LittleEndian.Uint32(rec[p+4*(count-1):])) + 1
+		}
+		set := bitset.New(size)
+		for ; count > 0; count-- {
+			set.Add(int(binary.LittleEndian.Uint32(rec[p:])))
+			p += 4
+		}
+		batch[i] = set
 	}
-	wantCRC := binary.LittleEndian.Uint32(data[off+4:])
-	payload := data[off+frameHeaderSize : off+frameHeaderSize+plen]
-	if crc32.Checksum(payload, castagnoli) != wantCRC {
-		return rec, false
+	return base, batch, nil
+}
+
+// checkRecord validates what ParseRecord decodes without building the
+// batch, returning the base sequence and the interval count.
+func checkRecord(rec []byte, numPaths int) (base uint64, n int, err error) {
+	if len(rec) < frameHeaderSize+payloadMinSize {
+		return 0, 0, fmt.Errorf("record of %d bytes is shorter than its %d-byte header", len(rec), frameHeaderSize+payloadMinSize)
 	}
-	rec.base = binary.LittleEndian.Uint64(payload)
-	rec.n = int(binary.LittleEndian.Uint32(payload[8:]))
-	rec.payloadOff = off + frameHeaderSize
-	rec.end = off + frameHeaderSize + plen
-	// Structural check: the n interval lists must tile the payload.
+	if plen := binary.LittleEndian.Uint32(rec); uint64(plen) != uint64(len(rec)-frameHeaderSize) {
+		return 0, 0, fmt.Errorf("frame length %d does not match the %d payload bytes", plen, len(rec)-frameHeaderSize)
+	}
+	payload := rec[frameHeaderSize:]
+	if crc32.Checksum(payload, castagnoli) != binary.LittleEndian.Uint32(rec[4:]) {
+		return 0, 0, errors.New("checksum mismatch")
+	}
+	base = binary.LittleEndian.Uint64(payload)
+	nIntervals := binary.LittleEndian.Uint32(payload[8:])
 	p := payloadMinSize
-	for i := 0; i < rec.n; i++ {
-		if p+4 > plen {
-			return rec, false
+	for i := uint32(0); i < nIntervals; i++ {
+		if len(payload)-p < 4 {
+			return 0, 0, fmt.Errorf("interval %d of %d: payload ends before its count", i, nIntervals)
 		}
-		count := int(binary.LittleEndian.Uint32(payload[p:]))
-		p += 4 + 4*count
-		if count < 0 || p > plen {
-			return rec, false
+		count := binary.LittleEndian.Uint32(payload[p:])
+		p += 4
+		if count > uint32((len(payload)-p)/4) {
+			return 0, 0, fmt.Errorf("interval %d: %d paths overrun the %d bytes left", i, count, len(payload)-p)
+		}
+		prev := -1
+		for j := uint32(0); j < count; j++ {
+			path := int(binary.LittleEndian.Uint32(payload[p:]))
+			p += 4
+			if path >= numPaths {
+				return 0, 0, fmt.Errorf("interval %d: path %d outside universe [0,%d)", i, path, numPaths)
+			}
+			if path <= prev {
+				return 0, 0, fmt.Errorf("interval %d: path %d after %d (paths must ascend)", i, path, prev)
+			}
+			prev = path
 		}
 	}
-	if p != plen {
-		return rec, false
+	if p != len(payload) {
+		return 0, 0, fmt.Errorf("%d bytes after the last interval", len(payload)-p)
 	}
-	return rec, true
+	return base, int(nIntervals), nil
+}
+
+// recordAt validates the record at off against no universe bound and
+// returns its header and end offset; ok is false on any defect —
+// framing overrun, CRC mismatch, or a payload ParseRecord refuses.
+func recordAt(data []byte, off int) (base uint64, n, end int, ok bool) {
+	end = nextOffCandidate(data, off)
+	if end < 0 {
+		return 0, 0, 0, false
+	}
+	base, n, err := checkRecord(data[off:end], math.MaxInt)
+	return base, n, end, err == nil
 }
 
 // nextOffCandidate returns where the record after the (broken) one at
@@ -555,7 +634,7 @@ func nextOffCandidate(data []byte, off int) int {
 // any frame boundary reachable from off.
 func anyValidRecordFrom(data []byte, off int) bool {
 	for off >= 0 && off < len(data) {
-		if _, ok := parseRecord(data, off); ok {
+		if _, _, _, ok := recordAt(data, off); ok {
 			return true
 		}
 		off = nextOffCandidate(data, off)
@@ -615,8 +694,17 @@ func (w *WAL) newSegmentLocked() error {
 
 // Replay streams the recovered batches oldest-first: fn is called once
 // per record with the sequence number before the batch and the decoded
-// congested-path sets. Call it before the first append.
+// congested-path sets. Call it before the first append. Replay bounds
+// no path index; Restore replays within the window's path universe.
 func (w *WAL) Replay(fn func(baseSeq uint64, batch []*bitset.Set) error) error {
+	return w.replay(math.MaxInt, fn)
+}
+
+// replay is Replay with every logged path index bounded by numPaths: a
+// record naming a path outside [0, numPaths) fails with ErrCorrupt,
+// naming the segment, the record and the index, before any set is
+// sized by it.
+func (w *WAL) replay(numPaths int, fn func(baseSeq uint64, batch []*bitset.Set) error) error {
 	w.mu.Lock()
 	segs := make([]segmentMeta, len(w.segs))
 	copy(segs, w.segs)
@@ -626,31 +714,22 @@ func (w *WAL) Replay(fn func(baseSeq uint64, batch []*bitset.Set) error) error {
 		if err != nil {
 			return fmt.Errorf("wal: replaying %s: %w", sg.name, err)
 		}
-		off := len(magic)
-		if len(data) < off {
+		if len(data) < len(magic) {
 			continue // fully-torn tail segment, already truncated
 		}
-		for off < len(data) {
-			rec, ok := parseRecord(data, off)
-			if !ok {
-				return fmt.Errorf("%w: replay found invalid record in %s at offset %d", ErrCorrupt, sg.name, off)
+		for off, i := len(magic), 0; off < len(data); i++ {
+			end := nextOffCandidate(data, off)
+			if end < 0 {
+				return fmt.Errorf("%w: replay found invalid record %d in %s at offset %d", ErrCorrupt, i, sg.name, off)
 			}
-			batch := make([]*bitset.Set, rec.n)
-			p := rec.payloadOff + payloadMinSize
-			for i := range batch {
-				count := int(binary.LittleEndian.Uint32(data[p:]))
-				p += 4
-				set := bitset.New(0)
-				for j := 0; j < count; j++ {
-					set.Add(int(binary.LittleEndian.Uint32(data[p:])))
-					p += 4
-				}
-				batch[i] = set
+			base, batch, err := ParseRecord(data[off:end], numPaths)
+			if err != nil {
+				return fmt.Errorf("%w: replaying record %d of %s at offset %d: %v", ErrCorrupt, i, sg.name, off, err)
 			}
-			if err := fn(rec.base, batch); err != nil {
+			if err := fn(base, batch); err != nil {
 				return err
 			}
-			off = rec.end
+			off = end
 		}
 	}
 	return nil
@@ -679,7 +758,8 @@ func (w *WAL) AppendBatch(batch []*bitset.Set) (uint64, error) {
 		return w.seq.Load(), err
 	}
 	base := w.seq.Load()
-	buf := w.encode(base, batch)
+	buf := AppendRecord(w.slab[:0], base, batch)
+	w.slab = buf
 	w.opStart.Store(time.Now().UnixNano())
 	_, err := w.file.Write(buf)
 	w.opStart.Store(0)
@@ -708,38 +788,6 @@ func (w *WAL) AppendBatch(batch []*bitset.Set) (uint64, error) {
 		}
 	}
 	return w.seq.Load(), nil
-}
-
-// encode frames the batch into the reused slab and returns the record
-// bytes. Steady state allocates nothing: the slab only grows.
-func (w *WAL) encode(base uint64, batch []*bitset.Set) []byte {
-	size := frameHeaderSize + payloadMinSize
-	for _, s := range batch {
-		size += 4 + 4*s.Count()
-	}
-	if cap(w.slab) < size {
-		w.slab = make([]byte, size, size+size/2)
-	}
-	buf := w.slab[:size]
-	binary.LittleEndian.PutUint64(buf[frameHeaderSize:], base)
-	binary.LittleEndian.PutUint32(buf[frameHeaderSize+8:], uint32(len(batch)))
-	off := frameHeaderSize + payloadMinSize
-	for _, s := range batch {
-		countOff := off
-		off += 4
-		n := 0
-		s.ForEach(func(p int) bool {
-			binary.LittleEndian.PutUint32(buf[off:], uint32(p))
-			off += 4
-			n++
-			return true
-		})
-		binary.LittleEndian.PutUint32(buf[countOff:], uint32(n))
-	}
-	payload := buf[frameHeaderSize:off]
-	binary.LittleEndian.PutUint32(buf, uint32(len(payload)))
-	binary.LittleEndian.PutUint32(buf[4:], crc32.Checksum(payload, castagnoli))
-	return buf[:off]
 }
 
 // lockWithDeadline acquires mu unless the current holder's file

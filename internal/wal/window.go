@@ -18,8 +18,9 @@ import (
 // replayed through the raw Add path (which never re-logs), and only
 // then is the log attached, so subsequent AddBatch calls log before
 // applying. A log the scan cannot vouch for (corruption before the torn
-// tail) fails here rather than yielding a window over silently dropped
-// data. What recovery found is logged to logger.
+// tail), or one naming a path outside win's universe, fails here with
+// ErrCorrupt rather than yielding a window over silently dropped data.
+// What recovery found is logged to logger.
 func Restore(opts Options, win *stream.Window, logger *slog.Logger) (*WAL, error) {
 	w, err := Open(opts)
 	if err != nil {
@@ -27,7 +28,7 @@ func Restore(opts Options, win *stream.Window, logger *slog.Logger) (*WAL, error
 	}
 	rec := w.Recovered()
 	win.ResetSeq(rec.FirstSeq)
-	if err := w.Replay(func(_ uint64, batch []*bitset.Set) error {
+	if err := w.replay(win.NumPaths(), func(_ uint64, batch []*bitset.Set) error {
 		for _, obs := range batch {
 			win.Add(obs)
 		}
