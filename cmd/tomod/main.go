@@ -131,8 +131,8 @@ func (o *options) register(fs *flag.FlagSet) {
 	fs.StringVar(&o.role, "role", "standalone", "process role: standalone, coordinator, or worker")
 	fs.StringVar(&o.peers, "peers", "", "coordinator: comma-separated worker base URLs; shard k lives on peer k mod N")
 	fs.StringVar(&o.workerID, "worker-id", "", "worker: placement identity to enforce (empty = adopt the coordinator's)")
-	fs.IntVar(&o.window, "window", 1000, "sliding-window capacity in intervals")
-	fs.DurationVar(&o.recompute, "recompute", 2*time.Second, "solver recompute cadence")
+	fs.IntVar(&o.window, "window", 1000, fmt.Sprintf("sliding-window capacity in intervals (at most %d)", server.MaxWindowSize))
+	fs.DurationVar(&o.recompute, "recompute", 2*time.Second, "minimum spacing between a solver loop's epochs: the loop's tick; a coordinator's loops start an epoch once a batch has been applied, at most this often")
 	fs.StringVar(&o.algo, "algo", estimator.CorrelationComplete, "epoch estimator (see /v1/estimators)")
 	fs.IntVar(&o.maxSubset, "maxsubset", 2, "Correlation-complete max subset size")
 	fs.Float64Var(&o.tol, "tol", 0.02, "always-good congested-fraction tolerance")
@@ -258,6 +258,9 @@ func (o *options) configure(fs *flag.FlagSet, top *topology.Topology, logger *sl
 	case "standalone", "coordinator":
 	default:
 		return roleConfig{}, fmt.Errorf("unknown -role %q (want standalone, coordinator, or worker)", o.role)
+	}
+	if o.window > server.MaxWindowSize {
+		return roleConfig{}, fmt.Errorf("-window %d exceeds the maximum %d", o.window, server.MaxWindowSize)
 	}
 	rc := roleConfig{server: server.Config{
 		WindowSize:     o.window,

@@ -6,11 +6,13 @@ import (
 	"io"
 	"log/slog"
 	"os"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/estimator"
+	"repro/internal/server"
 	"repro/internal/wal"
 )
 
@@ -77,6 +79,7 @@ func TestConfigureMapsFlags(t *testing.T) {
 		},
 		{name: "coordinator with a conflicting algo", args: []string{"-role", "coordinator", "-peers", "http://a", "-algo", "independence"}, wantErr: true},
 		{name: "coordinator without peers", args: []string{"-role", "coordinator"}, wantErr: true},
+		{name: "window above the ceiling", args: []string{"-window", strconv.Itoa(server.MaxWindowSize + 1)}, wantErr: true},
 		{name: "worker", args: append([]string{"-role", "worker", "-worker-id", "w3"}, walFlags...), wal: wantWAL},
 		{name: "worker with a bad fsync policy", args: []string{"-role", "worker", "-wal-dir", "d", "-wal-fsync", "never"}, wantErr: true},
 		{name: "unknown role", args: []string{"-role", "leader"}, wantErr: true},

@@ -123,6 +123,23 @@ func newClusterServer(t *testing.T, top *topology.Topology, workers []*testWorke
 	return s, coord
 }
 
+// A coordinator refuses a window above the ceiling its workers enforce,
+// so every assignment it sends is one they accept.
+func TestCoordinatorWindowCeiling(t *testing.T) {
+	top := shardedTopology(t)
+	for _, window := range []int{0, server.MaxWindowSize + 1} {
+		_, err := NewCoordinator(CoordinatorConfig{
+			Topology:   top,
+			Workers:    []WorkerSpec{{Addr: "http://w"}},
+			WindowSize: window,
+			SolverOpts: testSolverOpts(),
+		})
+		if err == nil {
+			t.Fatalf("NewCoordinator accepted window %d", window)
+		}
+	}
+}
+
 // newLocalServer is the single-process sharded reference the cluster
 // must bit-match.
 func newLocalServer(t *testing.T, top *topology.Topology, window int) *server.Server {

@@ -148,8 +148,8 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 	if len(cfg.Workers) == 0 {
 		return nil, errors.New("cluster: coordinator requires at least one worker")
 	}
-	if cfg.WindowSize <= 0 {
-		return nil, fmt.Errorf("cluster: window size %d must be positive", cfg.WindowSize)
+	if cfg.WindowSize <= 0 || cfg.WindowSize > server.MaxWindowSize {
+		return nil, fmt.Errorf("cluster: window size %d outside (0, %d]", cfg.WindowSize, server.MaxWindowSize)
 	}
 	settings, err := estimator.Apply(cfg.SolverOpts...)
 	if err != nil {

@@ -317,3 +317,75 @@ func FuzzShardResult(f *testing.F) {
 		}
 	})
 }
+
+// FuzzWorkerAssign posts arbitrary POST /c1/assign bodies to a fresh
+// worker. It never panics and always answers with an envelope, and it
+// accepts a body only when the body decodes to an assignment for this
+// topology, with a window in (0, server.MaxWindowSize] and every shard
+// in range and listed once — which then becomes the worker's live
+// placement. The seeds are one valid body and one for each refusal.
+func FuzzWorkerAssign(f *testing.F) {
+	top := shardedTopology(f)
+	const id = "w0"
+	fp := Fingerprint(top)
+	numShards := topology.NewPartition(top).NumShards()
+	body := func(edit func(*AssignRequest)) []byte {
+		req := testAssignRequest(top, []int{0, 1}, 8)
+		edit(req)
+		raw, err := json.Marshal(req)
+		if err != nil {
+			f.Fatal(err)
+		}
+		return raw
+	}
+	for _, seed := range [][]byte{
+		body(func(*AssignRequest) {}),
+		[]byte(`{"topology_fingerprint":`),
+		body(func(r *AssignRequest) { r.Fingerprint = "x" + r.Fingerprint[1:] }),
+		body(func(r *AssignRequest) { r.WindowSize = 0 }),
+		body(func(r *AssignRequest) { r.WindowSize = -8 }),
+		body(func(r *AssignRequest) { r.WindowSize = 1 << 40 }),
+		body(func(r *AssignRequest) { r.WindowSize = server.MaxWindowSize + 1 }),
+		body(func(r *AssignRequest) { r.Shards = []int{0, numShards} }),
+		body(func(r *AssignRequest) { r.Shards = []int{-1} }),
+		body(func(r *AssignRequest) { r.Shards = []int{1, 1} }),
+		body(func(r *AssignRequest) { r.WorkerID = "w1" }),
+		body(func(r *AssignRequest) { r.Solver.MaxSubsetSize = -1 }),
+	} {
+		f.Add(seed)
+	}
+
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		wk := NewWorker(WorkerConfig{ID: id, Topology: top, Logger: discardLogger()})
+		code, env := serveWire(t, wk.Handler(), http.MethodPost, "/c1/assign", raw)
+		if code/100 != 2 {
+			if env.Error == nil {
+				t.Fatalf("refusal HTTP %d carries no error", code)
+			}
+			return
+		}
+		// The worker decodes the first JSON value of the body, as here.
+		var req AssignRequest
+		if err := json.NewDecoder(bytes.NewReader(raw)).Decode(&req); err != nil {
+			t.Fatalf("HTTP %d for a body that does not decode: %v", code, err)
+		}
+		if req.Fingerprint != fp {
+			t.Fatalf("HTTP %d for fingerprint %q", code, req.Fingerprint)
+		}
+		if req.WindowSize <= 0 || req.WindowSize > server.MaxWindowSize {
+			t.Fatalf("HTTP %d for window %d", code, req.WindowSize)
+		}
+		seen := map[int]bool{}
+		for _, k := range req.Shards {
+			if k < 0 || k >= numShards || seen[k] {
+				t.Fatalf("HTTP %d for shards %v over [0,%d)", code, req.Shards, numShards)
+			}
+			seen[k] = true
+		}
+		wk.mu.Lock()
+		defer wk.mu.Unlock()
+		if wk.win.Cap() != req.WindowSize || len(wk.shards) != len(seen) {
+			t.Fatalf("accepted window %d shards %v, live window %d with %d shards", req.WindowSize, req.Shards, wk.win.Cap(), len(wk.shards))
+		}
+	})
+}

@@ -16,6 +16,7 @@ import (
 
 	"repro/internal/bitset"
 	"repro/internal/estimator"
+	"repro/internal/server"
 	"repro/internal/stream"
 	"repro/internal/telemetry"
 	"repro/internal/topology"
@@ -165,9 +166,9 @@ func (wk *Worker) handleAssign(w http.ResponseWriter, r *http.Request) {
 			Message: fmt.Sprintf("coordinator fingerprint %.12s… does not match worker %.12s…", req.Fingerprint, wk.fp)})
 		return
 	}
-	if req.WindowSize <= 0 {
+	if req.WindowSize <= 0 || req.WindowSize > server.MaxWindowSize {
 		writeWireError(w, http.StatusBadRequest, &WireError{Code: CodeBadRequest,
-			Message: fmt.Sprintf("window size %d must be positive", req.WindowSize)})
+			Message: fmt.Sprintf("window size %d outside (0, %d]", req.WindowSize, server.MaxWindowSize)})
 		return
 	}
 	numShards := wk.numShards()

@@ -20,6 +20,7 @@ import (
 	"repro/internal/bitset"
 	"repro/internal/core"
 	"repro/internal/estimator"
+	"repro/internal/server"
 	"repro/internal/topology"
 	"repro/internal/wal"
 	"repro/internal/wal/faultfs"
@@ -175,6 +176,12 @@ func TestWorkerProtocol(t *testing.T) {
 	bad := testAssignRequest(top, []int{0, 1}, 64)
 	bad.Fingerprint = Fingerprint(testTopology(t, 2))
 	wantCode(t, cl.do(ctx, http.MethodPost, "/c1/assign", bad, nil), CodeTopologyMismatch)
+
+	// A window the worker could not allocate is refused before anything
+	// is sized by it, as is one a coordinator could never send.
+	for _, window := range []int{1 << 40, server.MaxWindowSize + 1} {
+		wantCode(t, cl.do(ctx, http.MethodPost, "/c1/assign", testAssignRequest(top, []int{0, 1}, window), nil), CodeBadRequest)
+	}
 
 	// Real assignment starts at sequence 0.
 	req := testAssignRequest(top, []int{0, 1}, 64)

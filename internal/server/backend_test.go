@@ -36,3 +36,12 @@ func TestEpochEveryRequiresBatchSolver(t *testing.T) {
 	}
 	s.Close()
 }
+
+// New refuses a window above MaxWindowSize rather than size a ring by
+// it.
+func TestNewRefusesWindowAboveCeiling(t *testing.T) {
+	if s, err := New(testTopology(t), Config{WindowSize: MaxWindowSize + 1}); err == nil {
+		s.Close()
+		t.Fatal("New accepted a window above MaxWindowSize")
+	}
+}

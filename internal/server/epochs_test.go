@@ -262,7 +262,7 @@ func TestShardedEpochCheckpointDrain(t *testing.T) {
 	if pending, dropped := s.backlogStats(); pending != 4 || dropped != 0 {
 		t.Fatalf("backlog = (%d,%d), want (4,0)", pending, dropped)
 	}
-	for _, info := range s.shardStatuses(s.Seq()) {
+	for _, info := range s.shardStatuses() {
 		if info.EpochBacklog != 4 {
 			t.Fatalf("shard %d epoch_backlog = %d, want 4", info.Shard, info.EpochBacklog)
 		}
@@ -277,7 +277,7 @@ func TestShardedEpochCheckpointDrain(t *testing.T) {
 	if pending, _ := s.backlogStats(); pending != 0 {
 		t.Fatalf("backlog not drained: %d pending", pending)
 	}
-	for _, info := range s.shardStatuses(s.Seq()) {
+	for _, info := range s.shardStatuses() {
 		if info.EpochBacklog != 0 {
 			t.Fatalf("shard %d epoch_backlog = %d after drain, want 0", info.Shard, info.EpochBacklog)
 		}

@@ -666,10 +666,16 @@ func (s *Server) handleEpochs(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
-	// Load the snapshot before reading the ingest counter: SeqHigh is a
-	// past value of the monotone counter, so this order guarantees
-	// IngestedSeq ≥ SnapshotSeq and the lag subtraction cannot wrap.
+	// Load the snapshot and the shard states before reading the ingest
+	// counter: their SeqHigh are past values of the monotone counter, so
+	// this order guarantees IngestedSeq ≥ SnapshotSeq and, outside
+	// cluster mode, ≥ every shard's SeqHigh — a shard that solves a batch
+	// acknowledged meanwhile cannot read as solved ahead of ingest.
 	snap := s.Latest()
+	var shards []ShardStatus
+	if s.sharded {
+		shards = s.shardStatuses()
+	}
 	st := StatusResponse{
 		Algorithm:     s.cfg.Algo,
 		IngestedSeq:   s.Seq(),
@@ -709,9 +715,12 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 	} else {
 		st.LagIntervals = st.IngestedSeq
 	}
-	if s.sharded {
-		st.Shards = s.shardStatuses(st.IngestedSeq)
+	for i, sh := range shards {
+		if st.IngestedSeq >= sh.SeqHigh { // a worker's solve may run ahead of the local window
+			shards[i].LagIntervals = st.IngestedSeq - sh.SeqHigh
+		}
 	}
+	st.Shards = shards
 	if cs := s.clusterStatus(); cs != nil {
 		st.Cluster = cs
 	}
@@ -735,11 +744,9 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 	writeData(w, http.StatusOK, st)
 }
 
-// shardStatuses reads the live per-shard solver states. ingested is the
-// ingest sequence already reported in the same response; a shard that
-// published between the two reads is clamped to zero lag rather than
-// allowed to wrap.
-func (s *Server) shardStatuses(ingested uint64) []ShardStatus {
+// shardStatuses reads the live per-shard solver states; LagIntervals is
+// left for the caller, against an ingest sequence read afterwards.
+func (s *Server) shardStatuses() []ShardStatus {
 	s.publishMu.Lock()
 	defer s.publishMu.Unlock()
 	out := make([]ShardStatus, len(s.shardStates))
@@ -754,9 +761,6 @@ func (s *Server) shardStatuses(ingested uint64) []ShardStatus {
 			EpochBacklog: info.EpochBacklog,
 			Paths:        info.Paths,
 			Links:        info.Links,
-		}
-		if ingested >= info.SeqHigh {
-			out[i].LagIntervals = ingested - info.SeqHigh
 		}
 		if err := s.shardStates[i].err; err != nil {
 			out[i].Error = err.Error()

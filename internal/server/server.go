@@ -1,7 +1,8 @@
 // Package server implements the streaming tomography service: a
 // sliding-window observation store fed by batched ingest, an
 // epoch-versioned solver loop that recomputes the configured
-// estimator's result over the live window on a fixed cadence, and the
+// estimator's result over the live window — on a fixed cadence, or in
+// cluster mode once each batch has been applied — and the
 // versioned HTTP/JSON API served by cmd/tomod.
 //
 // Concurrency contract (see DESIGN.md):
@@ -48,8 +49,10 @@
 //
 // What still differs per mode is the background loop, until one
 // scheduler replaces them: one supervised loop (run) over the one
-// block, against one goroutine per shard (runShard) plus a drain ticker
-// (runDrain) in sharded mode. Shard solves are not
+// block, against one goroutine per shard (runShard) plus a checkpoint
+// drain (runDrain) in sharded mode. Every loop runs on a RecomputeEvery
+// tick, except a cluster coordinator's shard loops, which sleep until
+// an applied ingest batch wakes them (paced). Shard solves are not
 // supersession-supervised (warm solves are far faster than a window
 // turnover); shutdown still cancels them.
 package server
@@ -74,14 +77,28 @@ import (
 	"repro/internal/wal"
 )
 
+// MaxWindowSize is the largest sliding-window capacity, in intervals,
+// any role accepts: New, the cluster coordinator, a worker's assignment
+// and tomod -window all refuse a larger one, since the window sizes its
+// ring by it up front. 2^20 intervals is twelve days at one interval a
+// second.
+const MaxWindowSize = 1 << 20
+
 // Config parameterizes the streaming service.
 type Config struct {
 	// WindowSize is the sliding-window capacity in intervals
-	// (default 1000, the paper's monitoring-period length).
+	// (default 1000, the paper's monitoring-period length; at most
+	// MaxWindowSize).
 	WindowSize int
 
-	// RecomputeEvery is the solver cadence (default 2s). A tick with no
-	// new observations since the last epoch is skipped.
+	// RecomputeEvery is the minimum spacing between two epoch starts of
+	// one solver loop (default 2s). The one-block and in-process sharded
+	// loops start an epoch on their tick. A cluster coordinator's loops
+	// (the Backend is a BatchForwarder) have no tick: they start one once
+	// Ingest has applied a batch, and a batch applied sooner than
+	// RecomputeEvery after a loop's previous start waits out the rest of
+	// the gap. Either way, a loop with no new observations since its
+	// last epoch starts none.
 	RecomputeEvery time.Duration
 
 	// Algo selects the epoch solver from the estimator registry
@@ -426,6 +443,12 @@ type Server struct {
 	baseCtx    context.Context
 	baseCancel context.CancelFunc
 
+	// kicks wakes a cluster coordinator's shard loops, one capacity-1
+	// channel each: runShard k's at index k. nil when the backend solves
+	// in-process, whose loops run on their tick (the checkpoint drain
+	// always does: server.New refuses it for a coordinator).
+	kicks []chan struct{}
+
 	stop      chan struct{}
 	wg        sync.WaitGroup
 	startOnce sync.Once
@@ -438,6 +461,9 @@ type Server struct {
 // to launch the recompute loop and Close to stop it.
 func New(top *topology.Topology, cfg Config) (*Server, error) {
 	cfg = cfg.withDefaults()
+	if cfg.WindowSize > MaxWindowSize {
+		return nil, fmt.Errorf("server: window size %d exceeds the maximum %d", cfg.WindowSize, MaxWindowSize)
+	}
 	est, err := estimator.New(cfg.Algo)
 	if err != nil {
 		return nil, err
@@ -476,6 +502,12 @@ func New(top *topology.Topology, cfg Config) (*Server, error) {
 		s.shardLag = make([]*telemetry.Gauge, len(s.shardStates))
 		for i := range s.shardLag {
 			s.shardLag[i] = metricShardLag.With(strconv.Itoa(i))
+		}
+	}
+	if _, ok := backend.(BatchForwarder); ok && s.sharded {
+		s.kicks = make([]chan struct{}, len(s.shardStates))
+		for i := range s.kicks {
+			s.kicks[i] = make(chan struct{}, 1)
 		}
 	}
 	if cfg.WAL.Dir != "" {
@@ -521,7 +553,10 @@ func (s *Server) Topology() *topology.Topology { return s.top }
 func (s *Server) Algo() string { return s.cfg.Algo }
 
 // Start launches the background recompute loop — one solver goroutine
-// per shard in sharded mode, a single supervised loop otherwise.
+// per shard in sharded mode, a single supervised loop otherwise — and
+// wakes a cluster coordinator's loops once, so a window recovered from
+// the WAL (or an empty one) is published without waiting for a new
+// batch.
 func (s *Server) Start() {
 	s.startOnce.Do(func() {
 		if lc, ok := s.backend.(BackendLifecycle); ok {
@@ -536,6 +571,7 @@ func (s *Server) Start() {
 				s.wg.Add(1)
 				go s.runDrain()
 			}
+			s.kickLoops()
 			return
 		}
 		s.wg.Add(1)
@@ -671,6 +707,9 @@ func (s *Server) clusterStatus() *ClusterStatus {
 // and the error is returned — the HTTP layer maps it to 503 with
 // Retry-After. A stalled WAL disk fails fast (wal.ErrStalled) instead
 // of wedging every ingest request behind the hung fsync.
+//
+// Whatever it applied, Ingest then wakes a cluster coordinator's solver
+// loops (see RecomputeEvery).
 func (s *Server) Ingest(batch []*bitset.Set) (uint64, error) {
 	if fw, ok := s.backend.(BatchForwarder); ok {
 		s.ingestMu.Lock()
@@ -680,6 +719,7 @@ func (s *Server) Ingest(batch []*bitset.Set) (uint64, error) {
 			s.logger.Warn("ingest fan-out failed", "seq", base, "error", err)
 			return base, err
 		}
+		defer s.kickLoops()
 	}
 	n := uint64(len(batch))
 	stride := uint64(s.cfg.EpochEvery)
@@ -705,6 +745,23 @@ func (s *Server) Ingest(batch []*bitset.Set) (uint64, error) {
 	metricIngestBatches.Inc()
 	metricIngestIntervals.Add(n)
 	return s.win.Seq(), nil
+}
+
+// kickLoops wakes every kick-driven solver loop; a loop already woken
+// stays woken once. Outside cluster mode there is no loop to wake.
+func (s *Server) kickLoops() {
+	for _, k := range s.kicks {
+		kick(k)
+	}
+}
+
+// kick wakes the loop sleeping on k unless a wake-up is already pending
+// (or k is nil: the loop runs on its tick).
+func kick(k chan struct{}) {
+	select {
+	case k <- struct{}{}:
+	default:
+	}
 }
 
 // enqueueCheckpointLocked queues one frozen checkpoint for the drain.
@@ -1132,25 +1189,78 @@ func (s *Server) runDrain() {
 }
 
 // runShard is shard sid's solver loop: one potential shard epoch per
-// tick, skipped while nothing has been ingested since the shard's last
-// solve. Shutdown cancels an in-flight solve via the lifetime context.
+// wake-up, skipped while nothing has been ingested since the shard's
+// last solve. A failed solve wakes a kick-driven loop again, so the
+// shard is retried RecomputeEvery later (a cluster worker that is
+// rejoining) without waiting for a new batch, as a ticking loop retries
+// it on its next tick. Shutdown cancels an in-flight solve via the
+// lifetime context.
 func (s *Server) runShard(sid int) {
 	defer s.wg.Done()
-	ticker := time.NewTicker(s.cfg.RecomputeEvery)
-	defer ticker.Stop()
+	var k chan struct{} // nil: the loop ticks
+	if s.kicks != nil {
+		k = s.kicks[sid]
+	}
+	s.paced(k, func() bool {
+		s.publishMu.Lock()
+		solved := s.shardStates[sid].epoch > 0
+		last := s.shardStates[sid].seqHigh
+		s.publishMu.Unlock()
+		if solved && last == s.Seq() {
+			return false // nothing new since this shard's last epoch
+		}
+		ok := false
+		s.tickSafely(func() { ok = s.solveShard(s.baseCtx, sid) })
+		if !ok {
+			kick(k)
+		}
+		return true
+	})
+}
+
+// paced is the body of a shard solver loop. With a nil k it runs
+// step on every RecomputeEvery tick. Otherwise it sleeps until k is
+// kicked, waits out whatever remains of RecomputeEvery since the loop's
+// previous solve start, then runs step, which reports whether it
+// started a solve. A kick that lands meanwhile stays pending in k, so a
+// batch committed during a step is never missed. An idle kick-driven
+// loop arms no timer.
+func (s *Server) paced(k chan struct{}, step func() bool) {
+	if k == nil {
+		ticker := time.NewTicker(s.cfg.RecomputeEvery)
+		defer ticker.Stop()
+		for {
+			select {
+			case <-s.stop:
+				return
+			case <-ticker.C:
+				step()
+			}
+		}
+	}
+	var last time.Time
+	var timer *time.Timer
 	for {
 		select {
 		case <-s.stop:
 			return
-		case <-ticker.C:
-			s.publishMu.Lock()
-			solved := s.shardStates[sid].epoch > 0
-			last := s.shardStates[sid].seqHigh
-			s.publishMu.Unlock()
-			if solved && last == s.Seq() {
-				continue // nothing new since this shard's last epoch
+		case <-k:
+		}
+		if wait := s.cfg.RecomputeEvery - time.Since(last); wait > 0 {
+			if timer == nil {
+				timer = time.NewTimer(wait)
+			} else {
+				timer.Reset(wait)
 			}
-			s.tickSafely(func() { s.solveShard(s.baseCtx, sid) })
+			select {
+			case <-s.stop:
+				return
+			case <-timer.C:
+			}
+		}
+		start := time.Now()
+		if step() {
+			last = start
 		}
 	}
 }
@@ -1161,8 +1271,8 @@ func (s *Server) runShard(sid int) {
 // adopt the shard's block and assemble a fresh merged snapshot. A block
 // solved at an older sequence than the shard's published state (a
 // synchronous Recompute raced ahead) is dropped rather than allowed to
-// roll the shard backwards.
-func (s *Server) solveShard(ctx context.Context, sid int) {
+// roll the shard backwards. It reports whether the solve succeeded.
+func (s *Server) solveShard(ctx context.Context, sid int) bool {
 	win := s.FreezeWindow()
 	start := time.Now()
 	sols, err := s.solveBlock(ctx, sid, win)
@@ -1173,13 +1283,13 @@ func (s *Server) solveShard(ctx context.Context, sid int) {
 		st.err = err
 		s.publishMu.Unlock()
 		s.logger.Warn("shard solve failed", "shard", sid, "seq", win.Seq(), "error", err.Error())
-		return // keep the shard's previous block; merged snapshot unchanged
+		return false // keep the shard's previous block; merged snapshot unchanged
 	}
 	adopted := s.adoptLocked(sid, sols[0], time.Since(start), live)
 	shardEpoch, computeTime := st.epoch, st.computeTime
 	s.publishMu.Unlock()
 	if !adopted {
-		return
+		return true
 	}
 	s.logger.Debug("shard epoch published",
 		"shard", sid,
@@ -1188,6 +1298,7 @@ func (s *Server) solveShard(ctx context.Context, sid int) {
 		tierAttrs(sols[0].Info.Tier),
 		"compute_ms", float64(computeTime)/float64(time.Millisecond))
 	s.assemble(nil, nil, nil)
+	return true
 }
 
 // shardInfoLocked flattens shard sid's published state; the caller
@@ -1240,7 +1351,7 @@ func (s *Server) run() {
 
 // tickSafely contains a panic escaping one solver-loop iteration
 // (outside the per-call guards — snapshot assembly, cloning, publish)
-// so the loop survives to the next tick with the panic recorded as
+// so the loop survives to its next epoch with the panic recorded as
 // the degradation reason instead of crashing the daemon.
 func (s *Server) tickSafely(fn func()) {
 	defer func() {
