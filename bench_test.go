@@ -17,6 +17,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"slices"
 	"strconv"
 	"testing"
 
@@ -404,8 +405,11 @@ func BenchmarkStreamIngest(b *testing.B) {
 // row-pointer table, mask headers and counters, a fixed handful of
 // allocations whatever the window holds — and the freeze followed by
 // the one Add every interval brings on the stride path, which replaces
-// one row and copies one mask per path it touches. Under the alloc gate
-// so a freeze can never quietly grow back into a deep copy.
+// one row and copies one mask per path it touches; and a second
+// stream.Window.Freeze at an unchanged sequence, which every shard
+// solve and merge after the first at one sequence pays, and which must
+// hand back the first one's clone without allocating. Under the alloc
+// gate so a freeze can never quietly grow back into a deep copy.
 func BenchmarkWindowFreeze(b *testing.B) {
 	var frozen *stream.Window // kept reachable, like a published snapshot
 	pool := streamBenchPool(rand.New(rand.NewSource(1)))
@@ -436,6 +440,15 @@ func BenchmarkWindowFreeze(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			frozen = w.Clone()
 			w.Add(pool[i%len(pool)])
+		}
+	})
+	b.Run("refreeze", func(b *testing.B) {
+		w := warmStreamWindow(pool)
+		frozen = w.Freeze()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			frozen = w.Freeze()
 		}
 	})
 	runtime.KeepAlive(frozen)
@@ -676,6 +689,129 @@ func BenchmarkClusterCodec(b *testing.B) {
 		b.ReportMetric(float64(len(res.Subsets)), "subsets")
 		b.ReportMetric(float64(len(res.PathSets)), "path-sets")
 	})
+	b.Run("result-reuse", func(b *testing.B) {
+		// Successive epochs of a warm plan: the same structure under
+		// new probabilities. Decoding one after the other reads only
+		// the per-epoch fields and allocates no bitset.
+		later := slices.Clone(res.Subsets)
+		for i := range later {
+			later[i].GoodProb /= 2
+		}
+		bodies := [2][]byte{
+			(&cluster.ShardResultResponse{SeqHigh: win.Seq(), T: win.T(), Tier: info.Tier, Result: res}).AppendTo(nil),
+			(&cluster.ShardResultResponse{SeqHigh: win.Seq() + 5, T: win.T(), Tier: info.Tier,
+				Result: core.NewShardResult(later, res.PathSets, res.Rank, res.Nullity, res.ClampedRows)}).AppendTo(nil),
+		}
+		d := cluster.NewResultDecoder(top)
+		if _, err := d.Decode(bodies[1]); err != nil {
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := d.Decode(bodies[i%2]); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.SetBytes(int64(len(bodies[0])))
+	})
+}
+
+// BenchmarkShardMerge measures the merge a sharded epoch ends with — one
+// estimate over every shard's block — on fed_cluster's shape: four
+// Brite Medium members, one partition shard each, all four blocks warm.
+// Warm blocks keep their plans' structure, so after the first merge the
+// merged subset index and path sets are reused (core.MergeCache):
+// under the alloc gate so a merge cannot quietly go back to re-keying
+// every subset.
+func BenchmarkShardMerge(b *testing.B) {
+	members := make([]*topology.Topology, 4)
+	for k := range members {
+		top, err := experiment.BuildTopology(experiment.Brite, experiment.Medium(), int64(k+1))
+		if err != nil {
+			b.Fatal(err)
+		}
+		members[k] = top
+	}
+	top, err := disjointUnion(members)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(1))
+	model, err := netsim.NewModel(top, netsim.DefaultConfig(netsim.RandomCongestion), 1000, rng)
+	if err != nil {
+		b.Fatal(err)
+	}
+	win := stream.NewWindow(top.NumPaths(), 1000)
+	for t := 0; t < 1000; t++ {
+		win.Add(model.Interval(t, rng).CongestedPaths)
+	}
+	sv, err := estimator.NewShardedSolver(top, estimator.WithMaxSubsetSize(2), estimator.WithAlwaysGoodTol(0.02))
+	if err != nil {
+		b.Fatal(err)
+	}
+	if sv.NumShards() != len(members) {
+		b.Fatalf("union of %d members has %d shards", len(members), sv.NumShards())
+	}
+	blocks := make([]*core.Result, sv.NumShards())
+	frozen := win.Freeze()
+	for pass := 0; pass < 2; pass++ { // the second pass is warm
+		for k := range blocks {
+			if blocks[k], _, err = sv.SolveShard(context.Background(), k, frozen); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	var est *estimator.Estimate
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		est = sv.Merge(blocks, frozen)
+	}
+	b.ReportMetric(float64(len(est.Subsets)), "subsets")
+}
+
+// disjointUnion builds one topology out of members that share nothing:
+// link, path, router-link and correlation-set ids are offset per
+// member, so the union partitions into one shard per member.
+func disjointUnion(members []*topology.Topology) (*topology.Topology, error) {
+	var links []topology.Link
+	var paths []topology.Path
+	var corr [][]int
+	routerOff := 0
+	for _, m := range members {
+		off, pathOff, maxRouter := len(links), len(paths), -1
+		for _, l := range m.Links {
+			nl := topology.Link{ID: l.ID + off, AS: l.AS}
+			for _, r := range l.RouterLinks {
+				nl.RouterLinks = append(nl.RouterLinks, r+routerOff)
+				maxRouter = max(maxRouter, r)
+			}
+			links = append(links, nl)
+		}
+		routerOff += maxRouter + 1
+		for _, p := range m.Paths {
+			np := topology.Path{ID: p.ID + pathOff}
+			for _, li := range p.Links {
+				np.Links = append(np.Links, li+off)
+			}
+			paths = append(paths, np)
+		}
+		sets := m.CorrSets
+		if len(sets) == 0 { // implicit singletons must become explicit in a union
+			for li := range m.Links {
+				sets = append(sets, []int{li})
+			}
+		}
+		for _, set := range sets {
+			ns := make([]int, len(set))
+			for i, li := range set {
+				ns[i] = li + off
+			}
+			corr = append(corr, ns)
+		}
+	}
+	return topology.NewChecked(links, paths, corr)
 }
 
 // BenchmarkFigure4Parallel measures the parallel experiment engine:

@@ -124,6 +124,11 @@ type Coordinator struct {
 	workers []*workerHandle
 	owner   []*workerHandle // shard index → owning worker
 
+	// decoders[k] decodes shard k's result blocks, keeping the last one
+	// so an unchanged structure is not decoded again. Only shard k's
+	// solve touches it, and the server serializes those.
+	decoders []*ResultDecoder
+
 	src       server.ShardSource // the server's live window; set by Start
 	stop      chan struct{}
 	wg        sync.WaitGroup
@@ -206,10 +211,12 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 		})
 	}
 	c.owner = make([]*workerHandle, c.sv.NumShards())
+	c.decoders = make([]*ResultDecoder, c.sv.NumShards())
 	for k := range c.owner {
 		h := c.workers[k%len(c.workers)]
 		c.owner[k] = h
 		h.shards = append(h.shards, k)
+		c.decoders[k] = NewResultDecoder(c.top)
 	}
 	for _, h := range c.workers {
 		metricShardsAssigned.With(h.id).Set(int64(len(h.shards)))
@@ -327,7 +334,9 @@ func (c *Coordinator) Forward(baseSeq uint64, batch []*bitset.Set) error {
 // SolveShard implements server.ShardBackend: fetch the shard's block
 // from its owner. The window argument is ignored — the worker solves its
 // own replica, which the ingest protocol keeps bit-identical to the
-// shard's columns of the coordinator's window.
+// shard's columns of the coordinator's window. Calls for one shard must
+// be serialized (the server does): the shard's ResultDecoder carries
+// the last block's structure from call to call.
 func (c *Coordinator) SolveShard(ctx context.Context, shard int, _ *stream.Window) (server.ShardSolve, error) {
 	h := c.owner[shard]
 	if st := h.getState(); st != stateHealthy {
@@ -350,7 +359,7 @@ func (c *Coordinator) SolveShard(ctx context.Context, shard int, _ *stream.Windo
 	// set outside the topology, or a body that is not a c3 block at all
 	// is refused like a transport failure: the worker cannot serve until
 	// the health loop rejoins it.
-	resp, err := ParseShardResult(body, c.top)
+	resp, err := c.decoders[shard].Decode(body)
 	if err != nil {
 		err = fmt.Errorf("worker %s sent an invalid shard %d block: %w", h.id, shard, err)
 	} else if resp.Shard != shard {

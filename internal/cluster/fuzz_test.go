@@ -177,6 +177,12 @@ func (t recorderTransport) RoundTrip(r *http.Request) (*http.Response, error) {
 // all lie inside their universes, whose subsets name correlation sets
 // of the topology, and whose re-encoding is the body it came from — or
 // an error wrapping server.ErrShardUnavailable.
+//
+// It is also a differential test of ResultDecoder's fast path: when raw
+// is a valid block, a fresh decoder decodes next after it, and
+// ParseShardResult decodes next alone. Both refuse next, or both accept
+// it and re-encode to next. The seeds pair the valid block with edits
+// of it, each at a structural or a per-epoch field.
 func FuzzShardResult(f *testing.F) {
 	top := shardedTopology(f)
 	sv, err := estimator.NewShardedSolver(top, testSolverOpts()...)
@@ -221,6 +227,31 @@ func FuzzShardResult(f *testing.F) {
 	badTier := block(func(*ShardResultResponse) {})
 	badTier[5] = 1 << 4
 	firstLink := binary.LittleEndian.Uint32(valid[sub0+17:])
+	// The seeds of the differential: next after valid.
+	for _, next := range [][]byte{
+		block(func(r *ShardResultResponse) {
+			r.SeqHigh++
+			r.Subsets[0].GoodProb, r.Subsets[1].GoodProb = 0.5, 0.25
+		}),
+		block(func(r *ShardResultResponse) { // one link index swapped for one outside the subset
+			links := r.Subsets[0].Links.Clone()
+			links.Remove(int(firstLink))
+			for l := 0; l < top.NumLinks(); l++ {
+				if !r.Subsets[0].Links.Contains(l) {
+					links.Add(l)
+					break
+				}
+			}
+			r.Subsets[0].Links = links
+		}),
+		patch(sub0, uint32(res.Subsets[multi].CorrSet+1)%uint32(len(top.CorrSets))),
+		badIdent,
+		patch(6, 1),
+		valid[:len(valid)-1],
+		append(slices.Clone(valid), 0),
+	} {
+		f.Add(true, valid, next)
+	}
 	for _, seed := range []struct {
 		ok   bool
 		body []byte
@@ -250,7 +281,7 @@ func FuzzShardResult(f *testing.F) {
 		{false, []byte(`not json`)},
 		{true, nil},
 	} {
-		f.Add(seed.ok, seed.body)
+		f.Add(seed.ok, seed.body, []byte(nil))
 	}
 
 	type answer struct {
@@ -285,7 +316,21 @@ func FuzzShardResult(f *testing.F) {
 	// whose varying coverage would make every input look new.
 	h.client.hc = &http.Client{Transport: recorderTransport{stub}}
 
-	f.Fuzz(func(t *testing.T, ok bool, raw []byte) {
+	f.Fuzz(func(t *testing.T, ok bool, raw, next []byte) {
+		d := NewResultDecoder(top)
+		if _, err := d.Decode(raw); err == nil {
+			got, gerr := d.Decode(next)
+			want, werr := ParseShardResult(next, top)
+			if (gerr == nil) != (werr == nil) {
+				t.Fatalf("after a valid block, Decode error %v, ParseShardResult error %v", gerr, werr)
+			}
+			if gerr == nil {
+				if g, w := got.AppendTo(nil), want.AppendTo(nil); !bytes.Equal(g, next) || !bytes.Equal(w, next) {
+					t.Fatalf("Decode re-encodes to %x, ParseShardResult to %x, want %x", g, w, next)
+				}
+			}
+		}
+
 		current.Store(&answer{ok, raw})
 		h.mu.Lock()
 		h.state = stateHealthy // a refused block latched it out
@@ -386,6 +431,72 @@ func FuzzWorkerAssign(f *testing.F) {
 		defer wk.mu.Unlock()
 		if wk.win.Cap() != req.WindowSize || len(wk.shards) != len(seen) {
 			t.Fatalf("accepted window %d shards %v, live window %d with %d shards", req.WindowSize, req.Shards, wk.win.Cap(), len(wk.shards))
+		}
+	})
+}
+
+// FuzzClientEnvelope answers one client.do RPC from an httptest stub
+// with an arbitrary status in [200, 600) and an arbitrary body, asking
+// for JSON data or, when blob is set, for the raw body. do never
+// panics and never returns nil for a non-2xx answer; a 2xx answer
+// returns a raw body unchanged; any other answer that is an envelope of
+// another wire version is a wire_version *WireError.
+func FuzzClientEnvelope(f *testing.F) {
+	for _, seed := range []struct {
+		status uint16
+		body   string
+		blob   bool
+	}{
+		{200, `{"wire_version":"c3","data":{"seq":7}}`, false},
+		{200, `{"wire_version":"c3","data":"seven"}`, false},
+		{200, `{"wire_version":"c2","data":{"seq":7}}`, false},
+		{200, `{"wire_version":"c3"}`, false},
+		{200, `TOMR` + "\x03", true},
+		{409, `{"wire_version":"c3","error":{"code":"seq_gap","message":"behind","seq":4}}`, false},
+		{503, `{"wire_version":"c2","error":{"code":"seq_gap","message":"behind"}}`, true},
+		{404, `{"wire_version":"c3"}`, false},
+		{500, `{"wire_version":"c3","data":{"seq":7}}`, true},
+		{302, `null`, false},
+		{500, `not json`, false},
+		{400, ``, false},
+	} {
+		f.Add(seed.status, []byte(seed.body), seed.blob)
+	}
+	var current atomic.Pointer[[]byte]
+	var status atomic.Int32
+	c := &client{base: "http://stub", hc: &http.Client{Transport: recorderTransport{
+		http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			w.WriteHeader(int(status.Load()))
+			w.Write(*current.Load())
+		}),
+	}}}
+	f.Fuzz(func(t *testing.T, code uint16, body []byte, blob bool) {
+		st := int(code)
+		if st < 200 || st >= 600 {
+			st = 200 + st%400
+		}
+		status.Store(int32(st))
+		current.Store(&body)
+		var err error
+		if blob {
+			var raw []byte
+			err = c.do(context.Background(), http.MethodGet, "/c1/shards/0/result", nil, &raw)
+			if err == nil && st/100 == 2 && !bytes.Equal(raw, body) {
+				t.Fatalf("HTTP %d: raw body %q, served %q", st, raw, body)
+			}
+		} else {
+			var out IngestResponse
+			err = c.do(context.Background(), http.MethodPost, "/c1/ingest", []byte{}, &out)
+		}
+		if st/100 != 2 && err == nil {
+			t.Fatalf("HTTP %d answer %q returned no error", st, body)
+		}
+		var env envelope
+		if (!blob || st/100 != 2) && json.Unmarshal(body, &env) == nil && env.WireVersion != WireVersion {
+			var we *WireError
+			if !errors.As(err, &we) || we.Code != CodeWireVersion {
+				t.Fatalf("HTTP %d envelope of version %q: error %v, want %s", st, env.WireVersion, err, CodeWireVersion)
+			}
 		}
 	})
 }

@@ -264,19 +264,84 @@ func appendList(dst []byte, s *bitset.Set) []byte {
 // anything is sized by it. A body that is not a c3 block at all comes
 // back as a wire_version *WireError.
 func ParseShardResult(body []byte, top *topology.Topology) (*ShardResultResponse, error) {
+	r, _, err := parseShardResult(body, top)
+	return r, err
+}
+
+// parseShardResult is ParseShardResult, also returning the offset of
+// each subset in body.
+func parseShardResult(body []byte, top *topology.Topology) (*ShardResultResponse, []int, error) {
 	if len(body) < len(resultMagic)+1 || [4]byte(body) != resultMagic || body[4] != resultVersion {
-		return nil, &WireError{Code: CodeWireVersion,
+		return nil, nil, &WireError{Code: CodeWireVersion,
 			Message: fmt.Sprintf("result body is not a %s block", WireVersion)}
 	}
 	if len(body) < resultHeaderSize {
-		return nil, fmt.Errorf("block of %d bytes ends inside its %d-byte header", len(body), resultHeaderSize)
+		return nil, nil, fmt.Errorf("block of %d bytes ends inside its %d-byte header", len(body), resultHeaderSize)
 	}
+	r, err := parseHeader(body)
+	if err != nil {
+		return nil, nil, err
+	}
+	le := binary.LittleEndian
+	rest := body[resultHeaderSize:]
+	n := le.Uint32(body[58:])
+	if n > uint32(len(rest)/subsetFixedSize) {
+		return nil, nil, fmt.Errorf("%d subsets overrun the %d bytes left", n, len(rest))
+	}
+	subsets := make([]core.SubsetResult, n)
+	offs := make([]int, n)
+	for i := range subsets {
+		if len(rest) < subsetFixedSize {
+			return nil, nil, fmt.Errorf("subset %d: block ends inside it", i)
+		}
+		offs[i] = len(body) - len(rest)
+		cs := le.Uint32(rest)
+		if cs >= uint32(len(top.CorrSets)) {
+			return nil, nil, fmt.Errorf("subset %d: correlation set %d outside [0,%d)", i, cs, len(top.CorrSets))
+		}
+		if err := readSubsetValues(&subsets[i], rest); err != nil {
+			return nil, nil, fmt.Errorf("subset %d: %v", i, err)
+		}
+		links, tail, err := readList(rest[subsetFixedSize-4:], top.NumLinks())
+		if err != nil {
+			return nil, nil, fmt.Errorf("subset %d: link %v", i, err)
+		}
+		subsets[i].Links, subsets[i].CorrSet = links, int(cs)
+		rest = tail
+	}
+	if len(rest) < 4 {
+		return nil, nil, errors.New("block ends before its path-set count")
+	}
+	n, rest = le.Uint32(rest), rest[4:]
+	if n > uint32(len(rest)/4) {
+		return nil, nil, fmt.Errorf("%d path sets overrun the %d bytes left", n, len(rest))
+	}
+	pathSets := make([]*bitset.Set, n)
+	for i := range pathSets {
+		set, tail, err := readList(rest, top.NumPaths())
+		if err != nil {
+			return nil, nil, fmt.Errorf("path set %d: path %v", i, err)
+		}
+		pathSets[i], rest = set, tail
+	}
+	if len(rest) != 0 {
+		return nil, nil, fmt.Errorf("%d bytes after the last path set", len(rest))
+	}
+	rank, nullity, clamped := blockCounts(body)
+	r.Result = core.NewShardResult(subsets, pathSets, rank, nullity, clamped)
+	return r, offs, nil
+}
+
+// parseHeader decodes the header of a block whose magic, version and
+// length have been checked: the shard, sequence, T, tier bits and
+// timings.
+func parseHeader(body []byte) (*ShardResultResponse, error) {
 	le := binary.LittleEndian
 	tier := body[5]
 	if tier >= tierRepairFailed<<1 {
 		return nil, fmt.Errorf("unknown tier bits %#x", tier)
 	}
-	r := &ShardResultResponse{
+	return &ShardResultResponse{
 		Shard:   int(le.Uint32(body[6:])),
 		SeqHigh: le.Uint64(body[10:]),
 		T:       int(le.Uint32(body[18:])),
@@ -289,57 +354,108 @@ func ParseShardResult(body []byte, top *topology.Topology) (*ShardResultResponse
 		BuildNs:  int64(le.Uint64(body[22:])),
 		RepairNs: int64(le.Uint64(body[30:])),
 		SolveNs:  int64(le.Uint64(body[38:])),
+	}, nil
+}
+
+// blockCounts returns the header's rank, nullity and clamped-row count.
+func blockCounts(body []byte) (rank, nullity, clampedRows int) {
+	le := binary.LittleEndian
+	return int(le.Uint32(body[46:])), int(le.Uint32(body[50:])), int(le.Uint32(body[54:]))
+}
+
+// readSubsetValues reads the per-epoch values of the subset whose
+// fixed part starts sub — its identifiable byte and good_prob word —
+// into s.
+func readSubsetValues(s *core.SubsetResult, sub []byte) error {
+	if sub[4] > 1 {
+		return fmt.Errorf("identifiable byte %d", sub[4])
 	}
-	rest := body[resultHeaderSize:]
-	n := le.Uint32(body[58:])
-	if n > uint32(len(rest)/subsetFixedSize) {
-		return nil, fmt.Errorf("%d subsets overrun the %d bytes left", n, len(rest))
-	}
-	subsets := make([]core.SubsetResult, n)
-	for i := range subsets {
-		if len(rest) < subsetFixedSize {
-			return nil, fmt.Errorf("subset %d: block ends inside it", i)
-		}
-		cs := le.Uint32(rest)
-		if cs >= uint32(len(top.CorrSets)) {
-			return nil, fmt.Errorf("subset %d: correlation set %d outside [0,%d)", i, cs, len(top.CorrSets))
-		}
-		if rest[4] > 1 {
-			return nil, fmt.Errorf("subset %d: identifiable byte %d", i, rest[4])
-		}
-		links, tail, err := readList(rest[subsetFixedSize-4:], top.NumLinks())
+	s.Identifiable = sub[4] == 1
+	s.GoodProb = math.Float64frombits(binary.LittleEndian.Uint64(sub[5:]))
+	return nil
+}
+
+// ResultDecoder decodes one shard's successive result blocks. A warm
+// plan sends the same structure epoch after epoch — the same subsets'
+// correlation sets and link lists, the same path sets — under new
+// per-epoch fields: the header's sequence, T, tier bits, timings and
+// counts, and each subset's identifiable byte and good_prob word. When
+// every other byte of a block equals the last decoded block's, Decode
+// reads only those fields, in O(subsets), and the decode shares the
+// last one's link sets, path sets, subset index and structure token
+// (core.NewShardResultLike). Any other block is parsed in full by
+// ParseShardResult. Decode accepts exactly the blocks ParseShardResult
+// accepts and returns an equal decode. A ResultDecoder is not safe for
+// concurrent use.
+type ResultDecoder struct {
+	top  *topology.Topology
+	body []byte               // the last decoded block, copied
+	last *ShardResultResponse // its decode
+	offs []int                // the offset of each of its subsets
+}
+
+// NewResultDecoder returns a decoder of result blocks over top.
+func NewResultDecoder(top *topology.Topology) *ResultDecoder {
+	return &ResultDecoder{top: top}
+}
+
+// Decode decodes body like ParseShardResult. body is not retained.
+func (d *ResultDecoder) Decode(body []byte) (*ShardResultResponse, error) {
+	r := d.reuse(body)
+	if r == nil {
+		parsed, offs, err := parseShardResult(body, d.top)
 		if err != nil {
-			return nil, fmt.Errorf("subset %d: link %v", i, err)
+			return nil, err
 		}
-		subsets[i] = core.SubsetResult{
-			Links:        links,
-			CorrSet:      int(cs),
-			GoodProb:     math.Float64frombits(le.Uint64(rest[5:])),
-			Identifiable: rest[4] == 1,
-		}
-		rest = tail
+		r, d.offs = parsed, offs
 	}
-	if len(rest) < 4 {
-		return nil, errors.New("block ends before its path-set count")
-	}
-	n, rest = le.Uint32(rest), rest[4:]
-	if n > uint32(len(rest)/4) {
-		return nil, fmt.Errorf("%d path sets overrun the %d bytes left", n, len(rest))
-	}
-	pathSets := make([]*bitset.Set, n)
-	for i := range pathSets {
-		set, tail, err := readList(rest, top.NumPaths())
-		if err != nil {
-			return nil, fmt.Errorf("path set %d: path %v", i, err)
-		}
-		pathSets[i], rest = set, tail
-	}
-	if len(rest) != 0 {
-		return nil, fmt.Errorf("%d bytes after the last path set", len(rest))
-	}
-	r.Result = core.NewShardResult(subsets, pathSets,
-		int(le.Uint32(body[46:])), int(le.Uint32(body[50:])), int(le.Uint32(body[54:])))
+	d.body, d.last = append(d.body[:0], body...), r
 	return r, nil
+}
+
+// reuse decodes body over the last block's structure, or returns nil
+// when body's structural bytes differ from it or a per-epoch field
+// fails its check — ParseShardResult then decides.
+func (d *ResultDecoder) reuse(body []byte) *ShardResultResponse {
+	prev := d.body
+	if d.last == nil || len(body) != len(prev) {
+		return nil
+	}
+	// Compare every byte outside the per-epoch fields: the tier byte
+	// and the sequence-to-counts run of the header, then each subset's
+	// identifiable byte and good_prob word.
+	at := 0
+	same := func(from, to int) bool {
+		eq := bytes.Equal(body[at:from], prev[at:from])
+		at = to
+		return eq
+	}
+	if !same(5, 6) || !same(10, resultHeaderSize-4) {
+		return nil
+	}
+	for _, off := range d.offs {
+		if !same(off+4, off+subsetFixedSize-4) {
+			return nil
+		}
+	}
+	if !same(len(body), len(body)) {
+		return nil
+	}
+	r, err := parseHeader(body)
+	if err != nil {
+		return nil
+	}
+	subsets := make([]core.SubsetResult, len(d.offs))
+	for i, off := range d.offs {
+		ps := d.last.Subsets[i]
+		subsets[i] = core.SubsetResult{Links: ps.Links, CorrSet: ps.CorrSet}
+		if readSubsetValues(&subsets[i], body[off:]) != nil {
+			return nil
+		}
+	}
+	rank, nullity, clamped := blockCounts(body)
+	r.Result = core.NewShardResultLike(d.last.Result, subsets, rank, nullity, clamped)
+	return r
 }
 
 // readList decodes one counted index list at the head of b into a set
@@ -404,7 +520,8 @@ type client struct {
 // raw body (the binary result block). Every other answer carries the
 // envelope: application errors come back as *WireError, an envelope of
 // another version as a wire_version *WireError, and transport errors
-// as whatever the HTTP client produced.
+// as whatever the HTTP client produced. A body over maxRPCBody is an
+// error, as is a non-2xx answer whose envelope carries no error.
 func (c *client) do(ctx context.Context, method, path string, in, out any) error {
 	var body io.Reader
 	ctype := ""
@@ -431,7 +548,7 @@ func (c *client) do(ctx context.Context, method, path string, in, out any) error
 		return err
 	}
 	defer resp.Body.Close()
-	raw, err := io.ReadAll(io.LimitReader(resp.Body, maxRPCBody))
+	raw, err := readCapped(resp.Body, maxRPCBody)
 	if err != nil {
 		return fmt.Errorf("cluster: reading %s %s (HTTP %d): %w", method, path, resp.StatusCode, err)
 	}
@@ -450,12 +567,29 @@ func (c *client) do(ctx context.Context, method, path string, in, out any) error
 	if env.Error != nil {
 		return env.Error
 	}
+	if resp.StatusCode/100 != 2 {
+		return fmt.Errorf("cluster: %s %s answered HTTP %d without an error", method, path, resp.StatusCode)
+	}
 	if out != nil {
 		if err := json.Unmarshal(env.Data, out); err != nil {
 			return fmt.Errorf("cluster: decoding %s %s data: %w", method, path, err)
 		}
 	}
 	return nil
+}
+
+// readCapped reads r to its end, refusing more than limit bytes. It
+// reads one byte past the limit, so an oversize answer is an error, not
+// a body silently cut to fit.
+func readCapped(r io.Reader, limit int64) ([]byte, error) {
+	raw, err := io.ReadAll(io.LimitReader(r, limit+1))
+	if err != nil {
+		return nil, err
+	}
+	if int64(len(raw)) > limit {
+		return nil, fmt.Errorf("response exceeds %d bytes", limit)
+	}
+	return raw, nil
 }
 
 // writeWire wraps v in the versioned envelope.

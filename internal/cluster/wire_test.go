@@ -9,6 +9,7 @@ import (
 	"math/rand"
 	"net/http"
 	"os"
+	"slices"
 	"strings"
 	"testing"
 
@@ -240,5 +241,102 @@ func TestMixedVersionRefused(t *testing.T) {
 	}
 	if seq := statusSeq(t, cl); seq != 0 {
 		t.Fatalf("c2 ingest body moved the worker to seq %d", seq)
+	}
+}
+
+// A block repeating the last decoded block's structure under new
+// per-epoch fields decodes over that structure — the same link sets,
+// path sets and subset index — and a block of any other structure is
+// parsed in full. Either way the decode re-encodes to its body and
+// merges bit-identically to ParseShardResult's.
+func TestResultDecoderReusesStructure(t *testing.T) {
+	top := shardedTopology(t)
+	sv, err := estimator.NewShardedSolver(top, testSolverOpts()...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := randomRecorder(top, 200, 7)
+	res, info, err := sv.SolveShard(context.Background(), 0, rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	encode := func(seq uint64, r *core.Result) []byte {
+		return (&ShardResultResponse{SeqHigh: seq, T: rec.T(), Tier: info.Tier, SolveNs: int64(seq), Result: r}).AppendTo(nil)
+	}
+	// The same structure at a later epoch: new probabilities, flipped
+	// identifiability, new counts.
+	later := slices.Clone(res.Subsets)
+	for i := range later {
+		later[i].GoodProb = float64(i) / float64(len(later))
+		later[i].Identifiable = !later[i].Identifiable
+	}
+	// Another structure: one path set fewer.
+	other := core.NewShardResult(res.Subsets, res.PathSets[1:], res.Rank, res.Nullity, res.ClampedRows)
+
+	d := NewResultDecoder(top)
+	var prev *ShardResultResponse
+	for i, step := range []struct {
+		body  []byte
+		reuse bool
+	}{
+		{encode(1, res), false},
+		{encode(2, core.NewShardResult(later, res.PathSets, res.Rank+1, res.Nullity, res.ClampedRows+3)), true},
+		{encode(3, res), true},
+		{encode(4, other), false},
+		{encode(5, other), true},
+	} {
+		got, err := d.Decode(step.body)
+		if err != nil {
+			t.Fatalf("block %d: %v", i, err)
+		}
+		if again := got.AppendTo(nil); !bytes.Equal(again, step.body) {
+			t.Fatalf("block %d re-encodes to other bytes", i)
+		}
+		if i > 0 {
+			reused := got.Subsets[0].Links == prev.Subsets[0].Links && &got.PathSets[0] == &prev.PathSets[0]
+			if reused != step.reuse {
+				t.Fatalf("block %d: decoded over the last structure: %v, want %v", i, reused, step.reuse)
+			}
+		}
+		want, err := ParseShardResult(step.body, top)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a, b := sv.Merge([]*core.Result{want.Result}, rec), sv.Merge([]*core.Result{got.Result}, rec)
+		for e := range a.LinkProb {
+			if math.Float64bits(a.LinkProb[e]) != math.Float64bits(b.LinkProb[e]) || a.LinkExact[e] != b.LinkExact[e] {
+				t.Fatalf("block %d link %d: merged decode (%v,%v), parsed (%v,%v)", i, e, b.LinkProb[e], b.LinkExact[e], a.LinkProb[e], a.LinkExact[e])
+			}
+		}
+		prev = got
+	}
+	// A refused block leaves the decoder on the last good one.
+	bad := encode(6, res)
+	bad[resultHeaderSize+4] = 2
+	if _, err := d.Decode(bad); err == nil || !strings.Contains(err.Error(), "identifiable byte 2") {
+		t.Fatalf("identifiable byte 2: err %v", err)
+	}
+	if got, err := d.Decode(encode(7, other)); err != nil || got.Subsets[0].Links != prev.Subsets[0].Links {
+		t.Fatalf("after a refused block: err %v, structure reused %v", err, err == nil && got.Subsets[0].Links == prev.Subsets[0].Links)
+	}
+}
+
+// An answer past the RPC body limit is refused, not cut to the limit.
+func TestReadCappedRefusesOversize(t *testing.T) {
+	const limit = 8
+	for _, tc := range []struct {
+		body string
+		ok   bool
+	}{{"", true}, {"12345678", true}, {"123456789", false}, {strings.Repeat("x", 100), false}} {
+		got, err := readCapped(strings.NewReader(tc.body), limit)
+		if tc.ok {
+			if err != nil || string(got) != tc.body {
+				t.Fatalf("%d-byte body: got %q, %v", len(tc.body), got, err)
+			}
+			continue
+		}
+		if err == nil || !strings.Contains(err.Error(), "response exceeds 8 bytes") {
+			t.Fatalf("%d-byte body over an %d-byte limit: got %d bytes, err %v", len(tc.body), limit, len(got), err)
+		}
 	}
 }

@@ -446,7 +446,7 @@ func (wk *Worker) handleResult(w http.ResponseWriter, r *http.Request) {
 			Message: fmt.Sprintf("shard %d is not assigned to worker %q", k, wk.id)})
 		return
 	}
-	win := wk.win.Clone()
+	win := wk.win.Freeze()
 	solver := wk.solver
 	wk.mu.Unlock()
 

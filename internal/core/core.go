@@ -129,6 +129,7 @@ type SubsetResult struct {
 type Result struct {
 	Subsets []SubsetResult
 	index   map[string]int // subset key -> index into Subsets
+	shape   uint64         // structure token (see newShape)
 
 	// PathSets are the selected path sets P̂, in selection order; one
 	// equation per entry.

@@ -44,9 +44,11 @@ type Plan struct {
 	// drift leaves the structure unchanged.
 	goodKey string
 
-	// Structural output of the builder.
+	// Structural output of the builder, and its structure token (see
+	// newShape): every Result the plan solves carries it.
 	subsets    []subsetEntry
 	index      map[string]int
+	shape      uint64
 	pathSets   []*bitset.Set
 	rows       [][]int
 	potLinks   *bitset.Set
@@ -494,6 +496,7 @@ func (b *builder) plan(ctx context.Context) (*Plan, error) {
 		goodKey:    b.alwaysGoodPaths.Key(),
 		subsets:    b.subsets,
 		index:      b.index,
+		shape:      newShape(),
 		pathSets:   b.pathSets,
 		rows:       b.rows,
 		potLinks:   b.potLinks,
@@ -640,47 +643,13 @@ func reducedSystem(rows [][]int, activeRows []bool, colIdx []int, n int) *linalg
 	return m
 }
 
-// MergeResults assembles per-shard restricted Results (one per
-// topology.Partition shard, in shard order) into a single Result over
-// the whole topology. The correlation-set partition makes the merge
-// mechanical: shards share no correlation set, so the subset universes
-// are disjoint and concatenate, and every joint query (SubsetGoodProb,
-// CongestedProb, the per-link fallback chain) factors per correlation
-// set and therefore resolves entirely within one shard's block. The
-// global always-good/potentially-congested link sets are re-derived
-// from rec with the given tolerance, exactly as an unrestricted run
-// would. nil entries (shards without a result yet) contribute nothing.
-func MergeResults(top *topology.Topology, rec observe.Store, shards []*Result, alwaysGoodTol float64) *Result {
-	merged := &Result{
-		index: map[string]int{},
-		top:   top,
-		rec:   rec,
-	}
-	merged.AlwaysGoodLinks = top.LinksOf(rec.AlwaysGoodPaths(alwaysGoodTol))
-	merged.PotentiallyCongested = top.PotentiallyCongestedLinks(merged.AlwaysGoodLinks)
-	for _, r := range shards {
-		if r == nil {
-			continue
-		}
-		base := len(merged.Subsets)
-		merged.Subsets = append(merged.Subsets, r.Subsets...)
-		for i, s := range r.Subsets {
-			merged.index[s.Links.Key()] = base + i
-		}
-		merged.PathSets = append(merged.PathSets, r.PathSets...)
-		merged.Rank += r.Rank
-		merged.Nullity += r.Nullity
-		merged.ClampedRows += r.ClampedRows
-	}
-	return merged
-}
-
 // resultShell allocates the Result skeleton every epoch shares: the
 // subset universe with NaN probabilities, the link partitions, and the
 // plan's path sets.
 func (pl *Plan) resultShell(rec observe.Store) *Result {
 	res := &Result{
 		index:                pl.index,
+		shape:                pl.shape,
 		PathSets:             pl.pathSets,
 		PotentiallyCongested: pl.potLinks,
 		AlwaysGoodLinks:      pl.goodLinks,

@@ -190,7 +190,7 @@ func (pl *Plan) RepairNumeric(good *bitset.Set) bool {
 	}
 
 	pl.subsets = newSubsets
-	pl.index = newIndex
+	pl.index, pl.shape = newIndex, newShape()
 	pl.rows = newRows
 	pl.potLinks = newPot
 	pl.goodLinks = newGoodLinks

@@ -73,6 +73,7 @@ type ShardedSolver struct {
 	part     *topology.Partition
 	settings Settings
 	plans    []*core.Plan
+	merges   core.MergeCache
 }
 
 // NewShardedSolver partitions the topology and validates the options.
@@ -160,8 +161,12 @@ func (sv *ShardedSolver) SolveShardBatch(ctx context.Context, shard int, stores 
 // are skipped) into one Estimate over obs. The merged core.Result keeps
 // every joint query working — the correlation-set partition guarantees
 // each factors within a single shard's block — so the estimate carries
-// full Detail exactly like the unsharded estimator's.
+// full Detail exactly like the unsharded estimator's. While every block
+// keeps the structure of the previous merge's (warm plans, or blocks
+// decoded over an unchanged structure), the merged subset index and
+// path sets are reused (core.MergeCache). Merge is safe to call
+// concurrently.
 func (sv *ShardedSolver) Merge(results []*core.Result, obs observe.Store) *Estimate {
-	merged := core.MergeResults(sv.top, obs, results, sv.settings.AlwaysGoodTol)
+	merged := sv.merges.Merge(sv.top, obs, results, sv.settings.AlwaysGoodTol)
 	return estimateFromResult(CorrelationCompleteSharded, sv.top, merged)
 }

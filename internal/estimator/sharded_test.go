@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"repro/internal/core"
@@ -263,4 +264,80 @@ func TestShardedSolverBatchMatchesSequential(t *testing.T) {
 			assertEstimatesMatch(t, fmt.Sprintf("shard %d ck %d", s, k), got, want)
 		}
 	}
+}
+
+// While every block keeps the structure of the previous merge's blocks —
+// warm plans — Merge reuses the merged subset index and path sets, and
+// its estimate stays bit-identical to a merge built from scratch; a
+// block with a new structure rebuilds them.
+func TestShardedMergeReusesStructure(t *testing.T) {
+	fx := kindFixture(t, experiment.Sparse, 1, netsim.RandomCongestion)
+	opts := []estimator.Option{estimator.WithMaxSubsetSize(2), estimator.WithAlwaysGoodTol(0.02)}
+	sv, err := estimator.NewShardedSolver(fx.top, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sv.NumShards() < 2 {
+		t.Fatalf("fixture has %d shards, want ≥ 2", sv.NumShards())
+	}
+	solveAll := func() []*core.Result {
+		blocks := make([]*core.Result, sv.NumShards())
+		for k := range blocks {
+			if blocks[k], _, err = sv.SolveShard(context.Background(), k, fx.rec); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return blocks
+	}
+	fromScratch := func(blocks []*core.Result) *estimator.Estimate {
+		fresh, err := estimator.NewShardedSolver(fx.top, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fresh.Merge(blocks, fx.rec)
+	}
+	shared := func(a, b *estimator.Estimate) bool {
+		return &a.Detail.PathSets[0] == &b.Detail.PathSets[0]
+	}
+	first := sv.Merge(solveAll(), fx.rec)
+	warm := solveAll()
+	second := sv.Merge(warm, fx.rec)
+	if !shared(first, second) {
+		t.Fatal("a merge of warm blocks rebuilt the merged structure")
+	}
+	assertEstimatesMatch(t, "warm merge", fromScratch(warm), second)
+
+	b := warm[1]
+	warm[1] = core.NewShardResult(b.Subsets, b.PathSets, b.Rank, b.Nullity, b.ClampedRows)
+	third := sv.Merge(warm, fx.rec)
+	if shared(second, third) {
+		t.Fatal("a merge over a block of a new structure reused the cached one")
+	}
+	assertEstimatesMatch(t, "rebuilt merge", fromScratch(warm), third)
+	if !shared(third, sv.Merge(warm, fx.rec)) {
+		t.Fatal("the rebuilt structure was not cached")
+	}
+
+	// The server's shard loops merge concurrently, alternating cache
+	// hits with structure changes (run under -race in CI).
+	variants := [][]*core.Result{warm, solveAll()}
+	want := []*estimator.Estimate{fromScratch(variants[0]), fromScratch(variants[1])}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 20; i++ {
+				v := (g + i) % 2
+				got := sv.Merge(variants[v], fx.rec)
+				for e := range got.LinkProb {
+					if got.LinkProb[e] != want[v].LinkProb[e] || got.LinkExact[e] != want[v].LinkExact[e] {
+						t.Errorf("goroutine %d merge %d: link %d differs from a fresh merge", g, i, e)
+						return
+					}
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }

@@ -11,13 +11,15 @@
 //     stream.Window — in every mode; batches are applied atomically
 //     with respect to snapshots.
 //   - The solver loops freeze the window under that mutex — a
-//     copy-on-write stream.Window.Clone: O(paths + capacity) words
-//     copied, every row and mask shared — and run the estimator on the
-//     frozen clone off-lock, so a slow solve never blocks ingest. A
-//     freeze writes its source's ownership marks, so the mutex must
-//     exclude ingest and every other freeze of the live window (it
-//     does). mu is never held across an RPC: the cluster fan-out is
-//     ordered by its own ingestMu, taken before mu.
+//     copy-on-write stream.Window.Freeze: O(paths + capacity) words
+//     copied, every row and mask shared, once per sequence — and run
+//     the estimator on the frozen clone off-lock, so a slow solve never
+//     blocks ingest. Every freeze at one sequence (checkpoint, shard
+//     solves, background merges) shares that one clone. A freeze writes
+//     its source's ownership marks, so the mutex must exclude ingest
+//     and every other freeze of the live window (it does). mu is never
+//     held across an RPC: the cluster fan-out is ordered by its own
+//     ingestMu, taken before mu.
 //   - Each solve publishes an immutable Snapshot — the estimate, the
 //     frozen window it was computed over, and a monotonically increasing
 //     epoch — via an atomic pointer swap. Nothing ever adds to a
@@ -739,7 +741,7 @@ func (s *Server) Ingest(batch []*bitset.Set) (uint64, error) {
 		}
 		batch = batch[nb:]
 		if stride > 0 && seq%stride == 0 {
-			s.enqueueCheckpointLocked(s.win.Clone())
+			s.enqueueCheckpointLocked(s.win.Freeze())
 		}
 	}
 	metricIngestBatches.Inc()
@@ -802,8 +804,8 @@ func (s *Server) Seq() uint64 {
 	return s.win.Seq()
 }
 
-// FreezeWindow returns a frozen clone of the live window (see
-// stream.Window.Clone), taken under the ingest lock so it is
+// FreezeWindow returns the live window frozen at its sequence (see
+// stream.Window.Freeze), taken under the ingest lock so it is
 // batch-atomic. It implements ShardSource.
 func (s *Server) FreezeWindow() *stream.Window { return s.freezeUnlessAt(nil) }
 
@@ -817,7 +819,7 @@ func (s *Server) freezeUnlessAt(drained *Snapshot) *stream.Window {
 	if drained != nil && drained.SeqHigh == s.win.Seq() {
 		return nil
 	}
-	return s.win.Clone()
+	return s.win.Freeze()
 }
 
 // Latest returns the most recently published snapshot, or nil before

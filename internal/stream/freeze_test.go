@@ -258,3 +258,78 @@ func TestWindowFrozenChainUnderIngest(t *testing.T) {
 		t.Fatalf("live store diverged: %v", err)
 	}
 }
+
+// Freeze clones once per sequence: until the next Add or ResetSeq every
+// Freeze returns the same read-only window, which answers like a
+// deep copy taken at that sequence whatever the live window does next.
+// A Clone of the live window or of the frozen one does not disturb it,
+// and the frozen one refuses Add.
+func TestWindowFreezeOncePerSequence(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	live := NewWindow(freezePaths, freezeCap)
+	ref := &refWindow{numPaths: freezePaths, capacity: freezeCap}
+	add := func(n int) {
+		for ; n > 0; n-- {
+			obs := randomInterval(rng, freezePaths)
+			live.Add(obs)
+			ref.add(obs)
+		}
+	}
+	add(freezeCap + 9)
+	f := live.Freeze()
+	fref := ref.clone()
+	if live.Freeze() != f || f.Freeze() != f {
+		t.Fatal("a second freeze at one sequence cloned again")
+	}
+	live.Clone()
+	if live.Freeze() != f {
+		t.Fatal("a Clone of the live window dropped its frozen clone")
+	}
+	c := f.Clone()
+	cref := fref.clone()
+	for i := 0; i < freezeCap/2; i++ {
+		obs := randomInterval(rng, freezePaths)
+		c.Add(obs)
+		cref.add(obs)
+	}
+	add(1)
+	g, gref := live.Freeze(), ref.clone()
+	if g == f {
+		t.Fatal("Freeze after Add returned the previous sequence's window")
+	}
+	add(freezeCap / 3)
+	for _, s := range []struct {
+		name string
+		got  *Window
+		ref  *refWindow
+	}{{"first freeze", f, fref}, {"second freeze", g, gref}, {"clone of a freeze", c, cref}, {"live", live, ref}} {
+		if err := checkAgainstRef(rng, s.got, s.ref); err != nil {
+			t.Fatalf("%s: %v", s.name, err)
+		}
+	}
+
+	empty := NewWindow(freezePaths, freezeCap)
+	e := empty.Freeze()
+	empty.ResetSeq(5)
+	if r := empty.Freeze(); r == e || r.Seq() != 5 || e.Seq() != 0 {
+		t.Fatalf("after ResetSeq: Freeze at seq %d (same window: %v), earlier freeze at seq %d", r.Seq(), r == e, e.Seq())
+	}
+
+	for name, mutate := range map[string]func(){
+		"Add":      func() { f.Add(bitset.New(freezePaths)) },
+		"AddBatch": func() { f.AddBatch([]*bitset.Set{bitset.New(freezePaths)}) },
+		"ResetSeq": func() { e.ResetSeq(1) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s on a frozen window did not panic", name)
+				}
+			}()
+			mutate()
+		}()
+	}
+	if err := checkAgainstRef(rng, f, fref); err != nil {
+		t.Fatalf("first freeze after the refused writes: %v", err)
+	}
+}

@@ -46,5 +46,8 @@ func (w *Window) ResetSeq(seq uint64) {
 	if w.seq != 0 || w.count != 0 {
 		panic("stream: ResetSeq on a non-empty window")
 	}
-	w.seq = seq
+	if w.readOnly {
+		panic("stream: ResetSeq on a frozen window")
+	}
+	w.seq, w.frozen = seq, nil
 }

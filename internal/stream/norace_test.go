@@ -40,6 +40,15 @@ func TestWindowFreezeAllocations(t *testing.T) {
 	runtime.KeepAlive(frozen)
 }
 
+// A second Freeze at one sequence hands back the first one's clone.
+func TestWindowRefreezeAllocationFree(t *testing.T) {
+	w, _ := paperScaleWindow()
+	w.Freeze()
+	if avg := testing.AllocsPerRun(50, func() { w.Freeze() }); avg != 0 {
+		t.Fatalf("Freeze at an unchanged sequence allocates %v times, want 0", avg)
+	}
+}
+
 // Without a freeze in between, ingest writes in place: tracking
 // ownership costs steady-state Add nothing.
 func TestWindowAddWithoutFreezeAllocationFree(t *testing.T) {

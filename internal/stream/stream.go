@@ -24,7 +24,7 @@
 // observe and are therefore allocation-free on the steady-state path
 // and safe for concurrent readers; Add must be serialized against them
 // by the caller (the server does so with a mutex, publishing frozen
-// Clones for query traffic).
+// windows for query traffic).
 //
 // Clone is a copy-on-write freeze, not a deep copy: the clone gets its
 // own row-pointer table, mask headers and congestion counters
@@ -33,8 +33,15 @@
 // masks it has written since it was last frozen; the first write to
 // anything else replaces that one row or copies that one mask, so
 // shared storage is never written by either side. A clone that is never
-// added to — every snapshot the server publishes — is therefore
-// immutable for good, whatever its source goes on to ingest.
+// added to is therefore immutable for good, whatever its source goes on
+// to ingest.
+//
+// Freeze is that clone taken once per sequence. It returns a read-only
+// clone (Add on it panics) and hands the same one back until the next
+// Add or ResetSeq, so every snapshot, checkpoint and shard solve at one
+// sequence shares one frozen window; the server and the cluster worker
+// freeze only through it. Clone stays the private, add-able copy, for
+// callers that go on to add to it.
 //
 // A correlation-set shard (topology.Partition) is a set of columns of
 // this layout: shards share no path, so everything a shard's solve reads
@@ -87,6 +94,12 @@ type Window struct {
 	// log, when set, persists batches before AddBatch applies them.
 	// Clones do not carry it: a frozen snapshot must never re-log.
 	log BatchLog
+
+	// frozen is the clone Freeze returned at the current sequence; Add
+	// and ResetSeq drop it. readOnly marks a window Freeze made: it has
+	// no ownership marks and refuses Add.
+	frozen   *Window
+	readOnly bool
 }
 
 var (
@@ -138,6 +151,10 @@ func (w *Window) slotOf(s uint64) int { return int(s % uint64(w.ringBits())) }
 // allocates nothing, and the first Add after a Clone allocates one row
 // plus one mask per path it touches.
 func (w *Window) Add(congested *bitset.Set) {
+	if w.readOnly {
+		panic("stream: Add on a frozen window")
+	}
+	w.frozen = nil
 	if w.count == w.capacity {
 		w.evict()
 	}
@@ -385,12 +402,38 @@ func setBitRange(sc []uint64, lo, hi int) {
 // comment), so neither ever observes the other's later Adds.
 //
 // Clone writes its source (it drops the source's ownership marks), so
-// callers must exclude Add and other Clones of the same window for its
-// duration; readers of either side need no exclusion. The server's
-// solver loop freezes the live window under the ingest lock and
-// computes over the frozen copy, so queries and ingest never contend
-// with the solver.
+// callers must exclude Add and other Clones or Freezes of the same
+// window for its duration; readers of either side need no exclusion.
+// A frozen window has no marks, so cloning one writes nothing.
 func (w *Window) Clone() *Window {
+	c := w.clone()
+	c.ownRow = make([]uint64, w.ringWords) // one bit per ring slot: ⌈capacity/64⌉ words
+	c.ownCong = make([]uint64, (w.numPaths+wordBits-1)/wordBits)
+	return c
+}
+
+// Freeze returns the window frozen at its current sequence: a Clone
+// that nothing may add to (Add on it panics). The first Freeze after a
+// change clones; every later one returns that same clone until the next
+// Add or ResetSeq, so a sequence is frozen once however many readers
+// ask. Freezing a frozen window returns it. Freeze has Clone's
+// exclusion contract: the server freezes the live window under the
+// ingest lock and computes over the frozen copy off-lock, so queries
+// and ingest never contend with the solver.
+func (w *Window) Freeze() *Window {
+	if w.readOnly {
+		return w
+	}
+	if w.frozen == nil {
+		w.frozen = w.clone()
+		w.frozen.readOnly = true
+	}
+	return w.frozen
+}
+
+// clone is the copy Clone and Freeze share: it drops w's ownership
+// marks and returns w's state with none of its own.
+func (w *Window) clone() *Window {
 	// Zeroed by loops, not clear(): the race detector cannot see clear's
 	// memclr, and these writes are why a freeze must exclude its peers.
 	for i := range w.ownRow {
@@ -406,8 +449,6 @@ func (w *Window) Clone() *Window {
 		rows:      append([]*bitset.Set(nil), w.rows...),
 		congCount: append([]int(nil), w.congCount...),
 		cong:      append([][]uint64(nil), w.cong...),
-		ownRow:    make([]uint64, len(w.ownRow)),
-		ownCong:   make([]uint64, len(w.ownCong)),
 		count:     w.count,
 		seq:       w.seq,
 	}
