@@ -14,11 +14,11 @@
 // startup (useful for demos and load tests).
 //
 // With -algo correlation-complete-sharded the daemon shards by
-// correlation-set partition: one solver goroutine per shard recomputes
-// its block — the shard's columns of the one window — on independent
-// epochs (warm-starting the null space and factorization while the
-// shard's always-good set is stable), and queries are answered from a
-// merged snapshot. /v1/status then carries a per-shard
+// correlation-set partition: each epoch solves every shard's block —
+// the shard's columns of the one frozen window — in turn
+// (warm-starting the null space and factorization while the shard's
+// always-good set is stable), and queries are answered from the merged
+// snapshot. /v1/status then carries a per-shard
 // "shards" array (epoch, seq_high, lag_intervals, warm,
 // last_compute_ms).
 //

@@ -105,9 +105,7 @@ func (h *workerHandle) setSeq(seq uint64) {
 // the workers owning each shard, fetches per-shard solved blocks and
 // merges them locally, health-checks the fleet, and replays missed
 // intervals to rejoining workers from the server's retained window. It
-// plugs into server.Config.Backend and additionally implements
-// server.BatchForwarder, server.BackendLifecycle, and
-// server.ClusterReporter.
+// is the server.Cluster that plugs into server.Config.Backend.
 type Coordinator struct {
 	top      *topology.Topology
 	fp       string
@@ -129,17 +127,14 @@ type Coordinator struct {
 	// solve touches it, and the server serializes those.
 	decoders []*ResultDecoder
 
-	src       server.ShardSource // the server's live window; set by Start
+	src       *server.Server // the server's live window; set by Start
 	stop      chan struct{}
 	wg        sync.WaitGroup
 	startOnce sync.Once
 	closeOnce sync.Once
 }
 
-var _ server.ShardBackend = (*Coordinator)(nil)
-var _ server.BatchForwarder = (*Coordinator)(nil)
-var _ server.BackendLifecycle = (*Coordinator)(nil)
-var _ server.ClusterReporter = (*Coordinator)(nil)
+var _ server.Cluster = (*Coordinator)(nil)
 
 // NewCoordinator validates the fleet spec and derives the placement. No
 // RPCs happen here: every worker starts out connecting, and the health
@@ -238,10 +233,9 @@ func (c *Coordinator) Merge(results []*core.Result, obs observe.Store) *estimato
 	return c.sv.Merge(results, obs)
 }
 
-// Start implements server.BackendLifecycle: remember the server (its
-// window is the catch-up replay source) and start one health loop per
-// worker.
-func (c *Coordinator) Start(src server.ShardSource) {
+// Start implements server.Cluster: remember the server (its window is
+// the catch-up replay source) and start one health loop per worker.
+func (c *Coordinator) Start(src *server.Server) {
 	c.startOnce.Do(func() {
 		c.src = src
 		for _, h := range c.workers {
@@ -251,7 +245,7 @@ func (c *Coordinator) Start(src server.ShardSource) {
 	})
 }
 
-// Close implements server.BackendLifecycle.
+// Close implements server.Cluster.
 func (c *Coordinator) Close() {
 	c.closeOnce.Do(func() {
 		close(c.stop)
@@ -259,7 +253,7 @@ func (c *Coordinator) Close() {
 	})
 }
 
-// ClusterStatus implements server.ClusterReporter.
+// ClusterStatus implements server.Cluster.
 func (c *Coordinator) ClusterStatus() *server.ClusterStatus {
 	st := &server.ClusterStatus{Role: "coordinator"}
 	for _, h := range c.workers {
@@ -282,7 +276,7 @@ func (c *Coordinator) ClusterStatus() *server.ClusterStatus {
 	return st
 }
 
-// Forward implements server.BatchForwarder: replicate one ingest batch
+// Forward implements server.Cluster: replicate one ingest batch
 // to every worker before the coordinator applies it locally. Any
 // non-healthy worker fails the whole batch up front — the public API
 // answers 503 and the window does not advance, which is what keeps

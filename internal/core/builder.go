@@ -255,19 +255,17 @@ func (b *builder) enumerate(ctx context.Context) error {
 	}
 	// Register the subsets of the per-path equations so the
 	// augmentation loop can use single-path rows (cheap and low-noise).
-	if !b.cfg.DisableSinglePathRegistration {
-		one := ar.one
-		for p := 0; p < b.top.NumPaths(); p++ {
-			if b.restrictPaths != nil && !b.restrictPaths.Contains(p) {
-				continue // another shard's path
-			}
-			if b.alwaysGoodPaths.Contains(p) {
-				continue
-			}
-			one.Clear()
-			one.Add(p)
-			b.rowFor(one)
+	one := ar.one
+	for p := 0; p < b.top.NumPaths(); p++ {
+		if b.restrictPaths != nil && !b.restrictPaths.Contains(p) {
+			continue // another shard's path
 		}
+		if b.alwaysGoodPaths.Contains(p) {
+			continue
+		}
+		one.Clear()
+		one.Add(p)
+		b.rowFor(one)
 	}
 	// Compute each subset's isolation path set Paths(E) \ Paths(Ē),
 	// where Ē is the potentially congested complement within E's

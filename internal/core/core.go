@@ -59,12 +59,6 @@ type Config struct {
 	// 0 means the default of 128.
 	MaxEnumPathSets int
 
-	// DisableSinglePathRegistration skips registering the correlation
-	// subsets appearing in per-path equations, which by default enrich
-	// the unknown universe that augmentation rows may reference. Set
-	// only in tests.
-	DisableSinglePathRegistration bool
-
 	// Concurrency does nothing.
 	//
 	// Deprecated: ignored; kept until bench/ stops naming it.
@@ -78,14 +72,6 @@ type Config struct {
 	// and subset probabilities are then the shard's block of the full
 	// system. nil means the whole topology.
 	RestrictCorrSets []int
-
-	// DisablePlanRepair turns off the O(Δ) structural-plan repair that
-	// ComputePlanned attempts when the always-good path set drifts (see
-	// Plan.Repair): with it set, any drift falls back to the
-	// from-scratch rebuild. Results are bit-identical either way; the
-	// knob exists as the rebuild reference of the repair ≡ rebuild
-	// property tests and is not reachable from estimator.Settings.
-	DisablePlanRepair bool
 
 	// NumericalPlanRepair enables the tier-2 repair (Plan.RepairNumeric)
 	// for drift that moves the good-link frontier: the retained QR

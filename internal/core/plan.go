@@ -178,9 +178,6 @@ func (pl *Plan) reusable(top *topology.Topology, rec observe.Store, cfg Config, 
 		info.Warm = true
 		return pl, info, nil
 	}
-	if cfg.DisablePlanRepair {
-		return pl, info, nil
-	}
 	start := time.Now()
 	next, err = pl.recall(good, drain)
 	info.RepairTime = time.Since(start)
@@ -382,9 +379,8 @@ type EpochInfo struct {
 // calls. infos reports per store how the plan served it; the returned
 // plan is the one that served the last store (prev itself if it served
 // them all), carrying the chain. A cold build inherits prev's chain —
-// prev retires into it — when topology and config match and
-// Config.DisablePlanRepair is off (which disables recall too); it
-// starts a new chain otherwise. On error prev stays usable.
+// prev retires into it — when topology and config match; it starts a
+// new chain otherwise. On error prev stays usable.
 func ComputePlannedBatch(ctx context.Context, top *topology.Topology, recs []observe.Store, cfg Config, prev *Plan) ([]*Result, []EpochInfo, *Plan, error) {
 	results := make([]*Result, len(recs))
 	infos := make([]EpochInfo, len(recs))
@@ -452,7 +448,7 @@ func advance(ctx context.Context, top *topology.Topology, recs []observe.Store, 
 			return nil, err
 		}
 		infos[i].BuildTime = time.Since(start)
-		if plan != nil && plan.top == top && configsEqual(plan.cfg, cfg) && !cfg.DisablePlanRepair {
+		if plan != nil && plan.top == top && configsEqual(plan.cfg, cfg) {
 			fresh.retired = retire(plan.retired, plan)
 		}
 		plan, run = fresh, 1
@@ -469,8 +465,6 @@ func configsEqual(a, b Config) bool {
 	if a.MaxSubsetSize != b.MaxSubsetSize ||
 		a.AlwaysGoodTol != b.AlwaysGoodTol ||
 		a.MaxEnumPathSets != b.MaxEnumPathSets ||
-		a.DisableSinglePathRegistration != b.DisableSinglePathRegistration ||
-		a.DisablePlanRepair != b.DisablePlanRepair ||
 		a.NumericalPlanRepair != b.NumericalPlanRepair ||
 		a.NumericalRepairMaxFrac != b.NumericalRepairMaxFrac ||
 		len(a.RestrictCorrSets) != len(b.RestrictCorrSets) {

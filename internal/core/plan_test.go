@@ -291,46 +291,6 @@ func TestPlanRepairMatchesColdUnderDrift(t *testing.T) {
 	}
 }
 
-// With DisablePlanRepair, a repairable drift must fall back to the
-// rebuild path (and still match cold bit for bit).
-func TestPlanRepairDisabled(t *testing.T) {
-	top := driftTopology(t)
-	cfg := Config{MaxSubsetSize: 2, AlwaysGoodTol: 0.02, DisablePlanRepair: true}
-	rng := rand.New(rand.NewSource(1))
-	w := stream.NewWindow(top.NumPaths(), 400)
-	var plan *Plan
-	sawDrift := false
-	lastGood := ""
-	for epoch := 0; epoch < 12; epoch++ {
-		driftEpoch(w, rng, top.NumPaths(), 100, false)
-		good := w.AlwaysGoodPaths(cfg.AlwaysGoodTol).Key()
-		drifted := lastGood != "" && good != lastGood
-		lastGood = good
-		res, next, err := ComputePlanned(context.Background(), top, w, cfg, plan)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if drifted {
-			sawDrift = true
-			if next == plan {
-				t.Fatalf("epoch %d: plan survived drift with repair disabled", epoch)
-			}
-		}
-		if next.RepairCount() != 0 {
-			t.Fatal("repair ran despite DisablePlanRepair")
-		}
-		cold, err := Compute(context.Background(), top, w, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resultsEqual(t, fmt.Sprintf("epoch %d", epoch), res, cold)
-		plan = next
-	}
-	if !sawDrift {
-		t.Fatal("schedule produced no drift; test is vacuous")
-	}
-}
-
 // solveEpoch is the solve tail at K = 1, for tests that hold a bare
 // plan rather than going through ComputePlanned.
 func (pl *Plan) solveEpoch(ctx context.Context, rec observe.Store) (*Result, error) {

@@ -72,46 +72,37 @@ type ShardBackend interface {
 // across the whole run. The server's interval-stride checkpoint drain
 // (Config.EpochEvery) runs through it — K queued checkpoints cost one
 // set of right-hand sides plus a single batched back-substitution per
-// block — so server.New rejects EpochEvery with a backend that lacks it
-// (the cluster coordinator, whose workers solve their own live windows,
-// not the checkpoints).
+// block. Both in-process backends implement it; a Cluster does not (its
+// workers solve their own live windows, not the checkpoints), so
+// server.New rejects EpochEvery with one.
 type ShardBatchSolver interface {
 	SolveShardBatch(ctx context.Context, shard int, wins []*stream.Window) ([]ShardSolve, error)
 }
 
-// BatchForwarder is implemented by backends that replicate ingest to
-// remote shard owners. When the configured backend implements it, every
-// ingest batch is forwarded — keyed by the coordinator's pre-batch
-// sequence so workers can deduplicate retries — before it is applied
-// locally; a forwarding failure rejects the batch without applying it
-// anywhere the client could not safely retry.
-type BatchForwarder interface {
+// Cluster is a ShardBackend whose shards are solved by remote workers:
+// the cluster coordinator (internal/cluster). Config.Backend takes one,
+// and it is what makes a server a coordinator. Every ingest batch is
+// forwarded before it is applied, one loop per shard wakes on applied
+// batches (runShard), and /v1/status reports the fleet.
+type Cluster interface {
+	ShardBackend
+
+	// Forward replicates one ingest batch to the shard owners, keyed by
+	// the server's pre-batch sequence so workers can deduplicate
+	// retries. It runs before the batch is applied locally; an error
+	// rejects the batch without applying it anywhere the client could
+	// not safely retry.
 	Forward(baseSeq uint64, batch []*bitset.Set) error
-}
 
-// ShardSource is the view of the live ingest window a backend's
-// background machinery (health checking, worker catch-up) reads: the
-// current sequence and a frozen clone of the window to replay from.
-// *Server implements it.
-type ShardSource interface {
-	Seq() uint64
-	FreezeWindow() *stream.Window
-}
-
-// BackendLifecycle is implemented by backends with background work
-// (health loops, reconnection). Start is called once from Server.Start
-// with the server as the catch-up source; Close once from
-// Server.Close, after the solver loops have exited. Close must be safe
-// without a prior Start.
-type BackendLifecycle interface {
-	Start(src ShardSource)
+	// Start is called once from Server.Start, with the server as the
+	// catch-up source (its Seq and FreezeWindow); Close once from
+	// Server.Close, after the solver loops have exited. Close must be
+	// safe without a prior Start.
+	Start(src *Server)
 	Close()
-}
 
-// ClusterReporter is implemented by backends that track remote workers;
-// /v1/status surfaces the report and readiness degrades while any
-// shard is unreachable.
-type ClusterReporter interface {
+	// ClusterStatus reports the workers; /v1/status surfaces the report
+	// and readiness degrades while any shard is unreachable.
 	ClusterStatus() *ClusterStatus
 }
 
@@ -223,9 +214,9 @@ func (b *oneBlockBackend) SolveShardBatch(ctx context.Context, _ int, wins []*st
 // Merge is never called: a one-block epoch publishes its block's Est.
 func (b *oneBlockBackend) Merge([]*core.Result, observe.Store) *estimator.Estimate { return nil }
 
-// newBackend resolves where an epoch's blocks are solved: Config.Backend
-// or the in-process sharded solver for the sharded algorithm, the
-// one-block backend over est for every other.
+// newBackend resolves where an epoch's blocks are solved: the cluster
+// of Config.Backend or the in-process sharded solver for the sharded
+// algorithm, the one-block backend over est for every other.
 func newBackend(top *topology.Topology, cfg Config, est estimator.Estimator) (ShardBackend, error) {
 	switch {
 	case cfg.Algo == estimator.CorrelationCompleteSharded && cfg.Backend != nil:

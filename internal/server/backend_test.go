@@ -3,16 +3,31 @@ package server
 import (
 	"testing"
 
+	"repro/internal/bitset"
 	"repro/internal/estimator"
 )
 
-// noBatchBackend is a sharded backend without the batched drain seam —
-// the shape of the cluster coordinator.
-type noBatchBackend struct{ ShardBackend }
+// noFleet is the background half of a test Cluster: no health loops to
+// start or stop and no workers to report.
+type noFleet struct{}
 
-// Interval-stride epochs drain through ShardBatchSolver, so New rejects
-// EpochEvery with a backend that lacks it instead of serving drained
-// epochs whose results are unspecified; without EpochEvery it is fine.
+func (noFleet) Start(*Server)                 {}
+func (noFleet) Close()                        {}
+func (noFleet) ClusterStatus() *ClusterStatus { return nil }
+
+// noBatchBackend is a sharded backend without the batched drain seam,
+// forwarding batches nowhere — the shape of the cluster coordinator.
+type noBatchBackend struct {
+	ShardBackend
+	noFleet
+}
+
+func (noBatchBackend) Forward(uint64, []*bitset.Set) error { return nil }
+
+// Interval-stride epochs drain through ShardBatchSolver, which a
+// Cluster lacks, so New rejects EpochEvery with one instead of serving
+// drained epochs whose results are unspecified; without EpochEvery it
+// is fine.
 func TestEpochEveryRequiresBatchSolver(t *testing.T) {
 	top := shardedTestTopology(t)
 	sv, err := estimator.NewShardedSolver(top, solverOpts()...)
@@ -22,7 +37,7 @@ func TestEpochEveryRequiresBatchSolver(t *testing.T) {
 	cfg := Config{
 		Algo:       estimator.CorrelationCompleteSharded,
 		SolverOpts: solverOpts(),
-		Backend:    noBatchBackend{&localBackend{sv: sv}},
+		Backend:    noBatchBackend{ShardBackend: &localBackend{sv: sv}},
 		EpochEvery: 10,
 	}
 	if s, err := New(top, cfg); err == nil {

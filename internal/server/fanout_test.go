@@ -16,6 +16,7 @@ import (
 // entered and returns only once release yields (or is closed).
 type parkingForwarder struct {
 	*localBackend
+	noFleet
 	entered chan uint64
 	release chan struct{}
 }

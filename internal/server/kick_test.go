@@ -16,11 +16,12 @@ import (
 )
 
 // hookedBackend is the in-process sharded backend recording when each
-// shard's solves start; failFirst fails shard 0's first solve. It
-// forwards batches nowhere, which makes its server's loops kick-driven
-// like a cluster coordinator's.
+// shard's solves start; failFirst fails shard 0's first solve. It is a
+// Cluster that forwards batches nowhere and has no fleet, so its server
+// runs a coordinator's kick-driven shard loops.
 type hookedBackend struct {
 	*localBackend
+	noFleet
 	failFirst bool
 
 	mu     sync.Mutex
@@ -95,10 +96,11 @@ func waitPublished(t *testing.T, s *Server, seq uint64) *Snapshot {
 	}
 }
 
-// A forwarding backend's loops have no tick to wait for: with an hour
+// A cluster's shard loops have no tick to wait for: with an hour
 // between solve starts, a committed batch is still published at once,
 // since each loop's first solve starts on a wake-up rather than on a
-// tick an hour after Start. In-process sharded loops keep their tick.
+// tick an hour after Start. An in-process sharded server keeps its one
+// ticking loop.
 func TestShardLoopsWakeOnIngest(t *testing.T) {
 	top := shardedTestTopology(t)
 	local := newServer(t, top, Config{
@@ -109,7 +111,7 @@ func TestShardLoopsWakeOnIngest(t *testing.T) {
 	})
 	local.Close()
 	if local.kicks != nil {
-		t.Fatal("in-process sharded loops are kick-driven, want them on their tick")
+		t.Fatal("an in-process sharded server is kick-driven, want its one loop on its tick")
 	}
 
 	s := newServer(t, top, hookedConfig(newHookedBackend(t, top), time.Hour))

@@ -38,25 +38,27 @@
 // block-diagonal system (topology.Partition) in sharded mode (Algo =
 // "correlation-complete-sharded"), a single block covering the whole
 // universe otherwise — so Recompute, the checkpoint drain and the
-// background publish share one solve, one stale-guarded adoption, one
-// merge-and-publish step and one publish guard. A one-block epoch
-// publishes its block's estimate as is; a sharded epoch merges the
-// latest per-shard blocks. The window is the same one: a shard is a set
-// of its columns, so each shard solve freezes the whole window (a header
-// copy) and reads only its own paths — warm-starting the structural plan
-// while its always-good set is stable — and a congestion burst confined
-// to one shard re-derives one block's structure while the others keep
+// cluster's background publish share one solve, one stale-guarded
+// adoption, one merge-and-publish step and one publish guard. A
+// one-block epoch publishes its block's estimate as is; a sharded epoch
+// merges the per-shard blocks. The window is the same one: a shard is a
+// set of its columns, so each shard solve reads only its own paths of
+// the frozen window — warm-starting the structural plan while its
+// always-good set is stable — and a congestion burst confined to one
+// shard re-derives one block's structure while the others keep
 // re-solving their carried-forward factorizations; per-shard epochs and
 // lag are exposed on /v1/status.
 //
-// What still differs per mode is the background loop, until one
-// scheduler replaces them: one supervised loop (run) over the one
-// block, against one goroutine per shard (runShard) plus a checkpoint
-// drain (runDrain) in sharded mode. Every loop runs on a RecomputeEvery
-// tick, except a cluster coordinator's shard loops, which sleep until
-// an applied ingest batch wakes them (paced). Shard solves are not
-// supersession-supervised (warm solves are far faster than a window
-// turnover); shutdown still cancels them.
+// The background loop is chosen by where the blocks are solved. Every
+// in-process server, one-block or sharded, runs one supervised loop
+// (run): each RecomputeEvery tick it calls Recompute, which drains the
+// queued checkpoints and solves every block, in turn, over one frozen
+// clone, so a published epoch is an offline solve of its window. Only a
+// cluster coordinator (Config.Backend) runs one loop per shard
+// (runShard): each sleeps until an applied ingest batch wakes it, solves
+// its shard and publishes a merge of the latest blocks. Those shard
+// solves are not supersession-supervised (warm solves are far faster
+// than a window turnover); shutdown still cancels them.
 package server
 
 import (
@@ -94,13 +96,12 @@ type Config struct {
 	WindowSize int
 
 	// RecomputeEvery is the minimum spacing between two epoch starts of
-	// one solver loop (default 2s). The one-block and in-process sharded
-	// loops start an epoch on their tick. A cluster coordinator's loops
-	// (the Backend is a BatchForwarder) have no tick: they start one once
-	// Ingest has applied a batch, and a batch applied sooner than
-	// RecomputeEvery after a loop's previous start waits out the rest of
-	// the gap. Either way, a loop with no new observations since its
-	// last epoch starts none.
+	// one solver loop (default 2s). An in-process server's loop starts
+	// an epoch on its tick. A cluster coordinator's shard loops have no
+	// tick: they start one once Ingest has applied a batch, and a batch
+	// applied sooner than RecomputeEvery after a loop's previous start
+	// waits out the rest of the gap. Either way, a loop with no new
+	// observations since its last epoch starts none.
 	RecomputeEvery time.Duration
 
 	// Algo selects the epoch solver from the estimator registry
@@ -123,11 +124,10 @@ type Config struct {
 	// stride boundaries therefore yields several observable epochs (see
 	// /v1/epochs) instead of one coarse latest-state solve.
 	//
-	// Every in-process backend offers the batched seam. The cluster
-	// coordinator does not — its workers solve their own live windows,
-	// never the checkpoints — so New rejects EpochEvery with it (or with
-	// any Backend lacking ShardBatchSolver) rather than serve drained
-	// epochs whose results are unspecified.
+	// Every in-process backend offers the batched seam. A Cluster does
+	// not — its workers solve their own live windows, never the
+	// checkpoints — so New rejects EpochEvery whenever Backend is set
+	// rather than serve drained epochs whose results are unspecified.
 	EpochEvery int
 
 	// MaxEpochBacklog bounds the queued checkpoints (default 8): when
@@ -148,16 +148,14 @@ type Config struct {
 	// 64 MiB, ~ a day of intervals on the paper-scale path universe).
 	MaxIngestBytes int64
 
-	// Backend overrides where per-shard solves happen (sharded algo
-	// only; New rejects it otherwise, and with EpochEvery unless it
-	// implements ShardBatchSolver). nil means the in-process
-	// estimator.ShardedSolver. The cluster coordinator plugs in here:
-	// its backend forwards ingest to shard-owning workers
-	// (BatchForwarder), fetches their solved blocks (SolveShard) and
-	// reports worker health (ClusterReporter), while the server keeps
-	// its own window for merging, observation-level queries and worker
-	// catch-up.
-	Backend ShardBackend
+	// Backend makes the server a cluster coordinator (sharded algo only;
+	// New rejects it otherwise, and with EpochEvery). nil means the
+	// blocks are solved in-process by estimator.ShardedSolver. The
+	// cluster forwards ingest to shard-owning workers (Forward), fetches
+	// their solved blocks (SolveShard) and reports worker health
+	// (ClusterStatus), while the server keeps its own window for
+	// merging, observation-level queries and worker catch-up.
+	Backend Cluster
 
 	// Logger receives the service's structured log events (WAL
 	// recovery, epoch publishes at debug, solver errors and panics,
@@ -203,7 +201,7 @@ type Snapshot struct {
 	Est *estimator.Estimate
 
 	// Window is the frozen clone of the live window the estimate was
-	// computed over. In sharded mode a background publish freezes it at
+	// computed over. In cluster mode a background publish freezes it at
 	// merge time, so it may be slightly newer than the per-shard blocks
 	// merged into Est; a Recompute solves every shard from this one
 	// clone.
@@ -318,7 +316,8 @@ func (s *Snapshot) EstimateFor(ctx context.Context, algo string) (*estimator.Est
 type ShardInfo struct {
 	Shard int
 
-	// Epoch is the shard's own epoch counter (independent per shard).
+	// Epoch is the shard's own epoch counter (blocks adopted; in
+	// cluster mode each shard's loop advances its own).
 	Epoch uint64
 
 	// SeqHigh is the ingest sequence the shard's block was solved at;
@@ -342,8 +341,8 @@ type ShardInfo struct {
 
 // shardState is one block's solver state (a shard's, or the whole
 // universe's outside sharded mode). mu serializes the block's solves
-// (the background loop, the drain and synchronous Recompute); the
-// published fields below it are guarded by the server's publishMu.
+// (Recompute and its drain, and a cluster's shard loop); the published
+// fields below it are guarded by the server's publishMu.
 type shardState struct {
 	mu sync.Mutex
 
@@ -382,17 +381,18 @@ type Server struct {
 	logger *slog.Logger
 
 	// shardLag holds the per-shard lag gauges, resolved once in New so
-	// the shard solver loops never pay a labeled lookup; nil outside
-	// sharded mode.
+	// an adoption never pays a labeled lookup; nil outside sharded mode.
 	shardLag []*telemetry.Gauge
 
 	// backend solves every epoch's blocks: the one-block backend (which
 	// carries the correlation-complete plan across epochs) outside
 	// sharded mode, the in-process sharded solver or the cluster
-	// coordinator inside it. shardStates holds one published state per
-	// block; sharded reports whether the blocks are shards — merged,
-	// listed in Snapshot.Shards and /v1/status, one loop each.
+	// coordinator inside it. cluster is the coordinator (Config.Backend),
+	// nil when the blocks are solved in-process. shardStates holds one
+	// published state per block; sharded reports whether the blocks are
+	// shards — merged and listed in Snapshot.Shards and /v1/status.
 	backend     ShardBackend
+	cluster     Cluster
 	shardStates []*shardState
 	sharded     bool
 	publishMu   sync.Mutex // guards shardStates' published fields, snapshot assembly + history
@@ -446,9 +446,8 @@ type Server struct {
 	baseCancel context.CancelFunc
 
 	// kicks wakes a cluster coordinator's shard loops, one capacity-1
-	// channel each: runShard k's at index k. nil when the backend solves
-	// in-process, whose loops run on their tick (the checkpoint drain
-	// always does: server.New refuses it for a coordinator).
+	// channel each: runShard k's at index k. nil when the blocks are
+	// solved in-process, whose one loop (run) runs on its tick.
 	kicks []chan struct{}
 
 	stop      chan struct{}
@@ -477,8 +476,8 @@ func New(top *topology.Topology, cfg Config) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	if _, ok := backend.(ShardBatchSolver); cfg.EpochEvery > 0 && !ok {
-		return nil, errors.New("server: Config.EpochEvery requires a backend that solves checkpoints in batch (ShardBatchSolver); the cluster coordinator does not")
+	if cfg.EpochEvery > 0 && cfg.Backend != nil {
+		return nil, errors.New("server: Config.EpochEvery requires in-process blocks; a cluster Backend's workers solve their live windows, not the checkpoints")
 	}
 	logger := cfg.Logger
 	if logger == nil {
@@ -490,6 +489,7 @@ func New(top *topology.Topology, cfg Config) (*Server, error) {
 		cfg:         cfg,
 		logger:      logger,
 		backend:     backend,
+		cluster:     cfg.Backend,
 		shardStates: make([]*shardState, backend.NumShards()),
 		sharded:     cfg.Algo == estimator.CorrelationCompleteSharded,
 		baseCtx:     ctx,
@@ -506,7 +506,7 @@ func New(top *topology.Topology, cfg Config) (*Server, error) {
 			s.shardLag[i] = metricShardLag.With(strconv.Itoa(i))
 		}
 	}
-	if _, ok := backend.(BatchForwarder); ok && s.sharded {
+	if s.cluster != nil {
 		s.kicks = make([]chan struct{}, len(s.shardStates))
 		for i := range s.kicks {
 			s.kicks[i] = make(chan struct{}, 1)
@@ -539,8 +539,8 @@ func (s *Server) openWAL() error {
 	return nil
 }
 
-// NumShards returns the number of independent shard solvers (0 outside
-// sharded mode).
+// NumShards returns the number of shard blocks an epoch merges (0
+// outside sharded mode).
 func (s *Server) NumShards() int {
 	if !s.sharded {
 		return 0
@@ -554,30 +554,24 @@ func (s *Server) Topology() *topology.Topology { return s.top }
 // Algo returns the registry name of the configured epoch solver.
 func (s *Server) Algo() string { return s.cfg.Algo }
 
-// Start launches the background recompute loop — one solver goroutine
-// per shard in sharded mode, a single supervised loop otherwise — and
-// wakes a cluster coordinator's loops once, so a window recovered from
-// the WAL (or an empty one) is published without waiting for a new
-// batch.
+// Start launches the background recompute loop: the one supervised
+// loop when the blocks are solved in-process, else the cluster's
+// background work and one solver goroutine per shard, woken once so a
+// window recovered from the WAL (or an empty one) is published without
+// waiting for a new batch.
 func (s *Server) Start() {
 	s.startOnce.Do(func() {
-		if lc, ok := s.backend.(BackendLifecycle); ok {
-			lc.Start(s)
-		}
-		if s.sharded {
-			for sid := range s.shardStates {
-				s.wg.Add(1)
-				go s.runShard(sid)
-			}
-			if s.cfg.EpochEvery > 0 {
-				s.wg.Add(1)
-				go s.runDrain()
-			}
-			s.kickLoops()
+		if s.cluster == nil {
+			s.wg.Add(1)
+			go s.run()
 			return
 		}
-		s.wg.Add(1)
-		go s.run()
+		s.cluster.Start(s)
+		for sid := range s.shardStates {
+			s.wg.Add(1)
+			go s.runShard(sid)
+		}
+		s.kickLoops()
 	})
 }
 
@@ -589,8 +583,8 @@ func (s *Server) Close() {
 		close(s.stop)
 	})
 	s.wg.Wait()
-	if lc, ok := s.backend.(BackendLifecycle); ok {
-		lc.Close() // after the solver loops: no more backend solves in flight
+	if s.cluster != nil {
+		s.cluster.Close() // after the solver loops: no more backend solves in flight
 	}
 	if s.wal != nil {
 		s.wal.Close() // flushes the tail; safe after ingest has stopped
@@ -679,8 +673,8 @@ func (s *Server) DegradedReason() string {
 // clusterStatus returns the backend's worker report, or nil outside
 // cluster mode.
 func (s *Server) clusterStatus() *ClusterStatus {
-	if r, ok := s.backend.(ClusterReporter); ok {
-		return r.ClusterStatus()
+	if s.cluster != nil {
+		return s.cluster.ClusterStatus()
 	}
 	return nil
 }
@@ -696,7 +690,7 @@ func (s *Server) clusterStatus() *ClusterStatus {
 // (oldest dropped first); the batch is split at those boundaries so
 // each WAL record ends exactly on a checkpoint seq.
 //
-// In cluster mode (the backend is a BatchForwarder) the batch is first
+// In cluster mode (Config.Backend is set) the batch is first
 // forwarded to the shard owners, keyed by the pre-batch sequence, and
 // applied locally only once the whole fan-out has accepted it. A retry
 // after a partial failure is safe either way: workers deduplicate by
@@ -713,11 +707,11 @@ func (s *Server) clusterStatus() *ClusterStatus {
 // Whatever it applied, Ingest then wakes a cluster coordinator's solver
 // loops (see RecomputeEvery).
 func (s *Server) Ingest(batch []*bitset.Set) (uint64, error) {
-	if fw, ok := s.backend.(BatchForwarder); ok {
+	if s.cluster != nil {
 		s.ingestMu.Lock()
 		defer s.ingestMu.Unlock()
 		base := s.Seq()
-		if err := fw.Forward(base, batch); err != nil {
+		if err := s.cluster.Forward(base, batch); err != nil {
 			s.logger.Warn("ingest fan-out failed", "seq", base, "error", err)
 			return base, err
 		}
@@ -757,8 +751,7 @@ func (s *Server) kickLoops() {
 	}
 }
 
-// kick wakes the loop sleeping on k unless a wake-up is already pending
-// (or k is nil: the loop runs on its tick).
+// kick wakes the loop sleeping on k unless a wake-up is already pending.
 func kick(k chan struct{}) {
 	select {
 	case k <- struct{}{}:
@@ -806,7 +799,7 @@ func (s *Server) Seq() uint64 {
 
 // FreezeWindow returns the live window frozen at its sequence (see
 // stream.Window.Freeze), taken under the ingest lock so it is
-// batch-atomic. It implements ShardSource.
+// batch-atomic. A Cluster replays worker catch-up from it.
 func (s *Server) FreezeWindow() *stream.Window { return s.freezeUnlessAt(nil) }
 
 // freezeUnlessAt freezes the live window under mu — unless drained,
@@ -866,8 +859,9 @@ func (s *Server) newSnapshot(window *stream.Window, computeTime time.Duration, e
 // solve every block over that one frozen clone, then assemble and
 // publish the snapshot and return it. Because every block is solved at
 // the same sequence, the published estimate equals an offline solve of
-// the surviving window. It is what the unsharded background loop calls
-// each tick; tests and the daemon's shutdown path call it directly.
+// the surviving window. It is what the in-process background loop (run)
+// calls each tick; tests and the daemon's shutdown path call it
+// directly.
 //
 // ctx cancels the solve mid-flight: the returned snapshot then carries
 // ctx.Err() (wrapped) in Err, is NOT published, and does not consume an
@@ -992,9 +986,10 @@ func (s *Server) drainBacklog(ctx context.Context) (*Snapshot, error) {
 }
 
 // assemble is the one merge-and-publish step. Under publishMu it adopts
-// each block of sols (see adoptLocked; sols nil — a background shard
-// publish — adopts nothing), collects every block's published state and
-// takes the next epoch, so epochs are ordered by collection time. Off
+// each block of sols (see adoptLocked; sols nil — a cluster shard
+// loop's background publish — adopts nothing), collects every block's
+// published state and takes the next epoch, so epochs are ordered by
+// collection time. Off
 // the lock it builds the estimate — the one block's own outside sharded
 // mode, the backend's merge of every shard's block over win inside it —
 // and publishes the snapshot over win, which a background publish (win
@@ -1165,81 +1160,18 @@ func (s *Server) History() []EpochSummary {
 	return out
 }
 
-// runDrain is the sharded checkpoint-drain loop. With Config.EpochEvery
-// set, the per-shard loops still publish latest-state shard epochs;
-// this dedicated ticker turns the queued stride checkpoints into their
-// own merged epochs so a lag burst stays observable on /v1/epochs.
-func (s *Server) runDrain() {
-	defer s.wg.Done()
-	ticker := time.NewTicker(s.cfg.RecomputeEvery)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-s.stop:
-			return
-		case <-ticker.C:
-			if !s.backlogPending() {
-				continue
-			}
-			s.tickSafely(func() {
-				s.computeMu.Lock()
-				defer s.computeMu.Unlock()
-				s.drainBacklog(s.baseCtx)
-			})
-		}
-	}
-}
-
-// runShard is shard sid's solver loop: one potential shard epoch per
-// wake-up, skipped while nothing has been ingested since the shard's
-// last solve. A failed solve wakes a kick-driven loop again, so the
-// shard is retried RecomputeEvery later (a cluster worker that is
-// rejoining) without waiting for a new batch, as a ticking loop retries
-// it on its next tick. Shutdown cancels an in-flight solve via the
-// lifetime context.
+// runShard is a cluster coordinator's shard sid loop. It sleeps until
+// kicked, waits out whatever remains of RecomputeEvery since its
+// previous solve start, then runs one shard epoch (solveShard), skipped
+// while nothing has been ingested since the shard's last solve. A kick
+// that lands meanwhile stays pending, so a batch committed during a
+// solve is never missed, and an idle loop arms no timer. A failed solve
+// kicks the loop again, so the shard is retried RecomputeEvery later (a
+// worker that is rejoining) without waiting for a new batch. Shutdown
+// cancels an in-flight solve via the lifetime context.
 func (s *Server) runShard(sid int) {
 	defer s.wg.Done()
-	var k chan struct{} // nil: the loop ticks
-	if s.kicks != nil {
-		k = s.kicks[sid]
-	}
-	s.paced(k, func() bool {
-		s.publishMu.Lock()
-		solved := s.shardStates[sid].epoch > 0
-		last := s.shardStates[sid].seqHigh
-		s.publishMu.Unlock()
-		if solved && last == s.Seq() {
-			return false // nothing new since this shard's last epoch
-		}
-		ok := false
-		s.tickSafely(func() { ok = s.solveShard(s.baseCtx, sid) })
-		if !ok {
-			kick(k)
-		}
-		return true
-	})
-}
-
-// paced is the body of a shard solver loop. With a nil k it runs
-// step on every RecomputeEvery tick. Otherwise it sleeps until k is
-// kicked, waits out whatever remains of RecomputeEvery since the loop's
-// previous solve start, then runs step, which reports whether it
-// started a solve. A kick that lands meanwhile stays pending in k, so a
-// batch committed during a step is never missed. An idle kick-driven
-// loop arms no timer.
-func (s *Server) paced(k chan struct{}, step func() bool) {
-	if k == nil {
-		ticker := time.NewTicker(s.cfg.RecomputeEvery)
-		defer ticker.Stop()
-		for {
-			select {
-			case <-s.stop:
-				return
-			case <-ticker.C:
-				step()
-			}
-		}
-	}
+	k := s.kicks[sid]
 	var last time.Time
 	var timer *time.Timer
 	for {
@@ -1261,16 +1193,27 @@ func (s *Server) paced(k chan struct{}, step func() bool) {
 			}
 		}
 		start := time.Now()
-		if step() {
-			last = start
+		s.publishMu.Lock()
+		solved := s.shardStates[sid].epoch > 0
+		seq := s.shardStates[sid].seqHigh
+		s.publishMu.Unlock()
+		if solved && seq == s.Seq() {
+			continue // nothing new since this shard's last epoch
+		}
+		last = start
+		ok := false
+		s.tickSafely(func() { ok = s.solveShard(s.baseCtx, sid) })
+		if !ok {
+			kick(k)
 		}
 	}
 }
 
-// solveShard runs one epoch of shard sid: freeze the window under the
-// ingest lock, solve the shard's columns of it off-lock (warm-starting
-// the structural plan when the shard's always-good set is unchanged),
-// adopt the shard's block and assemble a fresh merged snapshot. A block
+// solveShard runs one cluster epoch of shard sid: freeze the window
+// under the ingest lock, fetch the shard's block off-lock (the owning
+// worker warm-starts its structural plan while the shard's always-good
+// set is unchanged), adopt it and assemble a fresh merged snapshot. A
+// block
 // solved at an older sequence than the shard's published state (a
 // synchronous Recompute raced ahead) is dropped rather than allowed to
 // roll the shard backwards. It reports whether the solve succeeded.

@@ -19,8 +19,8 @@ import (
 )
 
 // shardedTestTopology builds a topology whose correlation-set partition
-// has at least two shards, so the per-shard solver loops genuinely run
-// independently (the Sparse family at this scale splits in two).
+// has at least two shards, so an epoch genuinely solves and merges
+// several blocks (the Sparse family at this scale splits in two).
 func shardedTestTopology(t testing.TB) *topology.Topology {
 	t.Helper()
 	top, err := experiment.BuildTopology(experiment.Sparse, experiment.Small(), 1)
@@ -241,8 +241,8 @@ func TestEndToEndShardedStreaming(t *testing.T) {
 	}
 }
 
-// The per-shard loops must publish merged snapshots on their own as
-// data arrives, and stop once quiescent.
+// The in-process loop must publish merged snapshots of every shard on
+// its own as data arrives, and stop once quiescent.
 func TestShardedRecomputeLoop(t *testing.T) {
 	top := shardedTestTopology(t)
 	s := newServer(t, top, Config{
@@ -287,5 +287,74 @@ func TestShardedRecomputeLoop(t *testing.T) {
 	time.Sleep(30 * time.Millisecond)
 	if e2 := s.Latest().Epoch; e2 != e1 {
 		t.Fatalf("merged epoch advanced with no new data: %d then %d", e1, e2)
+	}
+}
+
+// An in-process sharded epoch is one solve of one window: every
+// snapshot its loop publishes merges shard blocks all solved at the
+// snapshot's own sequence, and its estimate is the offline sharded
+// estimate of its window, bit for bit. The invariant holds for every
+// snapshot, so checking each one observed cannot flake.
+func TestShardedEpochsAreWholeWindowSolves(t *testing.T) {
+	const total, perBatch = 600, 5
+	top := shardedTestTopology(t)
+	s := newServer(t, top, Config{
+		WindowSize:     300,
+		RecomputeEvery: time.Millisecond,
+		Algo:           estimator.CorrelationCompleteSharded,
+		SolverOpts:     solverOpts(),
+	})
+	s.Start()
+	defer s.Close()
+
+	var last *Snapshot
+	check := func() {
+		snap := s.Latest()
+		if snap == nil || snap == last {
+			return
+		}
+		last = snap
+		if len(snap.Shards) != s.NumShards() {
+			t.Fatalf("epoch %d merges %d shard blocks, want %d", snap.Epoch, len(snap.Shards), s.NumShards())
+		}
+		for _, sh := range snap.Shards {
+			if sh.SeqHigh != snap.SeqHigh {
+				t.Fatalf("epoch %d at seq %d merges shard %d solved at seq %d", snap.Epoch, snap.SeqHigh, sh.Shard, sh.SeqHigh)
+			}
+		}
+	}
+	batches := simulatedBatches(t, top, total)
+	for i := 0; i < total; i += perBatch {
+		if _, err := s.Ingest(batches[i : i+perBatch]); err != nil {
+			t.Fatal(err)
+		}
+		check()
+	}
+	deadline := time.Now().Add(30 * time.Second)
+	for last == nil || last.SeqHigh != total {
+		if time.Now().After(deadline) {
+			t.Fatalf("no snapshot at seq %d was published", total)
+		}
+		time.Sleep(100 * time.Microsecond)
+		check()
+	}
+	if last.Err != nil {
+		t.Fatal(last.Err)
+	}
+	est, err := estimator.New(estimator.CorrelationCompleteSharded)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := est.Estimate(context.Background(), top, last.Window, solverOpts()...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for e := 0; e < top.NumLinks(); e++ {
+		want, wantExact := ref.LinkCongestProb(e)
+		got, gotExact := last.Est.LinkCongestProb(e)
+		if math.Float64bits(got) != math.Float64bits(want) || gotExact != wantExact {
+			t.Fatalf("link %d: epoch %d (%v,%v) != offline solve of its window (%v,%v)",
+				e, last.Epoch, got, gotExact, want, wantExact)
+		}
 	}
 }
