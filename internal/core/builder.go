@@ -57,12 +57,11 @@ type builder struct {
 	arena *buildArena
 }
 
-// subsetEntry is one unknown of Ê. cover and seedSet are build-only:
-// plan() clears them, so a retained plan carries just the links.
+// subsetEntry is one unknown of Ê. seedSet is build-only: plan()
+// clears it, so a retained plan carries just the links.
 type subsetEntry struct {
 	links   *bitset.Set
 	corrSet int
-	cover   *bitset.Set // Paths(E)
 	seedSet *bitset.Set // Paths(E) \ Paths(Ē), the isolation path set
 }
 
@@ -131,23 +130,20 @@ func (b *builder) lookupOrRegister(links *bitset.Set, corrSet int) (int, bool) {
 	}
 	i := len(b.subsets)
 	b.index[string(ar.keyBuf)] = i
-	b.subsets = append(b.subsets, subsetEntry{
-		links:   links.Clone(),
-		corrSet: corrSet,
-		cover:   b.top.PathsOf(links),
-	})
+	b.subsets = append(b.subsets, subsetEntry{links: links.Clone(), corrSet: corrSet})
 	return i, true
 }
 
 // decompose splits the equation of a path set with link coverage
 // `links` into the indices of the correlation subsets appearing in it:
 // for each correlation set C, the potentially congested part of
-// Links(P) ∩ C. The per-set groups are collected in first-encounter
-// order (ascending link index), not map iteration order: the index a
-// fresh subset receives feeds the augmentation loop's tie-breaking, so
-// it must be deterministic. ok is false when the system is frozen and
-// the equation references an unregistered subset. The returned slice
-// aliases the arena's cols buffer.
+// Links(P) ∩ C. The per-set groups are collected — and the indices
+// returned — in first-encounter order (ascending link index), not map
+// iteration order: the index a fresh subset receives feeds the
+// augmentation loop's tie-breaking, so it must be deterministic. ok is
+// false when the system is frozen and the equation references an
+// unregistered subset. The returned slice aliases the arena's cols
+// buffer; callers that commit a plan row sort it.
 func (b *builder) decompose(links *bitset.Set) (cols []int, ok bool) {
 	ar := b.arena
 	ar.stamp++
@@ -177,7 +173,6 @@ func (b *builder) decompose(links *bitset.Set) (cols []int, ok bool) {
 		}
 		ar.cols = append(ar.cols, i)
 	}
-	sort.Ints(ar.cols)
 	return ar.cols, true
 }
 
@@ -201,6 +196,26 @@ func (b *builder) rowForPaths(chosen []int) ([]int, bool) {
 		links.UnionWith(b.top.PathLinks(p))
 	}
 	return b.decompose(links)
+}
+
+// Rows decomposes each path set's equation log P̂(P good) = Σ log g(E)
+// into the correlation subsets E appearing in it — per correlation set
+// C, the part of Links(P) ∩ C in pot — registering every subset it
+// meets. rows[i] lists path set i's column indices in first-encounter
+// order, unsorted (empty when P crosses no link of pot); index maps a
+// subset's bitset key to its column, numbered in registration order.
+// It is the decomposition a Correlation-complete build registers its
+// universe with, without the enumeration, the seed sets or the freeze.
+func Rows(top *topology.Topology, pot *bitset.Set, pathSets []*bitset.Set) (rows [][]int, index map[string]int) {
+	b := &builder{top: top, potLinks: pot, index: map[string]int{}, arena: arenaPool.Get().(*buildArena)}
+	b.arena.prepare(top.NumLinks(), top.NumPaths(), len(top.CorrSets))
+	defer b.close()
+	rows = make([][]int, len(pathSets))
+	for i, p := range pathSets {
+		cols, _ := b.rowFor(p)
+		rows[i] = slices.Clone(cols)
+	}
+	return rows, b.index
 }
 
 // enumerate builds the unknown universe Ê: all potentially congested
@@ -315,7 +330,7 @@ func (b *builder) computeSeedSet(i int) {
 		ar.paths.UnionWith(b.top.LinkPaths(li))
 		return true
 	})
-	s.seedSet = s.cover.Difference(ar.paths)
+	s.seedSet = b.top.PathsOf(s.links).Difference(ar.paths)
 }
 
 // addPathSet selects a path set: it appends copies of p and of its row
@@ -364,6 +379,7 @@ func (b *builder) seed(ctx context.Context) error {
 		if !ok {
 			continue
 		}
+		sort.Ints(cols)
 		b.addPathSet(seedSet, cols)
 	}
 	if err := ctx.Err(); err != nil {
@@ -459,6 +475,7 @@ func (b *builder) augmentSubset(ctx context.Context, s *subsetEntry, cur *augCur
 		if !ok {
 			continue
 		}
+		sort.Ints(cols)
 		if len(ar.rn) < b.nullspace.Cols {
 			ar.rn = make([]float64, b.nullspace.Cols)
 		}

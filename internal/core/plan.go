@@ -252,9 +252,9 @@ func retire(chain []*Plan, p *Plan) []*Plan {
 }
 
 // factor restores a retired plan's factorization: it refactors the
-// reduced 0/1 system of plan()'s final iteration, rebuilt from rows,
+// reduced 0/1 system of Identify's final iteration, rebuilt from rows,
 // activeRows and colMap by the same reducedSystem call, so the result
-// is the same bits plan() retained. A no-op while the plan holds one
+// is the same bits the build retained. A no-op while the plan holds one
 // (or has no identifiable column to factor).
 func (pl *Plan) factor() {
 	if pl.qr != nil || len(pl.colMap) == 0 {
@@ -478,11 +478,10 @@ func configsEqual(a, b Config) bool {
 	return true
 }
 
-// plan runs the structural half of the original solve phase: resolve
-// identifiability by iteratively dropping unidentifiable columns and
-// the rows that mention them, then factor the reduced 0/1 system once.
-// The factorization and the surviving row/column selection are retained
-// on the plan; only the right-hand sides remain per-epoch work.
+// plan runs the structural half of the original solve phase: Identify
+// over the selected rows. The factorization and the surviving
+// row/column selection are retained on the plan; only the right-hand
+// sides remain per-epoch work.
 func (b *builder) plan(ctx context.Context) (*Plan, error) {
 	pl := &Plan{
 		top:        b.top,
@@ -499,23 +498,45 @@ func (b *builder) plan(ctx context.Context) (*Plan, error) {
 		shardLinks: b.shardLinks,
 	}
 	for i := range pl.subsets {
-		pl.subsets[i].cover, pl.subsets[i].seedSet = nil, nil // build-only
+		pl.subsets[i].seedSet = nil // build-only
 	}
-	nCols := len(b.subsets)
-	if len(b.rows) == 0 {
-		return pl, nil
-	}
-	if err := ctx.Err(); err != nil {
+	var err error
+	pl.colMap, pl.activeRows, pl.qr, err = Identify(ctx, b.rows, len(b.subsets))
+	if err != nil {
 		return nil, err
 	}
+	return pl, nil
+}
 
-	// Unidentifiable columns: rows of the final null space that are not
-	// (numerically) zero. The null space is recomputed fresh here: the
-	// incrementally maintained basis (Algorithm 2) is exact enough to
-	// drive the selection loop, but hundreds of rank-one updates leave
-	// numerical dirt that would falsely mark identifiable columns.
-	finalM := linalg.NewMatrix(len(b.rows), nCols)
-	for ri, cols := range b.rows {
+// Identify resolves which columns of the 0/1 log-linear system rows
+// (each row lists the columns, < nCols, whose log-unknowns sum to one
+// right-hand side) are identifiable, and factors the system they span.
+// It iteratively drops unidentifiable columns and the rows that mention
+// them, re-deriving identifiability on the reduced system until it has
+// full column rank. colMap lists the surviving columns in ascending
+// order, active marks the surviving rows, and qr factors the reduced
+// system — one row per active row, one column per colMap entry, as
+// reducedSystem builds it — so qr.SolveLeastSquares over the
+// right-hand sides of the active rows solves for the colMap columns.
+// With no row, or no identifiable column, colMap and qr are nil.
+// linalg.ErrRankDeficient means the iteration stalled on a
+// rank-deficient system, which should not happen.
+func Identify(ctx context.Context, rows [][]int, nCols int) (colMap []int, active []bool, qr *linalg.QR, err error) {
+	if len(rows) == 0 {
+		return nil, nil, nil, nil
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, nil, nil, err
+	}
+
+	// Unidentifiable columns: rows of the null space that are not
+	// (numerically) zero. The null space is computed fresh here: a
+	// build's incrementally maintained basis (Algorithm 2) is exact
+	// enough to drive its selection loop, but hundreds of rank-one
+	// updates leave numerical dirt that would falsely mark identifiable
+	// columns.
+	finalM := linalg.NewMatrix(len(rows), nCols)
+	for ri, cols := range rows {
 		for _, c := range cols {
 			finalM.Set(ri, c, 1)
 		}
@@ -536,19 +557,16 @@ func (b *builder) plan(ctx context.Context) (*Plan, error) {
 		}
 	}
 
-	// Iteratively drop unidentifiable columns and the rows that mention
-	// them, re-deriving identifiability on the reduced system until it
-	// has full column rank.
-	activeRows := make([]bool, len(b.rows))
+	activeRows := make([]bool, len(rows))
 	for i := range activeRows {
 		activeRows[i] = true
 	}
 	for {
 		if err := ctx.Err(); err != nil {
-			return nil, err
+			return nil, nil, nil, err
 		}
 		changed := false
-		for ri, cols := range b.rows {
+		for ri, cols := range rows {
 			if !activeRows[ri] {
 				continue
 			}
@@ -570,26 +588,22 @@ func (b *builder) plan(ctx context.Context) (*Plan, error) {
 				colMap = append(colMap, c)
 			}
 		}
-		pl.activeRows = activeRows
 		if len(colMap) == 0 {
-			pl.colMap = nil
-			return pl, nil
+			return nil, activeRows, nil, nil
 		}
 		// The in-place factorization destroys its input, so the
 		// rank-deficient fallback below rebuilds the system.
-		sys := reducedSystem(b.rows, activeRows, colIdx, len(colMap))
+		sys := reducedSystem(rows, activeRows, colIdx, len(colMap))
 		if sys.Rows >= len(colMap) {
 			f := linalg.FactorInPlace(sys)
 			if f.FullColumnRank() {
-				pl.colMap = colMap
-				pl.qr = f
-				return pl, nil
+				return colMap, activeRows, f, nil
 			}
 		}
 		// Rank fell after dropping rows (or the system is
 		// under-determined): recompute identifiability on the reduced
 		// system and iterate.
-		ns := linalg.NullSpaceBasis(reducedSystem(b.rows, activeRows, colIdx, len(colMap)))
+		ns := linalg.NullSpaceBasis(reducedSystem(rows, activeRows, colIdx, len(colMap)))
 		for k, c := range colMap {
 			for j := 0; j < ns.Cols; j++ {
 				if math.Abs(ns.At(k, j)) > 1e-7 {
@@ -601,12 +615,12 @@ func (b *builder) plan(ctx context.Context) (*Plan, error) {
 		}
 		if !changed {
 			// Should not happen: a full-column-rank system must solve.
-			return nil, linalg.ErrRankDeficient
+			return nil, nil, nil, linalg.ErrRankDeficient
 		}
 	}
 }
 
-// reducedSystem builds the dense 0/1 system plan() factors: one row
+// reducedSystem builds the dense 0/1 system Identify factors: one row
 // per active equation, one column per identifiable subset (colIdx maps
 // a subset to its column, -1 when dropped). With no active row it is
 // 0×0, as linalg.FromRows builds an empty system. factor rebuilds a

@@ -223,6 +223,9 @@ func (m *Model) selectDrivers(rng *rand.Rand) error {
 				break
 			}
 			rl := top.Links[li].RouterLinks
+			if len(rl) == 0 {
+				continue // no router link to congest (a hand-built topology)
+			}
 			m.addDriver(rl[rng.Intn(len(rl))])
 		}
 	case NoIndependence:

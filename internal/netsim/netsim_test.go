@@ -123,6 +123,25 @@ func TestModelRejectsBadConfig(t *testing.T) {
 	}
 }
 
+// A topology without router links (the paper's Fig. 1 toy) gives no
+// scenario anything to congest: every scenario reports it instead of
+// panicking on the empty router-link list.
+func TestNoRouterLinksRejected(t *testing.T) {
+	top := topology.Fig1Case1()
+	for _, s := range []Scenario{RandomCongestion, ConcentratedCongestion, NoIndependence} {
+		func() {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Errorf("%s: NewModel panicked: %v", s, r)
+				}
+			}()
+			if _, err := NewModel(top, DefaultConfig(s), 10, rand.New(rand.NewSource(1))); err == nil {
+				t.Errorf("%s: NewModel accepted a topology without router links", s)
+			}
+		}()
+	}
+}
+
 func TestConcentratedPicksEdgeLinks(t *testing.T) {
 	top := testTopology(t, 3)
 	rng := rand.New(rand.NewSource(2))

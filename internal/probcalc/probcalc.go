@@ -13,9 +13,15 @@
 //     on sparse topologies, where the denominators are small (this is
 //     exactly the behaviour Fig. 4(b) reports).
 //
-// Both report, like the core algorithm, a per-link congestion
-// probability with the same observable fallback for links they cannot
-// identify.
+// Both fit the same kind of system as Correlation-complete,
+// log P̂(path set good) = Σ log g(column), and differ from it only in
+// their rows and their solve. core builds the system: Independence
+// hands its per-link rows to core.Identify and least-squares-solves
+// the identifiable part; the heuristic decomposes its path sets with
+// core.Rows, exactly as Correlation-complete registers its subsets, and
+// solves by substitution. Both report, like the core algorithm, a
+// per-link congestion probability with the same observable fallback
+// for links they cannot identify.
 package probcalc
 
 import (
@@ -148,10 +154,30 @@ func Independence(ctx context.Context, top *topology.Topology, rec observe.Store
 		addRow(bitset.FromIndices(top.NumPaths(), i, j))
 	}
 
-	if err := ctx.Err(); err != nil {
+	// core.Identify picks the identifiable columns and factors the rows
+	// that span them; one least-squares solve over those rows'
+	// right-hand sides gives g = min(exp(x), 1) per identified column.
+	colMap, active, qr, err := core.Identify(ctx, rows, len(cols))
+	if err != nil {
 		return nil, err
 	}
-	g, ident := solveLogSystem(rows, rhs, len(cols))
+	g := make([]float64, len(cols))
+	ident := make([]bool, len(cols))
+	if qr != nil {
+		var b []float64
+		for ri, a := range active {
+			if a {
+				b = append(b, rhs[ri])
+			}
+		}
+		x, err := qr.SolveLeastSquares(b)
+		if err != nil {
+			return nil, err
+		}
+		for k, c := range colMap {
+			g[c], ident[c] = min(math.Exp(x[k]), 1), true
+		}
+	}
 	res := &LinkResult{
 		Prob:                 make([]float64, top.NumLinks()),
 		Exact:                make([]bool, top.NumLinks()),
@@ -209,69 +235,19 @@ func CorrelationHeuristic(ctx context.Context, top *topology.Topology, rec obser
 	alwaysGood := rec.AlwaysGoodPaths(cfg.AlwaysGoodTol)
 	pot := top.PotentiallyCongestedLinks(top.LinksOf(alwaysGood))
 
-	// Unknown universe: per-correlation-set intersections appearing in
-	// single-path and isolation equations, exactly like the core
-	// algorithm's registration (the heuristic differs in the *solving*).
-	type entry struct{ links *bitset.Set }
-	var subs []entry
-	index := map[string]int{}
-	registerRow := func(pathSet *bitset.Set) []int {
-		links := top.LinksOf(pathSet)
-		// Decompose per correlation set in first-encounter order (links
-		// iterate in ascending index order), NOT map iteration order:
-		// registration order fixes both column indices and the float
-		// summation order of the sweeps, so it must be deterministic.
-		bySet := map[int]*bitset.Set{}
-		var setOrder []int
-		links.ForEach(func(li int) bool {
-			if !pot.Contains(li) {
-				return true
-			}
-			c := top.CorrSetOf(li)
-			if bySet[c] == nil {
-				bySet[c] = bitset.New(top.NumLinks())
-				setOrder = append(setOrder, c)
-			}
-			bySet[c].Add(li)
-			return true
-		})
-		var cols []int
-		for _, c := range setOrder {
-			sub := bySet[c]
-			key := sub.Key()
-			i, ok := index[key]
-			if !ok {
-				i = len(subs)
-				index[key] = i
-				subs = append(subs, entry{links: sub.Clone()})
-			}
-			cols = append(cols, i)
-		}
-		return cols
-	}
-
-	var rows [][]int
-	var rhs []float64
-	addEq := func(pathSet *bitset.Set) {
-		cols := registerRow(pathSet)
-		if len(cols) == 0 {
-			return
-		}
-		lp, _ := rec.LogGoodFreq(pathSet)
-		rows = append(rows, cols)
-		rhs = append(rhs, lp)
-	}
-	one := bitset.New(top.NumPaths())
+	// Path sets: single paths, then one isolation set per potentially
+	// congested link — paths through e that avoid the rest of e's
+	// correlation set. Their columns are the per-correlation-set
+	// subsets core.Rows registers, exactly like the core algorithm's
+	// registration (the heuristic differs in the *solving*); the
+	// registration order fixes both the column indices and the float
+	// summation order of the sweeps.
+	var pathSets []*bitset.Set
 	for p := 0; p < top.NumPaths(); p++ {
-		if alwaysGood.Contains(p) {
-			continue
+		if !alwaysGood.Contains(p) {
+			pathSets = append(pathSets, bitset.FromIndices(top.NumPaths(), p))
 		}
-		one.Clear()
-		one.Add(p)
-		addEq(one)
 	}
-	// Isolation equations per potentially congested link: paths through
-	// e that avoid the rest of e's correlation set.
 	for e := 0; e < top.NumLinks(); e++ {
 		if err := ctx.Err(); err != nil {
 			return nil, err
@@ -287,13 +263,24 @@ func CorrelationHeuristic(ctx context.Context, top *topology.Topology, rec obser
 		}
 		iso := top.LinkPaths(e).Difference(top.PathsOf(comp))
 		if !iso.IsEmpty() {
-			addEq(iso)
+			pathSets = append(pathSets, iso)
 		}
+	}
+	allRows, index := core.Rows(top, pot, pathSets)
+	var rows [][]int
+	var rhs []float64
+	for i, cols := range allRows {
+		if len(cols) == 0 {
+			continue
+		}
+		lp, _ := rec.LogGoodFreq(pathSets[i])
+		rows = append(rows, cols)
+		rhs = append(rhs, lp)
 	}
 
 	// Initialization: tightest observable lower bound per subset.
-	logG := make([]float64, len(subs))
-	seen := make([]bool, len(subs))
+	logG := make([]float64, len(index))
+	seen := make([]bool, len(index))
 	for ri, cols := range rows {
 		for _, c := range cols {
 			if !seen[c] || rhs[ri] > logG[c] {
@@ -305,8 +292,8 @@ func CorrelationHeuristic(ctx context.Context, top *topology.Topology, rec obser
 	// Substitution sweeps (Jacobi with averaging): re-derive each
 	// unknown from every equation mentioning it using the current
 	// values of the others.
-	sum := make([]float64, len(subs))
-	cnt := make([]int, len(subs))
+	sum := make([]float64, len(index))
+	cnt := make([]int, len(index))
 	const damping = 0.5 // undamped substitution oscillates on pair equations
 	for s := 0; s < sweeps; s++ {
 		if err := ctx.Err(); err != nil {

@@ -174,44 +174,3 @@ func TestMismatchedRecorderRejected(t *testing.T) {
 		t.Fatal("CorrelationHeuristic accepted mismatched recorder")
 	}
 }
-
-func TestSolveLogSystemBasics(t *testing.T) {
-	// x0 + x1 = log(0.25), x0 = log(0.5) -> g0 = 0.5, g1 = 0.5.
-	rows := [][]int{{0, 1}, {0}}
-	rhs := []float64{math.Log(0.25), math.Log(0.5)}
-	g, ident := solveLogSystem(rows, rhs, 2)
-	if !ident[0] || !ident[1] {
-		t.Fatal("both columns should be identifiable")
-	}
-	if math.Abs(g[0]-0.5) > 1e-9 || math.Abs(g[1]-0.5) > 1e-9 {
-		t.Fatalf("g = %v", g)
-	}
-}
-
-func TestSolveLogSystemUnidentifiable(t *testing.T) {
-	// Only x0 + x1 observed: neither is identifiable.
-	g, ident := solveLogSystem([][]int{{0, 1}}, []float64{math.Log(0.3)}, 2)
-	if ident[0] || ident[1] {
-		t.Fatalf("columns should be unidentifiable, got %v %v", ident, g)
-	}
-	// Empty inputs.
-	if g, ident := solveLogSystem(nil, nil, 3); ident[0] || g[0] != 0 {
-		t.Fatal("empty system should identify nothing")
-	}
-}
-
-func TestSolveLogSystemPartialIdentifiability(t *testing.T) {
-	// x0 identifiable; x1 + x2 only jointly observed.
-	rows := [][]int{{0}, {1, 2}, {0, 1, 2}}
-	rhs := []float64{math.Log(0.5), math.Log(0.4), math.Log(0.2)}
-	g, ident := solveLogSystem(rows, rhs, 3)
-	if !ident[0] {
-		t.Fatal("x0 should be identifiable")
-	}
-	if ident[1] || ident[2] {
-		t.Fatal("x1, x2 should not be identifiable")
-	}
-	if math.Abs(g[0]-0.5) > 1e-9 {
-		t.Fatalf("g0 = %v", g[0])
-	}
-}
