@@ -27,12 +27,18 @@ vet:
 fmt-check:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
-# Build and run every example program; API drift in examples/ breaks
-# this target (and CI) rather than rotting silently.
+# Build and run every example program and diff its stdout against the
+# golden beside it (examples/<name>/expected_output.txt): API drift or a
+# changed number in examples/ breaks this target (and CI) rather than
+# rotting silently. The programs are deterministic; after an intended
+# change, regenerate a golden with
+# `go run ./examples/<name> > examples/<name>/expected_output.txt`.
 examples:
 	$(GO) build ./examples/...
 	@for ex in quickstart inference-vs-probability disjoint-paths peer-monitoring; do \
-		echo "== examples/$$ex"; $(GO) run ./examples/$$ex >/dev/null || exit 1; \
+		echo "== examples/$$ex"; \
+		out=$$($(GO) run ./examples/$$ex) || exit 1; \
+		printf '%s\n' "$$out" | diff -u examples/$$ex/expected_output.txt - || exit 1; \
 	done
 
 test:

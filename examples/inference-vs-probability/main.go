@@ -38,7 +38,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	rec := tomography.NewRecorder(top.NumPaths())
+	rec := tomography.NewSlidingWindow(top.NumPaths(), intervals)
 	var truths []*tomography.Set
 	var observations []*tomography.Set
 	for t := 0; t < intervals; t++ {

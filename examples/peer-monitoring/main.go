@@ -46,7 +46,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	rec := tomography.NewRecorder(top.NumPaths())
+	rec := tomography.NewSlidingWindow(top.NumPaths(), intervals)
 	for t := 0; t < intervals; t++ {
 		rec.Add(sim.Interval(t, rng).CongestedPaths)
 	}

@@ -31,7 +31,7 @@ func main() {
 		T   = 20000
 	)
 	rng := rand.New(rand.NewSource(42))
-	rec := tomography.NewRecorder(top.NumPaths())
+	rec := tomography.NewSlidingWindow(top.NumPaths(), T)
 	for t := 0; t < T; t++ {
 		congested := tomography.NewSet(top.NumLinks())
 		if rng.Float64() < p1 {

@@ -189,7 +189,7 @@ func FuzzShardResult(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	rec := randomRecorder(top, 200, 7)
+	rec := randomWindow(top, 200, 7)
 	res, info, err := sv.SolveShard(context.Background(), 0, rec)
 	if err != nil {
 		f.Fatal(err)

@@ -17,8 +17,8 @@ import (
 	"repro/internal/core"
 	"repro/internal/estimator"
 	"repro/internal/experiment"
-	"repro/internal/observe"
 	"repro/internal/server"
+	"repro/internal/stream"
 	"repro/internal/topology"
 	"repro/internal/wal"
 )
@@ -50,10 +50,10 @@ func testSolverOpts() []estimator.Option {
 	}
 }
 
-// randomRecorder fills a recorder with seeded random congestion rows.
-func randomRecorder(top *topology.Topology, intervals int, seed int64) *observe.Recorder {
+// randomWindow fills a run-sized window with seeded random congestion rows.
+func randomWindow(top *topology.Topology, intervals int, seed int64) *stream.Window {
 	rng := rand.New(rand.NewSource(seed))
-	rec := observe.NewRecorder(top.NumPaths())
+	rec := stream.NewWindow(top.NumPaths(), intervals)
 	for i := 0; i < intervals; i++ {
 		set := bitset.New(top.NumPaths())
 		for p := 0; p < top.NumPaths(); p++ {
@@ -85,7 +85,7 @@ func TestResultWireRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec := randomRecorder(top, 200, 7)
+	rec := randomWindow(top, 200, 7)
 	origBlocks := make([]*core.Result, sv.NumShards())
 	wireBlocks := make([]*core.Result, sv.NumShards())
 	for shard := 0; shard < sv.NumShards(); shard++ {
@@ -255,7 +255,7 @@ func TestResultDecoderReusesStructure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec := randomRecorder(top, 200, 7)
+	rec := randomWindow(top, 200, 7)
 	res, info, err := sv.SolveShard(context.Background(), 0, rec)
 	if err != nil {
 		t.Fatal(err)

@@ -10,13 +10,13 @@ import (
 	"repro/internal/brite"
 	"repro/internal/linalg"
 	"repro/internal/netsim"
-	"repro/internal/observe"
+	"repro/internal/stream"
 	"repro/internal/topology"
 )
 
 // buildRandomRun produces a small Brite overlay and a perfect-E2E
 // monitoring record under correlated congestion.
-func buildRandomRun(t *testing.T, seed int64) (*topology.Topology, *observe.Recorder) {
+func buildRandomRun(t *testing.T, seed int64) (*topology.Topology, *stream.Window) {
 	t.Helper()
 	cfg := brite.DefaultConfig()
 	cfg.NumAS = 15
@@ -32,7 +32,7 @@ func buildRandomRun(t *testing.T, seed int64) (*topology.Topology, *observe.Reco
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec := observe.NewRecorder(top.NumPaths())
+	rec := stream.NewWindow(top.NumPaths(), 400)
 	for i := 0; i < 400; i++ {
 		rec.Add(model.Interval(i, rng).CongestedPaths)
 	}
@@ -133,7 +133,7 @@ func TestEndToEndAccuracyPerfectObservation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec := observe.NewRecorder(top.NumPaths())
+	rec := stream.NewWindow(top.NumPaths(), T)
 	for i := 0; i < T; i++ {
 		rec.Add(model.Interval(i, rng).CongestedPaths)
 	}
@@ -162,7 +162,7 @@ func TestEndToEndAccuracyPerfectObservation(t *testing.T) {
 // every interval (e.g. a broken prober) must not crash the algorithm.
 func TestAllCongestedObservations(t *testing.T) {
 	top := topology.Fig1Case1()
-	rec := observe.NewRecorder(top.NumPaths())
+	rec := stream.NewWindow(top.NumPaths(), 50)
 	all := bitset.FromIndices(3, 0, 1, 2)
 	for i := 0; i < 50; i++ {
 		rec.Add(all)
@@ -186,7 +186,7 @@ func TestAllCongestedObservations(t *testing.T) {
 // always-good and produce congestion probability 0 everywhere.
 func TestAllGoodObservations(t *testing.T) {
 	top := topology.Fig1Case1()
-	rec := observe.NewRecorder(top.NumPaths())
+	rec := stream.NewWindow(top.NumPaths(), 50)
 	for i := 0; i < 50; i++ {
 		rec.Add(bitset.New(3))
 	}

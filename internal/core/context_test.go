@@ -7,7 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/bitset"
-	"repro/internal/observe"
+	"repro/internal/stream"
 	"repro/internal/topology"
 )
 
@@ -15,7 +15,7 @@ import (
 // from every phase entry point, without computing anything.
 func TestComputeCancelledContext(t *testing.T) {
 	top := topology.Fig1Case1()
-	rec := observe.NewRecorder(top.NumPaths())
+	rec := stream.NewWindow(top.NumPaths(), 200)
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < 200; i++ {
 		cong := bitset.New(top.NumPaths())

@@ -7,7 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/bitset"
-	"repro/internal/observe"
+	"repro/internal/stream"
 	"repro/internal/topology"
 )
 
@@ -16,11 +16,11 @@ import (
 // e1 congested w.p. p1, e4 w.p. p4, and {e2,e3} perfectly correlated,
 // both congested together w.p. p23 (the paper's §3.1 example of
 // correlation), all groups independent.
-func simulateFig1Case1(t *testing.T, p1, p23, p4 float64, T int, seed int64) (*topology.Topology, *observe.Recorder) {
+func simulateFig1Case1(t *testing.T, p1, p23, p4 float64, T int, seed int64) (*topology.Topology, *stream.Window) {
 	t.Helper()
 	top := topology.Fig1Case1()
 	rng := rand.New(rand.NewSource(seed))
-	rec := observe.NewRecorder(top.NumPaths())
+	rec := stream.NewWindow(top.NumPaths(), T)
 	for i := 0; i < T; i++ {
 		congLinks := bitset.New(4)
 		if rng.Float64() < p1 {
@@ -168,7 +168,7 @@ func TestFig1Case2Unidentifiable(t *testing.T) {
 	// reported unidentifiable, not guessed (§2, §5).
 	top := topology.Fig1Case2()
 	rng := rand.New(rand.NewSource(4))
-	rec := observe.NewRecorder(top.NumPaths())
+	rec := stream.NewWindow(top.NumPaths(), 5000)
 	for i := 0; i < 5000; i++ {
 		congLinks := bitset.New(4)
 		if rng.Float64() < 0.3 {
@@ -206,7 +206,7 @@ func TestAlwaysGoodPathsPruneSubsets(t *testing.T) {
 	// and the potentially congested subsets are {e1} and {e2} only.
 	top := topology.Fig1Case1()
 	rng := rand.New(rand.NewSource(5))
-	rec := observe.NewRecorder(top.NumPaths())
+	rec := stream.NewWindow(top.NumPaths(), 2000)
 	for i := 0; i < 2000; i++ {
 		congPaths := bitset.New(3)
 		if rng.Float64() < 0.3 { // e1 congested -> p1, p2 congested
@@ -276,9 +276,9 @@ func TestSubsetGoodProbOfAlwaysGoodIsOne(t *testing.T) {
 
 func TestComputeRejectsMismatchedRecorder(t *testing.T) {
 	top := topology.Fig1Case1()
-	rec := observe.NewRecorder(99)
+	rec := stream.NewWindow(99, 1)
 	if _, err := Compute(context.Background(), top, rec, Config{}); err == nil {
-		t.Fatal("mismatched recorder accepted")
+		t.Fatal("mismatched store accepted")
 	}
 }
 
@@ -322,7 +322,7 @@ func TestFallbackForUncoveredLink(t *testing.T) {
 	links := []topology.Link{{ID: 0, AS: 0}, {ID: 1, AS: 1}}
 	paths := []topology.Path{{ID: 0, Links: []int{0}}}
 	top := topology.New(links, paths, nil)
-	rec := observe.NewRecorder(1)
+	rec := stream.NewWindow(1, 2)
 	rec.Add(bitset.FromIndices(1, 0)) // p0 congested once
 	rec.Add(bitset.New(1))
 	res, err := Compute(context.Background(), top, rec, Config{})

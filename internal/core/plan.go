@@ -101,9 +101,9 @@ func (pl *Plan) RepairCount() int { return pl.repairs }
 func (pl *Plan) NumericRepairCount() int { return pl.numRepairs }
 
 // Compute runs the Correlation-complete algorithm over the recorded
-// observations. rec may be any observation store — an observe.Recorder
-// over a full monitoring period, or a stream.Window over the live
-// sliding window of the streaming service.
+// observations. rec may be any observation store — a stream.Window
+// sized to a full monitoring period, or the live sliding window of the
+// streaming service.
 //
 // ctx cancels a long solve: the enumeration, augmentation and solving
 // phases all check it between units of work and return ctx.Err()

@@ -119,9 +119,9 @@ func TestPlanFingerprintGolden(t *testing.T) {
 	cfg := Config{MaxSubsetSize: 2, AlwaysGoodTol: 0.02}
 
 	briteTop, sparseTop := smallTopology(t, false), smallTopology(t, true)
-	briteRec := observe.NewRecorder(briteTop.NumPaths())
+	briteRec := stream.NewWindow(briteTop.NumPaths(), 200)
 	simulateInto(t, briteTop, false, 200, briteRec.Add)
-	sparseRec := observe.NewRecorder(sparseTop.NumPaths())
+	sparseRec := stream.NewWindow(sparseTop.NumPaths(), 200)
 	simulateInto(t, sparseTop, false, 200, sparseRec.Add)
 	window := stream.NewWindow(sparseTop.NumPaths(), 1000)
 	simulateInto(t, sparseTop, true, 1200, window.Add)
@@ -187,9 +187,9 @@ func TestPlanFingerprintGolden(t *testing.T) {
 func TestAugmentCandidateCountGolden(t *testing.T) {
 	cfg := Config{MaxSubsetSize: 2, AlwaysGoodTol: 0.02}
 	briteTop, sparseTop := smallTopology(t, false), smallTopology(t, true)
-	briteRec := observe.NewRecorder(briteTop.NumPaths())
+	briteRec := stream.NewWindow(briteTop.NumPaths(), 200)
 	simulateInto(t, briteTop, false, 200, briteRec.Add)
-	sparseRec := observe.NewRecorder(sparseTop.NumPaths())
+	sparseRec := stream.NewWindow(sparseTop.NumPaths(), 200)
 	simulateInto(t, sparseTop, false, 200, sparseRec.Add)
 	window := stream.NewWindow(sparseTop.NumPaths(), 1000)
 	simulateInto(t, sparseTop, true, 1200, window.Add)

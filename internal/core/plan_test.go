@@ -432,7 +432,7 @@ func TestRestrictedSolveMatchesShardSlice(t *testing.T) {
 	}
 
 	// Stream congestion that touches both halves.
-	rec := observe.NewRecorder(top.NumPaths())
+	rec := stream.NewWindow(top.NumPaths(), 800)
 	rng := rand.New(rand.NewSource(3))
 	for i := 0; i < 800; i++ {
 		cong := bitset.New(top.NumLinks())
@@ -670,7 +670,7 @@ func toggleTopology(t *testing.T, n int) *topology.Topology {
 // the bits of mask.
 func toggleStore(top *topology.Topology, mask int, seed int64) observe.Store {
 	rng := rand.New(rand.NewSource(seed))
-	rec := observe.NewRecorder(top.NumPaths())
+	rec := stream.NewWindow(top.NumPaths(), 300)
 	cong := bitset.New(top.NumLinks())
 	for i := 0; i < 300; i++ {
 		cong.Clear()
@@ -799,7 +799,7 @@ func TestPlanUsableAfterFailedRecallBatch(t *testing.T) {
 	storeA, storeB := toggleStore(top, 0b0011, 1), toggleStore(top, 0b0110, 2)
 	_, _, plan := computeOne(t, top, storeA, cfg, nil)
 	_, _, prev := computeOne(t, top, storeB, cfg, plan)
-	bad := observe.NewRecorder(top.NumPaths() - 1)
+	bad := stream.NewWindow(top.NumPaths()-1, 1)
 	if _, _, _, err := ComputePlannedBatch(context.Background(), top, []observe.Store{storeA, bad}, cfg, prev); err == nil {
 		t.Fatal("mismatched store accepted")
 	}

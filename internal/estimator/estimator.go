@@ -4,8 +4,8 @@
 // and, via adapters, by the three Boolean-inference algorithms whose
 // limitations the paper demonstrates. Callers select algorithms by
 // registry name, tune them with shared functional options, run them
-// over any observation store (a full-period Recorder or a live
-// stream.Window), and cancel long solves through context.Context.
+// over any observation store (a stream.Window sized to a full period,
+// or a live one), and cancel long solves through context.Context.
 //
 // The package is the seam between the measurement substrate and the
 // inference engines: scenarios, benchmarks and the streaming daemon all

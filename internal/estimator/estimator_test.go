@@ -14,7 +14,6 @@ import (
 	"repro/internal/experiment"
 	"repro/internal/inference"
 	"repro/internal/netsim"
-	"repro/internal/observe"
 	"repro/internal/probcalc"
 	"repro/internal/stream"
 	"repro/internal/topology"
@@ -24,13 +23,13 @@ import (
 type fixture struct {
 	name string
 	top  *topology.Topology
-	rec  *observe.Recorder
+	rec  *stream.Window
 }
 
 // fig1Fixture records correlated congestion on the paper's toy
 // topology.
 func fig1Fixture(name string, top *topology.Topology) fixture {
-	rec := observe.NewRecorder(top.NumPaths())
+	rec := stream.NewWindow(top.NumPaths(), 2000)
 	rng := rand.New(rand.NewSource(7))
 	for i := 0; i < 2000; i++ {
 		cong := bitset.New(top.NumLinks())
@@ -73,7 +72,7 @@ func briteFixture(t *testing.T) fixture {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec := observe.NewRecorder(top.NumPaths())
+	rec := stream.NewWindow(top.NumPaths(), 300)
 	for ti := 0; ti < 300; ti++ {
 		rec.Add(model.Interval(ti, rng).CongestedPaths)
 	}
@@ -241,11 +240,15 @@ func checkLinkResult(t *testing.T, name string, est *estimator.Estimate, want *p
 	}
 }
 
-// Every estimator must run over a live sliding window exactly as over a
-// Recorder holding the same intervals.
+// Every estimator must run over a live sliding window — one that has
+// evicted earlier intervals and wrapped its ring — exactly as over a
+// fresh window holding the same intervals.
 func TestEstimatorsOverSlidingWindow(t *testing.T) {
 	fx := briteFixture(t)
 	win := stream.NewWindow(fx.top.NumPaths(), fx.rec.T())
+	for ti := fx.rec.T() / 2; ti < fx.rec.T(); ti++ {
+		win.Add(fx.rec.CongestedAt(ti)) // evicted by the full pass below
+	}
 	for ti := 0; ti < fx.rec.T(); ti++ {
 		win.Add(fx.rec.CongestedAt(ti))
 	}
@@ -264,7 +267,7 @@ func TestEstimatorsOverSlidingWindow(t *testing.T) {
 		}
 		if !reflect.DeepEqual(fromRec.LinkProb, fromWin.LinkProb) ||
 			!reflect.DeepEqual(fromRec.LinkExact, fromWin.LinkExact) {
-			t.Fatalf("%s: window run diverges from recorder run", name)
+			t.Fatalf("%s: sliding-window run diverges from fresh-window run", name)
 		}
 	}
 }
@@ -323,7 +326,7 @@ func TestEstimateCancelledContext(t *testing.T) {
 // A mismatched store is rejected before computation.
 func TestEstimateUniverseMismatch(t *testing.T) {
 	fx := fig1Fixture("fig1", topology.Fig1Case1())
-	bad := observe.NewRecorder(fx.top.NumPaths() + 1)
+	bad := stream.NewWindow(fx.top.NumPaths()+1, 1)
 	for _, name := range estimator.Names() {
 		est, err := estimator.New(name)
 		if err != nil {

@@ -11,7 +11,6 @@ import (
 	"repro/internal/estimator"
 	"repro/internal/experiment"
 	"repro/internal/netsim"
-	"repro/internal/observe"
 	"repro/internal/stream"
 	"repro/internal/topology"
 )
@@ -79,7 +78,7 @@ func TestMetamorphicAlwaysGoodAgreement(t *testing.T) {
 func TestMetamorphicObservationOrderInvariance(t *testing.T) {
 	for _, fx := range metamorphicFixtures(t) {
 		perm := rand.New(rand.NewSource(17)).Perm(fx.rec.T())
-		shuffled := observe.NewRecorder(fx.top.NumPaths())
+		shuffled := stream.NewWindow(fx.top.NumPaths(), len(perm))
 		for _, ti := range perm {
 			shuffled.Add(fx.rec.CongestedAt(ti))
 		}

@@ -84,7 +84,7 @@ func kindFixture(t *testing.T, kind experiment.TopologyKind, seed int64, scenari
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec := observe.NewRecorder(top.NumPaths())
+	rec := stream.NewWindow(top.NumPaths(), 300)
 	for ti := 0; ti < 300; ti++ {
 		rec.Add(model.Interval(ti, rng).CongestedPaths)
 	}
@@ -171,7 +171,7 @@ func TestShardedSolverWarmMatchesRegistry(t *testing.T) {
 	// Stream the recorded intervals into a plain window and solve an
 	// epoch every 60 intervals, every shard over that same window; verify
 	// each merged estimate against the stateless estimator run from
-	// scratch over a fresh Recorder holding exactly the surviving
+	// scratch over a fresh window holding exactly the surviving
 	// intervals.
 	const capacity = 200
 	win := stream.NewWindow(fx.top.NumPaths(), capacity)
@@ -195,7 +195,7 @@ func TestShardedSolverWarmMatchesRegistry(t *testing.T) {
 			warmEpochs++
 		}
 		got := sv.Merge(blocks, win)
-		ref := observe.NewRecorder(fx.top.NumPaths())
+		ref := stream.NewWindow(fx.top.NumPaths(), capacity)
 		lo := 0
 		if ti+1 > capacity {
 			lo = ti + 1 - capacity

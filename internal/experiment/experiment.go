@@ -12,8 +12,8 @@ import (
 	"repro/internal/brite"
 	"repro/internal/core"
 	"repro/internal/netsim"
-	"repro/internal/observe"
 	"repro/internal/parallel"
+	"repro/internal/stream"
 	"repro/internal/topology"
 	"repro/internal/traceroute"
 )
@@ -148,7 +148,7 @@ func forEachTrial(workers, n int, fn func(i int) error) error {
 type simRun struct {
 	top    *topology.Topology
 	model  *netsim.Model
-	rec    *observe.Recorder
+	rec    *stream.Window
 	truth  []netsim.Observation
 	coreCf core.Config
 }
@@ -163,7 +163,7 @@ func runSim(cfg Config, top *topology.Topology, scen netsim.Scenario, nonStation
 	if err != nil {
 		return nil, err
 	}
-	rec := observe.NewRecorder(top.NumPaths())
+	rec := stream.NewWindow(top.NumPaths(), cfg.Scale.Intervals)
 	truth := make([]netsim.Observation, cfg.Scale.Intervals)
 	for t := 0; t < cfg.Scale.Intervals; t++ {
 		obs := model.Interval(t, rng)

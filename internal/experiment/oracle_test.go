@@ -8,9 +8,11 @@ import (
 
 	"repro/internal/bitset"
 	"repro/internal/core"
+	"repro/internal/estimator"
 	"repro/internal/linalg"
 	"repro/internal/netsim"
 	"repro/internal/observe"
+	"repro/internal/stream"
 	"repro/internal/topology"
 )
 
@@ -157,9 +159,9 @@ func TestIdentifiabilityOracle(t *testing.T) {
 // exactStore is an observe.Store whose good frequencies are exact:
 // log P̂(P good) = log good(Links(P)), and the always-good paths are
 // those whose good probability is 1. Everything else is answered by
-// the embedded recorder.
+// the embedded window.
 type exactStore struct {
-	*observe.Recorder
+	*stream.Window
 	top  *topology.Topology
 	good func(links *bitset.Set) float64
 }
@@ -215,6 +217,26 @@ func checkNoiseFree(t *testing.T, label string, rec exactStore) (res *core.Resul
 	return res, worstPlan, worstOracle
 }
 
+// noiseFreeStore simulates stationary Random congestion with perfect
+// end-to-end monitoring (Small, 200 intervals) on top and returns the
+// store that answers with the model's exact good probabilities.
+func noiseFreeStore(t *testing.T, top *topology.Topology, seed int64) exactStore {
+	t.Helper()
+	mc := netsim.DefaultConfig(netsim.RandomCongestion)
+	mc.PerfectE2E = true
+	rng := rand.New(rand.NewSource(seed))
+	const intervals = 200
+	model, err := netsim.NewModel(top, mc, intervals, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := stream.NewWindow(top.NumPaths(), intervals)
+	for i := 0; i < intervals; i++ {
+		rec.Add(model.Interval(i, rng).CongestedPaths)
+	}
+	return exactStore{Window: rec, top: top, good: model.TrueGoodProb}
+}
+
 // TestNoiseFreeOracle feeds both solvers the model's exact log good
 // probabilities (PerfectE2E, stationary Random, Small): whatever they
 // identify must then be exact, which separates estimation error from
@@ -226,21 +248,55 @@ func TestNoiseFreeOracle(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			mc := netsim.DefaultConfig(netsim.RandomCongestion)
-			mc.PerfectE2E = true
-			rng := rand.New(rand.NewSource(seed))
-			const intervals = 200
-			model, err := netsim.NewModel(top, mc, intervals, rng)
-			if err != nil {
-				t.Fatal(err)
-			}
-			rec := observe.NewRecorder(top.NumPaths())
-			for i := 0; i < intervals; i++ {
-				rec.Add(model.Interval(i, rng).CongestedPaths)
-			}
-			_, plan, oracle := checkNoiseFree(t, kind.String(), exactStore{Recorder: rec, top: top, good: model.TrueGoodProb})
+			_, plan, oracle := checkNoiseFree(t, kind.String(), noiseFreeStore(t, top, seed))
 			t.Logf("%s seed %d: worst error Correlation-complete %.1e, oracle %.1e", kind, seed, plan, oracle)
 		}
+	}
+}
+
+// TestNoiseFreeOracleSharded is the noise-free check through the
+// sharded estimator, on Small topologies that split into two
+// correlation-set shards: every subset the merged estimate identifies
+// must be exact, which holds the merge to ground truth. (The cluster
+// follows the in-process merge bit for bit: TestClusterPropertyBitIdentical.)
+func TestNoiseFreeOracleSharded(t *testing.T) {
+	est, err := estimator.New(estimator.CorrelationCompleteSharded)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		kind TopologyKind
+		seed int64
+	}{{Brite, 4}, {Sparse, 1}, {Sparse, 2}} {
+		top, err := BuildTopology(c.kind, Small(), c.seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := topology.NewPartition(top).NumShards(); n != 2 {
+			t.Fatalf("%s seed %d: %d shards, want 2", c.kind, c.seed, n)
+		}
+		rec := noiseFreeStore(t, top, c.seed)
+		res, err := est.Estimate(context.Background(), top, rec,
+			estimator.WithAlwaysGoodTol(0), estimator.WithMaxSubsetSize(2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		identified, worst := 0, 0.0
+		for _, s := range res.Subsets {
+			if !s.Identifiable {
+				continue
+			}
+			identified++
+			d := math.Abs(s.GoodProb - rec.good(s.Links))
+			worst = max(worst, d)
+			if d > 1e-9 {
+				t.Errorf("%s seed %d: subset %s: g %v, true %v", c.kind, c.seed, s.Links, s.GoodProb, rec.good(s.Links))
+			}
+		}
+		if identified == 0 {
+			t.Errorf("%s seed %d: no subset identified", c.kind, c.seed)
+		}
+		t.Logf("%s seed %d: %d subsets identified, worst error %.1e", c.kind, c.seed, identified, worst)
 	}
 }
 
@@ -259,7 +315,7 @@ func TestNoiseFreeOracleFig1(t *testing.T) {
 		})
 		return g
 	}
-	res, _, _ := checkNoiseFree(t, "Fig1Case1", exactStore{Recorder: observe.NewRecorder(top.NumPaths()), top: top, good: good})
+	res, _, _ := checkNoiseFree(t, "Fig1Case1", exactStore{Window: stream.NewWindow(top.NumPaths(), 1), top: top, good: good})
 	for e := range linkGood {
 		if _, ok := res.LinkGoodProb(e); !ok {
 			t.Errorf("link %d not identified", e)

@@ -36,8 +36,8 @@ type Algorithm interface {
 	Name() string
 	// Prepare runs once over the recorded monitoring period (the
 	// Probability Computation step of the Bayesian algorithms; a no-op
-	// for Sparsity). rec may be any observation store — a Recorder or a
-	// live stream.Window; ctx cancels a long preparation.
+	// for Sparsity). rec may be any observation store — a stream.Window
+	// sized to the period or a live one; ctx cancels a long preparation.
 	Prepare(ctx context.Context, top *topology.Topology, rec observe.Store) error
 	// Infer returns the links inferred congested during an interval in
 	// which exactly the given paths were observed congested.

@@ -8,8 +8,8 @@ import (
 	"repro/internal/bitset"
 	"repro/internal/core"
 	"repro/internal/metrics"
-	"repro/internal/observe"
 	"repro/internal/probcalc"
+	"repro/internal/stream"
 	"repro/internal/topology"
 )
 
@@ -18,7 +18,7 @@ func TestSparsityToyExample(t *testing.T) {
 	// (each participates in two congested paths).
 	top := topology.Fig1Case1()
 	s := NewSparsity()
-	if err := s.Prepare(context.Background(), top, observe.NewRecorder(top.NumPaths())); err != nil {
+	if err := s.Prepare(context.Background(), top, stream.NewWindow(top.NumPaths(), 1)); err != nil {
 		t.Fatal(err)
 	}
 	got := s.Infer(bitset.FromIndices(3, 0, 1, 2))
@@ -32,7 +32,7 @@ func TestSparsityMissesEdgeCongestion(t *testing.T) {
 	// and Sparsity still picks {e1, e3}: one miss, one false blame.
 	top := topology.Fig1Case1()
 	s := NewSparsity()
-	_ = s.Prepare(context.Background(), top, observe.NewRecorder(top.NumPaths()))
+	_ = s.Prepare(context.Background(), top, stream.NewWindow(top.NumPaths(), 1))
 	inferred := s.Infer(bitset.FromIndices(3, 0, 1, 2))
 	actual := bitset.FromIndices(4, 1, 2)
 	dr, _ := metrics.DetectionRate(inferred, actual)
@@ -69,9 +69,9 @@ func TestExonerationBySeparability(t *testing.T) {
 // recordCorrelated simulates Fig. 1 Case 1 where e2 and e3 are
 // perfectly correlated with congestion probability p and e1, e4 are
 // always good (the §3.1 example that defeats Bayesian-Independence).
-func recordCorrelated(top *topology.Topology, p float64, T int, seed int64) *observe.Recorder {
+func recordCorrelated(top *topology.Topology, p float64, T int, seed int64) *stream.Window {
 	rng := rand.New(rand.NewSource(seed))
-	rec := observe.NewRecorder(top.NumPaths())
+	rec := stream.NewWindow(top.NumPaths(), T)
 	for i := 0; i < T; i++ {
 		congPaths := bitset.New(3)
 		if rng.Float64() < p {
@@ -121,7 +121,7 @@ func TestBayesianIndependenceAccurateWhenIndependent(t *testing.T) {
 	// average detection must be high over many intervals.
 	top := topology.Fig1Case1()
 	rng := rand.New(rand.NewSource(3))
-	rec := observe.NewRecorder(top.NumPaths())
+	rec := stream.NewWindow(top.NumPaths(), 2000)
 	type state struct{ links, paths *bitset.Set }
 	var states []state
 	probs := []float64{0.3, 0.15, 0.2, 0.25}

@@ -1,36 +1,26 @@
-// Package observe stores per-interval path observations and computes
-// the empirical joint statistics every tomography algorithm consumes:
-// the frequency with which a *set* of paths was simultaneously good
-// over the measurement period (the left-hand sides of Eq. 1), and the
-// set of always-good paths that determines which correlation subsets
-// are potentially congested (§5.2).
+// Package observe names what every tomography algorithm reads off the
+// per-interval path observations of Assumption 2 (E2E Monitoring): the
+// frequency with which a *set* of paths was simultaneously good (the
+// left-hand sides of Eq. 1), and the set of always-good paths that
+// determines which correlation subsets are potentially congested
+// (§5.2). Store is that read side; IntervalSource is the optional
+// per-interval row view the Boolean-inference estimators need.
 //
-// The store is columnar: besides the per-interval congested-path sets
-// (the row view, kept for CongestedAt and as the naive reference), the
-// recorder maintains one congested-interval bitmask per path, updated
-// incrementally on Add. GoodCount over a path set P then reduces to
-// OR-ing |P| masks and popcounting — O(|P|·T/64) words instead of a
-// scan over all T row sets — and AllCongestedCount to the analogous
-// AND. Both queries draw their word buffer from a shared scratch pool,
-// staying allocation-free on the steady-state path while remaining safe
-// for any number of concurrent readers; only Add requires external
-// serialization against the queries.
+// The one implementation is stream.Window: a columnar ring that
+// tomod's daemons serve from and that offline runs (the experiments,
+// the public facade, the tests) size to cover the whole run, so it
+// never evicts. The interfaces stay here so that estimators, solvers
+// and test fakes (such as a store with exact good frequencies) depend
+// on the read side only.
 package observe
 
-import (
-	"math"
-	"sync"
-
-	"repro/internal/bitset"
-)
-
-const wordBits = 64
+import "repro/internal/bitset"
 
 // Store is the read side of an observation store: the empirical joint
-// statistics every tomography algorithm consumes. *Recorder implements
-// it over a monotonically growing record; stream.Window implements it
-// over a sliding window. Implementations must support concurrent
-// readers (writes still need external serialization against reads).
+// statistics every tomography algorithm consumes. stream.Window
+// implements it over its live intervals. Implementations must support
+// concurrent readers (writes still need external serialization against
+// reads).
 type Store interface {
 	// NumPaths returns the path universe size.
 	NumPaths() int
@@ -60,285 +50,8 @@ type Store interface {
 // IntervalSource is the optional row view of a Store: per-interval
 // access to the congested-path sets, indexed oldest-first in [0, T()).
 // The Boolean-inference estimators need it (they diagnose one interval
-// at a time); both Recorder and stream.Window implement it. The
-// returned sets must not be modified and are valid only until the next
-// write to the store.
+// at a time); stream.Window implements it. The returned sets must not
+// be modified and are valid only until the next write to the store.
 type IntervalSource interface {
 	CongestedAt(t int) *bitset.Set
-}
-
-var (
-	_ Store          = (*Recorder)(nil)
-	_ IntervalSource = (*Recorder)(nil)
-)
-
-// scratchPool holds the word buffers used by the mask queries. A pool
-// (rather than a buffer owned by each store) is what makes the queries
-// safe for concurrent readers while staying allocation-free once warm:
-// each query checks a buffer out for its own use and returns it before
-// finishing.
-var scratchPool = sync.Pool{New: func() any { return new([]uint64) }}
-
-// GetScratch returns a pooled word buffer of length nw with
-// unspecified contents. Callers must hand it back with PutScratch.
-// It is shared with stream.Window, which uses the same columnar mask
-// layout.
-func GetScratch(nw int) *[]uint64 {
-	p := scratchPool.Get().(*[]uint64)
-	if cap(*p) < nw {
-		*p = make([]uint64, nw)
-	}
-	*p = (*p)[:nw]
-	return p
-}
-
-// PutScratch returns a buffer obtained from GetScratch to the pool.
-func PutScratch(p *[]uint64) { scratchPool.Put(p) }
-
-// Recorder accumulates the observed congestion status of all paths over
-// a sequence of measurement intervals (Assumption 2: E2E Monitoring).
-type Recorder struct {
-	numPaths  int
-	intervals []*bitset.Set // row view: congested paths per interval
-	congCount []int         // per path: intervals observed congested
-
-	// cong is the columnar view: cong[p] is a bitmask over intervals,
-	// bit t set iff path p was congested in interval t. Masks are
-	// ragged — trailing zero words are not stored — so a path that was
-	// never congested costs nothing.
-	cong [][]uint64
-}
-
-// NewRecorder returns an empty recorder for numPaths paths.
-func NewRecorder(numPaths int) *Recorder {
-	return &Recorder{
-		numPaths:  numPaths,
-		congCount: make([]int, numPaths),
-		cong:      make([][]uint64, numPaths),
-	}
-}
-
-// Add appends one interval's set of congested paths. The set is
-// cloned; indices outside the path universe are dropped so that the row
-// and columnar views stay consistent.
-func (r *Recorder) Add(congestedPaths *bitset.Set) {
-	t := len(r.intervals)
-	c := congestedPaths.Clone()
-	r.intervals = append(r.intervals, c)
-	wi, bit := t/wordBits, uint64(1)<<uint(t%wordBits)
-	c.ForEach(func(pi int) bool {
-		if pi >= r.numPaths {
-			c.Remove(pi)
-			return true
-		}
-		r.congCount[pi]++
-		m := r.cong[pi]
-		for len(m) <= wi {
-			m = append(m, 0)
-		}
-		m[wi] |= bit
-		r.cong[pi] = m
-		return true
-	})
-}
-
-// T returns the number of recorded intervals.
-func (r *Recorder) T() int { return len(r.intervals) }
-
-// NumPaths returns the path universe size.
-func (r *Recorder) NumPaths() int { return r.numPaths }
-
-// CongestedAt returns the congested-path set of interval t. The result
-// must not be modified.
-func (r *Recorder) CongestedAt(t int) *bitset.Set { return r.intervals[t] }
-
-// CongestedFraction returns the fraction of intervals in which path p
-// was observed congested.
-func (r *Recorder) CongestedFraction(p int) float64 {
-	if r.T() == 0 {
-		return 0
-	}
-	return float64(r.congCount[p]) / float64(r.T())
-}
-
-// words returns the number of mask words covering the recorded
-// intervals.
-func (r *Recorder) words() int { return (len(r.intervals) + wordBits - 1) / wordBits }
-
-// GoodCount returns the number of intervals in which *every* path in
-// the set was good: the raw count behind P̂(∩_{p∈P} Y_p = 0).
-//
-// Columnar evaluation: an interval fails iff at least one path of the
-// set was congested in it, so the answer is T minus the popcount of
-// the OR of the per-path congestion masks.
-func (r *Recorder) GoodCount(paths *bitset.Set) int {
-	T := len(r.intervals)
-	if T == 0 {
-		return 0
-	}
-	sp := GetScratch(r.words())
-	sc := *sp
-	for i := range sc {
-		sc[i] = 0
-	}
-	paths.ForEach(func(pi int) bool {
-		if pi < r.numPaths {
-			bitset.OrWordsInto(sc, r.cong[pi])
-		}
-		return true
-	})
-	bad := bitset.PopCountWords(sc)
-	PutScratch(sp)
-	return T - bad
-}
-
-// GoodCountNaive is the retained reference implementation of GoodCount:
-// a full scan over the row view. It is used by the property tests and
-// benchmarks that validate the columnar store.
-func (r *Recorder) GoodCountNaive(paths *bitset.Set) int {
-	n := 0
-	for _, cong := range r.intervals {
-		if !paths.Intersects(cong) {
-			n++
-		}
-	}
-	return n
-}
-
-// GoodFreq returns the empirical probability that all paths in the set
-// were simultaneously good.
-func (r *Recorder) GoodFreq(paths *bitset.Set) float64 {
-	if r.T() == 0 {
-		return 1
-	}
-	return float64(r.GoodCount(paths)) / float64(r.T())
-}
-
-// LogGoodFreq returns log P̂(∩ Y_p = 0), the observable side of the
-// log-linear equations. A zero count is clamped to half an observation
-// (the usual continuity correction) so that the logarithm stays finite;
-// the second return reports whether clamping occurred.
-func (r *Recorder) LogGoodFreq(paths *bitset.Set) (logp float64, clamped bool) {
-	if r.T() == 0 {
-		return 0, false
-	}
-	c := r.GoodCount(paths)
-	if c == 0 {
-		return math.Log(0.5 / float64(r.T())), true
-	}
-	return math.Log(float64(c) / float64(r.T())), false
-}
-
-// AllCongestedCount returns the number of intervals in which every path
-// in the set was simultaneously congested. For a single path {p} whose
-// link e is congested, separability forces p congested, so the
-// frequency over the paths through e upper-bounds e's congestion
-// probability; the fallback estimators use this.
-//
-// Columnar evaluation: the popcount of the AND of the per-path
-// congestion masks (a mask's missing trailing words are zero, so a
-// shorter mask zeroes the tail).
-func (r *Recorder) AllCongestedCount(paths *bitset.Set) int {
-	if paths.IsEmpty() {
-		return r.T()
-	}
-	T := len(r.intervals)
-	if T == 0 {
-		return 0
-	}
-	nw := r.words()
-	sp := GetScratch(nw)
-	sc := *sp
-	for i := range sc {
-		sc[i] = ^uint64(0)
-	}
-	if rem := T % wordBits; rem != 0 {
-		sc[nw-1] = (uint64(1) << uint(rem)) - 1
-	}
-	empty := false
-	paths.ForEach(func(pi int) bool {
-		if pi >= r.numPaths {
-			// A path outside the universe was never observed congested.
-			empty = true
-			return false
-		}
-		bitset.AndWordsInto(sc, r.cong[pi])
-		return true
-	})
-	n := 0
-	if !empty {
-		n = bitset.PopCountWords(sc)
-	}
-	PutScratch(sp)
-	return n
-}
-
-// AllCongestedCountNaive is the retained reference implementation of
-// AllCongestedCount (row-view scan).
-func (r *Recorder) AllCongestedCountNaive(paths *bitset.Set) int {
-	if paths.IsEmpty() {
-		return r.T()
-	}
-	n := 0
-	for _, cong := range r.intervals {
-		if paths.SubsetOf(cong) {
-			n++
-		}
-	}
-	return n
-}
-
-// AllCongestedFreq is AllCongestedCount normalized by T.
-func (r *Recorder) AllCongestedFreq(paths *bitset.Set) float64 {
-	if r.T() == 0 {
-		return 0
-	}
-	return float64(r.AllCongestedCount(paths)) / float64(r.T())
-}
-
-// AlwaysGoodPaths returns the paths observed good in every interval,
-// within tolerance: a path counts as always good when its congested
-// fraction is ≤ tol (tol = 0 is the paper's strict definition; a small
-// tol absorbs probing false positives). The per-path congestion
-// counters make this O(numPaths) with no interval scan.
-func (r *Recorder) AlwaysGoodPaths(tol float64) *bitset.Set {
-	out := bitset.New(r.numPaths)
-	if r.T() == 0 {
-		// No observation contradicts goodness yet: vacuously all good.
-		for p := 0; p < r.numPaths; p++ {
-			out.Add(p)
-		}
-		return out
-	}
-	for p := 0; p < r.numPaths; p++ {
-		if r.CongestedFraction(p) <= tol {
-			out.Add(p)
-		}
-	}
-	return out
-}
-
-// AlwaysGoodPathsNaive is the retained reference implementation of
-// AlwaysGoodPaths: it re-derives each path's congested fraction from a
-// full scan of the row view.
-func (r *Recorder) AlwaysGoodPathsNaive(tol float64) *bitset.Set {
-	out := bitset.New(r.numPaths)
-	if r.T() == 0 {
-		for p := 0; p < r.numPaths; p++ {
-			out.Add(p)
-		}
-		return out
-	}
-	for p := 0; p < r.numPaths; p++ {
-		c := 0
-		for _, cong := range r.intervals {
-			if cong.Contains(p) {
-				c++
-			}
-		}
-		if float64(c)/float64(r.T()) <= tol {
-			out.Add(p)
-		}
-	}
-	return out
 }

@@ -67,9 +67,9 @@ type IndependenceConfig struct {
 
 // Independence computes per-link congestion probabilities assuming link
 // independence (CLINK's Probability Computation step). rec may be any
-// observation store — a Recorder over a full monitoring period or a
-// stream.Window over the live sliding window. ctx cancels a long run
-// (nil means context.Background()).
+// observation store: a stream.Window sized to a full monitoring period
+// or the live sliding window. ctx cancels a long run (nil means
+// context.Background()).
 func Independence(ctx context.Context, top *topology.Topology, rec observe.Store, cfg IndependenceConfig) (*LinkResult, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -219,8 +219,8 @@ type HeuristicConfig struct {
 // the redundant, poorly-conditioned equations make it markedly noisier
 // — the behaviour Fig. 4(b) reports.
 //
-// rec may be any observation store (Recorder or stream.Window); ctx
-// cancels a long run (nil means context.Background()).
+// rec may be any observation store; ctx cancels a long run (nil means
+// context.Background()).
 func CorrelationHeuristic(ctx context.Context, top *topology.Topology, rec observe.Store, cfg HeuristicConfig) (*LinkResult, error) {
 	if ctx == nil {
 		ctx = context.Background()

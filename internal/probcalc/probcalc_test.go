@@ -7,7 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/bitset"
-	"repro/internal/observe"
+	"repro/internal/stream"
 	"repro/internal/topology"
 )
 
@@ -15,11 +15,11 @@ import (
 // e4 are independent with probabilities p1, p4 and e2, e3 congest
 // together with probability p23 when correlated is true, or
 // independently with probability p23 each when false.
-func simulate(t *testing.T, p1, p23, p4 float64, correlated bool, T int, seed int64) (*topology.Topology, *observe.Recorder) {
+func simulate(t *testing.T, p1, p23, p4 float64, correlated bool, T int, seed int64) (*topology.Topology, *stream.Window) {
 	t.Helper()
 	top := topology.Fig1Case1()
 	rng := rand.New(rand.NewSource(seed))
-	rec := observe.NewRecorder(top.NumPaths())
+	rec := stream.NewWindow(top.NumPaths(), T)
 	for i := 0; i < T; i++ {
 		cong := bitset.New(4)
 		if rng.Float64() < p1 {
@@ -108,7 +108,7 @@ func TestAlwaysGoodLinksZero(t *testing.T) {
 	// p3 always good -> e3, e4 always good -> probability exactly 0.
 	top := topology.Fig1Case1()
 	rng := rand.New(rand.NewSource(4))
-	rec := observe.NewRecorder(top.NumPaths())
+	rec := stream.NewWindow(top.NumPaths(), 3000)
 	for i := 0; i < 3000; i++ {
 		congPaths := bitset.New(3)
 		if rng.Float64() < 0.3 {
@@ -142,7 +142,7 @@ func TestUncoveredLinkFallback(t *testing.T) {
 	links := []topology.Link{{ID: 0, AS: 0}, {ID: 1, AS: 1}}
 	paths := []topology.Path{{ID: 0, Links: []int{0}}}
 	top := topology.New(links, paths, nil)
-	rec := observe.NewRecorder(1)
+	rec := stream.NewWindow(1, 2)
 	rec.Add(bitset.FromIndices(1, 0))
 	rec.Add(bitset.New(1))
 	for name, run := range map[string]func() (*LinkResult, error){
@@ -166,11 +166,11 @@ func TestUncoveredLinkFallback(t *testing.T) {
 
 func TestMismatchedRecorderRejected(t *testing.T) {
 	top := topology.Fig1Case1()
-	rec := observe.NewRecorder(7)
+	rec := stream.NewWindow(7, 1)
 	if _, err := Independence(context.Background(), top, rec, IndependenceConfig{}); err == nil {
-		t.Fatal("Independence accepted mismatched recorder")
+		t.Fatal("Independence accepted mismatched store")
 	}
 	if _, err := CorrelationHeuristic(context.Background(), top, rec, HeuristicConfig{}); err == nil {
-		t.Fatal("CorrelationHeuristic accepted mismatched recorder")
+		t.Fatal("CorrelationHeuristic accepted mismatched store")
 	}
 }

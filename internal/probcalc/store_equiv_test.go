@@ -8,14 +8,12 @@ import (
 
 	"repro/internal/bitset"
 	"repro/internal/brite"
-	"repro/internal/observe"
 	"repro/internal/stream"
-	"repro/internal/topology"
 )
 
 // Property: both baselines must produce bit-identical results over a
-// Recorder and over a stream.Window holding exactly the same intervals
-// — including when the window has evicted a prefix of the stream. The
+// window that has evicted a prefix of the stream and over a fresh
+// window holding only the surviving tail, as an offline run would. The
 // guarantee is what lets every estimator run over the live sliding
 // window of the streaming service.
 func TestBaselinesRecorderWindowEquivalence(t *testing.T) {
@@ -48,7 +46,10 @@ func TestBaselinesRecorderWindowEquivalence(t *testing.T) {
 				tail = tail[1:]
 			}
 		}
-		rec := observeRecorder(top, tail)
+		rec := stream.NewWindow(top.NumPaths(), len(tail))
+		for _, iv := range tail {
+			rec.Add(iv)
+		}
 
 		tol := 0.05 * rng.Float64()
 		seed := rng.Int63()
@@ -61,7 +62,7 @@ func TestBaselinesRecorderWindowEquivalence(t *testing.T) {
 			t.Fatalf("independence: %v / %v", err1, err2)
 		}
 		if !reflect.DeepEqual(recIndep, winIndep) {
-			t.Fatalf("round %d: Independence diverges between Recorder and Window", round)
+			t.Fatalf("round %d: Independence diverges between the evicting and the fresh window", round)
 		}
 
 		recHeur, err1 := CorrelationHeuristic(context.Background(), top, rec,
@@ -72,16 +73,7 @@ func TestBaselinesRecorderWindowEquivalence(t *testing.T) {
 			t.Fatalf("heuristic: %v / %v", err1, err2)
 		}
 		if !reflect.DeepEqual(recHeur, winHeur) {
-			t.Fatalf("round %d: Correlation-heuristic diverges between Recorder and Window", round)
+			t.Fatalf("round %d: Correlation-heuristic diverges between the evicting and the fresh window", round)
 		}
 	}
-}
-
-// observeRecorder replays the intervals into a fresh Recorder.
-func observeRecorder(top *topology.Topology, intervals []*bitset.Set) *observe.Recorder {
-	rec := observe.NewRecorder(top.NumPaths())
-	for _, iv := range intervals {
-		rec.Add(iv)
-	}
-	return rec
 }

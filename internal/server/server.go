@@ -682,7 +682,7 @@ func (s *Server) clusterStatus() *ClusterStatus {
 // Ingest appends a batch of interval observations to the live window,
 // atomically with respect to snapshot cloning, and returns the sequence
 // number after the batch. Sets may contain indices outside the path
-// universe; they are dropped (observe.Recorder semantics). Every mode
+// universe; they are dropped (stream.Window.Add). Every mode
 // applies the batch to the same window under mu.
 //
 // With Config.EpochEvery set, ingest also freezes a window checkpoint

@@ -18,7 +18,7 @@ import (
 	"repro/internal/estimator"
 	"repro/internal/experiment"
 	"repro/internal/netsim"
-	"repro/internal/observe"
+	"repro/internal/stream"
 	"repro/internal/topology"
 )
 
@@ -96,7 +96,7 @@ func getJSON(t testing.TB, client *http.Client, url string, v any) int {
 // real HTTP while concurrent readers query links, congested paths and
 // status; every answer must be internally consistent with one epoch,
 // epochs must be monotone per reader, and the final published state
-// must bit-match an offline core.Compute over a fresh Recorder holding
+// must bit-match an offline core.Compute over a fresh window holding
 // exactly the surviving window intervals.
 func TestEndToEndStreaming(t *testing.T) {
 	const totalIntervals, windowSize = 10000, 2000
@@ -243,14 +243,14 @@ func TestEndToEndStreaming(t *testing.T) {
 
 	// Ground-truth replay: rebuild the exact observation stream the
 	// load generator sent (same seed, same model), keep the last
-	// windowSize intervals in a fresh Recorder, and solve offline. The
+	// windowSize intervals in a fresh window, and solve offline. The
 	// streamed window must produce bit-identical link probabilities.
 	rng := rand.New(rand.NewSource(loadCfg.Seed))
 	model, err := netsim.NewModel(top, simCfg, totalIntervals, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec := observe.NewRecorder(top.NumPaths())
+	rec := stream.NewWindow(top.NumPaths(), windowSize)
 	for ti := 0; ti < totalIntervals; ti++ {
 		obs := model.Interval(ti, rng)
 		if ti >= totalIntervals-windowSize {

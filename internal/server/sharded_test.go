@@ -14,7 +14,7 @@ import (
 	"repro/internal/estimator"
 	"repro/internal/experiment"
 	"repro/internal/netsim"
-	"repro/internal/observe"
+	"repro/internal/stream"
 	"repro/internal/topology"
 )
 
@@ -209,14 +209,14 @@ func TestEndToEndShardedStreaming(t *testing.T) {
 	}
 
 	// Offline replay: rebuild the exact stream, keep the surviving
-	// window in a fresh Recorder, and solve through the registry's
+	// intervals in a fresh window, and solve through the registry's
 	// sharded estimator. The streamed result must be bit-identical.
 	rng := rand.New(rand.NewSource(loadCfg.Seed))
 	model, err := netsim.NewModel(top, simCfg, totalIntervals, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec := observe.NewRecorder(top.NumPaths())
+	rec := stream.NewWindow(top.NumPaths(), windowSize)
 	for ti := 0; ti < totalIntervals; ti++ {
 		obs := model.Interval(ti, rng)
 		if ti >= totalIntervals-windowSize {

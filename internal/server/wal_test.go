@@ -19,6 +19,7 @@ import (
 	"repro/internal/estimator"
 	"repro/internal/netsim"
 	"repro/internal/observe"
+	"repro/internal/stream"
 	"repro/internal/topology"
 	"repro/internal/wal"
 	"repro/internal/wal/faultfs"
@@ -327,7 +328,7 @@ func TestCrashRecoveryE2E(t *testing.T) {
 		SolverOpts:     solverOpts(),
 		WAL:            wal.Options{Dir: dir, Policy: wal.SyncInterval, SyncEvery: 5 * time.Millisecond},
 	}
-	stream := simStream(t, top, totalIntervals, streamSeed)
+	sim := simStream(t, top, totalIntervals, streamSeed)
 	crashRng := rand.New(rand.NewSource(11))
 	crashAt := windowSize + crashRng.Intn(totalIntervals-windowSize)
 
@@ -337,7 +338,7 @@ func TestCrashRecoveryE2E(t *testing.T) {
 	tsA := httptest.NewServer(a.Handler())
 	for lo := 0; lo < crashAt; lo += batchSize {
 		hi := min(lo+batchSize, crashAt)
-		if code, env := postObservations(t, tsA.Client(), tsA.URL, stream[lo:hi]); code != http.StatusOK {
+		if code, env := postObservations(t, tsA.Client(), tsA.URL, sim[lo:hi]); code != http.StatusOK {
 			t.Fatalf("ingest [%d,%d) returned %d: %+v", lo, hi, code, env.Error)
 		}
 	}
@@ -391,7 +392,7 @@ func TestCrashRecoveryE2E(t *testing.T) {
 		crashAt, cut, resume, st.WAL.RecoveredRecords)
 	for lo := int(resume); lo < totalIntervals; lo += batchSize {
 		hi := min(lo+batchSize, totalIntervals)
-		if code, env := postObservations(t, tsB.Client(), tsB.URL, stream[lo:hi]); code != http.StatusOK {
+		if code, env := postObservations(t, tsB.Client(), tsB.URL, sim[lo:hi]); code != http.StatusOK {
 			t.Fatalf("resumed ingest [%d,%d) returned %d: %+v", lo, hi, code, env.Error)
 		}
 	}
@@ -413,7 +414,7 @@ func TestCrashRecoveryE2E(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec := observe.NewRecorder(top.NumPaths())
+	rec := stream.NewWindow(top.NumPaths(), windowSize)
 	for ti := 0; ti < totalIntervals; ti++ {
 		obs := model.Interval(ti, rng)
 		if ti >= totalIntervals-windowSize {

@@ -5,20 +5,13 @@ import (
 	"testing"
 
 	"repro/internal/bitset"
-	"repro/internal/observe"
 )
 
-// goodSet is the store surface the boundary cases probe.
-type goodSet interface {
-	AlwaysGoodPaths(tol float64) *bitset.Set
-	CongestedFraction(p int) float64
-}
-
 // The always-good definition is an inclusive threshold: a path whose
-// congested fraction lands exactly on the tolerance is always good.
-// Recorder and Window must draw the boundary identically
-// — they feed the same §5.2 frontier, and a one-store disagreement
-// would split the estimators' shared universe.
+// congested fraction lands exactly on the tolerance is always good. A
+// window that holds the whole stream and one that has evicted a prefix
+// of it must draw the boundary identically over the same live
+// intervals — they feed the same §5.2 frontier, offline and served.
 func TestAlwaysGoodToleranceBoundary(t *testing.T) {
 	const numPaths = 2 // path 0 is probed; path 1 keeps the stream non-trivial
 	cases := []struct {
@@ -54,7 +47,7 @@ func TestAlwaysGoodToleranceBoundary(t *testing.T) {
 				add(s)
 			}
 		}
-		check := func(t *testing.T, label string, st goodSet) {
+		check := func(t *testing.T, label string, st *Window) {
 			t.Helper()
 			got := st.AlwaysGoodPaths(tc.tol).Contains(0)
 			if got != tc.want {
@@ -63,30 +56,22 @@ func TestAlwaysGoodToleranceBoundary(t *testing.T) {
 			}
 		}
 		t.Run(name, func(t *testing.T) {
-			rec := observe.NewRecorder(numPaths)
-			feed(rec.Add)
-			check(t, "Recorder", rec)
-
 			// A window exactly the stream's size: no eviction.
 			w := NewWindow(numPaths, tc.intervals)
 			feed(w.Add)
 			check(t, "Window", w)
 
-			// A window half the stream's size, fed the stream twice: the
-			// boundary must hold on the surviving intervals only. The
-			// second pass replays the same pattern, so the live window's
-			// congested count for path 0 is min(congested, capacity)…
-			// except the fraction now runs over `capacity` intervals, so
-			// only streams whose pattern fits the window keep the exact
-			// boundary; feeding the identical pattern twice does.
+			// A window the stream's size, fed the stream twice: the first
+			// pass is evicted, and the boundary must hold on the surviving
+			// second pass, the same intervals the window above holds.
 			evicting := NewWindow(numPaths, tc.intervals)
 			feed(evicting.Add)
 			feed(evicting.Add)
 			check(t, "Window(evicting)", evicting)
 
 			// And the two must agree set-for-set, not just on path 0.
-			if !rec.AlwaysGoodPaths(tc.tol).Equal(w.AlwaysGoodPaths(tc.tol)) {
-				t.Fatal("stores disagree on the always-good set")
+			if !evicting.AlwaysGoodPaths(tc.tol).Equal(w.AlwaysGoodPaths(tc.tol)) {
+				t.Fatal("windows disagree on the always-good set")
 			}
 		})
 	}

@@ -20,13 +20,7 @@ type refWindow struct {
 }
 
 func (r *refWindow) add(congested *bitset.Set) {
-	row := bitset.New(r.numPaths)
-	congested.ForEach(func(p int) bool {
-		if p < r.numPaths {
-			row.Add(p)
-		}
-		return true
-	})
+	row := inUniverse(r.numPaths, congested)
 	if len(r.live) == r.capacity {
 		r.live = r.live[1:]
 	}
@@ -43,41 +37,6 @@ func (r *refWindow) clone() *refWindow {
 	return &c
 }
 
-// goodCount and allCongestedCount follow the observe.Store contract:
-// paths outside the universe are always good, never congested.
-func (r *refWindow) goodCount(paths *bitset.Set) int {
-	n := 0
-	for _, row := range r.live {
-		if !row.Intersects(paths) {
-			n++
-		}
-	}
-	return n
-}
-
-func (r *refWindow) allCongestedCount(paths *bitset.Set) int {
-	n := 0
-	for _, row := range r.live {
-		if paths.SubsetOf(row) {
-			n++
-		}
-	}
-	return n
-}
-
-func (r *refWindow) congestedFraction(p int) float64 {
-	if len(r.live) == 0 {
-		return 0
-	}
-	n := 0
-	for _, row := range r.live {
-		if row.Contains(p) {
-			n++
-		}
-	}
-	return float64(n) / float64(len(r.live))
-}
-
 // checkAgainstRef compares everything the solver and the HTTP layer
 // read off a store — T, Seq, each live row, per-path fractions, joint
 // counts over random path sets (reaching past the universe) and the
@@ -92,7 +51,7 @@ func checkAgainstRef(rng *rand.Rand, got *Window, ref *refWindow) error {
 		}
 	}
 	for p := 0; p < ref.numPaths; p++ {
-		if g, w := got.CongestedFraction(p), ref.congestedFraction(p); g != w {
+		if g, w := got.CongestedFraction(p), congestedFractionNaive(ref.live, p); g != w {
 			return fmt.Errorf("CongestedFraction(%d) = %v, want %v", p, g, w)
 		}
 	}
@@ -103,21 +62,15 @@ func checkAgainstRef(rng *rand.Rand, got *Window, ref *refWindow) error {
 				paths.Add(p)
 			}
 		}
-		if g, w := got.GoodCount(paths), ref.goodCount(paths); g != w {
+		if g, w := got.GoodCount(paths), goodCountNaive(ref.live, paths); g != w {
 			return fmt.Errorf("GoodCount(%s) = %d, want %d", paths, g, w)
 		}
-		if g, w := got.AllCongestedCount(paths), ref.allCongestedCount(paths); g != w {
+		if g, w := got.AllCongestedCount(paths), allCongestedCountNaive(ref.live, paths); g != w {
 			return fmt.Errorf("AllCongestedCount(%s) = %d, want %d", paths, g, w)
 		}
 	}
 	for _, tol := range []float64{0, 0.1} {
-		want := bitset.New(ref.numPaths)
-		for p := 0; p < ref.numPaths; p++ {
-			if ref.congestedFraction(p) <= tol {
-				want.Add(p)
-			}
-		}
-		if g := got.AlwaysGoodPaths(tol); !g.Equal(want) {
+		if g, want := got.AlwaysGoodPaths(tol), alwaysGoodPathsNaive(ref.numPaths, ref.live, tol); !g.Equal(want) {
 			return fmt.Errorf("AlwaysGoodPaths(%v) = %s, want %s", tol, g, want)
 		}
 	}

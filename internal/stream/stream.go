@@ -1,30 +1,35 @@
-// Package stream provides the sliding-window observation store behind
-// the streaming tomography service: an observe.Store over only the most
-// recent intervals, with O(words) add and evict.
+// Package stream provides the observation store: Window, the one
+// observe.Store implementation. It keeps the most recent intervals of
+// per-path congestion observations with O(words) add and evict. The
+// streaming daemon (cmd/tomod) serves from a window sized by -window;
+// offline callers (the experiments, the public facade, the tests) size
+// a window to the whole run, so it never evicts and holds every
+// interval they add.
 //
-// The layout is the columnar bitmask layout of observe.Recorder bent
-// into a ring: each path keeps one congestion bitmask over *ring
-// positions* rather than over absolute interval numbers. The ring spans
+// The store is columnar. Besides the per-interval congested-path sets
+// (the row view, kept for CongestedAt and for eviction), each path
+// keeps one congestion bitmask over *ring positions*. The ring spans
 // ringWords = ⌈capacity/64⌉ whole words, so an interval with sequence
 // number s occupies bit position s mod (ringWords·64); because at most
 // `capacity` intervals are live at once, live intervals never collide,
 // and evicting the oldest interval just clears its bit in the masks of
-// the paths that were congested in it (found via the retained row
-// view). The invariant that makes the queries cheap is that every dead
-// ring position is zero in every mask:
+// the paths that were congested in it (found via the row view). The
+// invariant that makes the queries cheap is that every dead ring
+// position is zero in every mask:
 //
-//   - GoodCount is, exactly as in the Recorder, T − popcount(OR of the
-//     per-path masks) — dead positions contribute nothing to the OR;
+//   - GoodCount over a path set P is T − popcount(OR of the |P|
+//     masks) — O(|P|·T/64) words instead of a scan over all T rows,
+//     and dead positions contribute nothing to the OR;
 //   - AllCongestedCount ANDs the masks into a live-position mask
 //     (a cyclic bit range, built in O(words));
 //   - AlwaysGoodPaths reads per-path congestion counters maintained by
 //     Add and evict.
 //
-// Like the Recorder, queries draw scratch from the shared pool in
-// observe and are therefore allocation-free on the steady-state path
-// and safe for concurrent readers; Add must be serialized against them
-// by the caller (the server does so with a mutex, publishing frozen
-// windows for query traffic).
+// Queries draw their word buffer from a shared scratch pool, so they
+// are allocation-free on the steady-state path and safe for concurrent
+// readers; Add must be serialized against them by the caller (the
+// server does so with a mutex, publishing frozen windows for query
+// traffic).
 //
 // Clone is a copy-on-write freeze, not a deep copy: the clone gets its
 // own row-pointer table, mask headers and congestion counters
@@ -53,6 +58,7 @@ package stream
 
 import (
 	"math"
+	"sync"
 
 	"repro/internal/bitset"
 	"repro/internal/observe"
@@ -60,9 +66,30 @@ import (
 
 const wordBits = 64
 
-// Window is a sliding-window observation store over the most recent
-// intervals. It implements observe.Store, so the Correlation-complete
-// solver runs over it directly.
+// scratchPool holds the word buffers used by the mask queries. A pool
+// (rather than a buffer owned by each window) is what makes the queries
+// safe for concurrent readers while staying allocation-free once warm:
+// each query checks a buffer out for its own use and returns it before
+// finishing.
+var scratchPool = sync.Pool{New: func() any { return new([]uint64) }}
+
+// getScratch returns a pooled word buffer of length nw with unspecified
+// contents. Callers must hand it back with putScratch.
+func getScratch(nw int) *[]uint64 {
+	p := scratchPool.Get().(*[]uint64)
+	if cap(*p) < nw {
+		*p = make([]uint64, nw)
+	}
+	*p = (*p)[:nw]
+	return p
+}
+
+// putScratch returns a buffer obtained from getScratch to the pool.
+func putScratch(p *[]uint64) { scratchPool.Put(p) }
+
+// Window is the observation store over the most recent capacity
+// intervals. It implements observe.Store, so every estimator runs over
+// it directly.
 type Window struct {
 	numPaths  int
 	capacity  int // max live intervals
@@ -75,9 +102,9 @@ type Window struct {
 
 	congCount []int // per path: live intervals observed congested
 
-	// cong[p] is the columnar mask of path p over ring positions,
-	// ragged like the Recorder's: trailing zero words are not stored,
-	// so a never-congested path costs nothing.
+	// cong[p] is the columnar mask of path p over ring positions. Masks
+	// are ragged — trailing zero words are not stored — so a
+	// never-congested path costs nothing.
 	cong [][]uint64
 
 	// ownRow (over ring slots) and ownCong (over paths) mark the rows
@@ -146,10 +173,10 @@ func (w *Window) slotOf(s uint64) int { return int(s % uint64(w.ringBits())) }
 
 // Add appends one interval's congested-path set, evicting the oldest
 // interval when the window is full. Indices outside the path universe
-// are dropped, matching observe.Recorder. The set is copied; steady
-// state (after the first lap of the ring, with no Clone in between)
-// allocates nothing, and the first Add after a Clone allocates one row
-// plus one mask per path it touches.
+// are dropped, so the row and columnar views agree. The set is copied;
+// steady state (after the first lap of the ring, with no Clone in
+// between) allocates nothing, and the first Add after a Clone allocates
+// one row plus one mask per path it touches.
 func (w *Window) Add(congested *bitset.Set) {
 	if w.readOnly {
 		panic("stream: Add on a frozen window")
@@ -263,7 +290,7 @@ func (w *Window) GoodCount(paths *bitset.Set) int {
 	if w.count == 0 {
 		return 0
 	}
-	sp := observe.GetScratch(w.ringWords)
+	sp := getScratch(w.ringWords)
 	sc := *sp
 	for i := range sc {
 		sc[i] = 0
@@ -275,7 +302,7 @@ func (w *Window) GoodCount(paths *bitset.Set) int {
 		return true
 	})
 	bad := bitset.PopCountWords(sc)
-	observe.PutScratch(sp)
+	putScratch(sp)
 	return w.count - bad
 }
 
@@ -288,8 +315,10 @@ func (w *Window) GoodFreq(paths *bitset.Set) float64 {
 	return float64(w.GoodCount(paths)) / float64(w.count)
 }
 
-// LogGoodFreq returns log P̂(∩ Y_p = 0) over the window, clamping a
-// zero count to half an observation exactly like observe.Recorder.
+// LogGoodFreq returns log P̂(∩ Y_p = 0) over the window, the observable
+// side of the log-linear equations. A zero count is clamped to half an
+// observation (the usual continuity correction) so that the logarithm
+// stays finite; clamped reports whether clamping occurred.
 func (w *Window) LogGoodFreq(paths *bitset.Set) (logp float64, clamped bool) {
 	if w.count == 0 {
 		return 0, false
@@ -311,7 +340,7 @@ func (w *Window) AllCongestedCount(paths *bitset.Set) int {
 	if w.count == 0 {
 		return 0
 	}
-	sp := observe.GetScratch(w.ringWords)
+	sp := getScratch(w.ringWords)
 	sc := *sp
 	w.liveMask(sc)
 	empty := false
@@ -328,7 +357,7 @@ func (w *Window) AllCongestedCount(paths *bitset.Set) int {
 	if !empty {
 		n = bitset.PopCountWords(sc)
 	}
-	observe.PutScratch(sp)
+	putScratch(sp)
 	return n
 }
 

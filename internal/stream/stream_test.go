@@ -1,82 +1,133 @@
 package stream
 
 import (
+	"math"
 	"math/rand"
 	"sync"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/bitset"
-	"repro/internal/observe"
 )
 
-// rebuild returns a fresh Recorder holding exactly the given intervals.
-func rebuild(numPaths int, intervals []*bitset.Set) *observe.Recorder {
-	r := observe.NewRecorder(numPaths)
-	for _, s := range intervals {
-		r.Add(s)
-	}
-	return r
+// inUniverse returns s as a window stores it: indices outside the
+// numPaths-path universe dropped.
+func inUniverse(numPaths int, s *bitset.Set) *bitset.Set {
+	row := bitset.New(numPaths)
+	s.ForEach(func(p int) bool {
+		if p < numPaths {
+			row.Add(p)
+		}
+		return true
+	})
+	return row
 }
 
-// checkAgainst asserts that every query of w matches a fresh Recorder
-// built from the surviving intervals.
-func checkAgainst(t *testing.T, rng *rand.Rand, w *Window, numPaths int, history []*bitset.Set) bool {
-	t.Helper()
-	live := len(history)
-	if live > w.Cap() {
-		live = w.Cap()
+// congestedFractionNaive, goodCountNaive, allCongestedCountNaive and
+// alwaysGoodPathsNaive are the row-scan references of the columnar
+// queries. Each scans a test's own list of rows (congested-path sets
+// inside the universe, oldest first), so it shares nothing with the
+// masks and counters it checks.
+func congestedFractionNaive(rows []*bitset.Set, p int) float64 {
+	if len(rows) == 0 {
+		return 0
 	}
-	ref := rebuild(numPaths, history[len(history)-live:])
-	if w.T() != ref.T() {
-		t.Logf("T = %d, want %d", w.T(), ref.T())
+	n := 0
+	for _, row := range rows {
+		if row.Contains(p) {
+			n++
+		}
+	}
+	return float64(n) / float64(len(rows))
+}
+
+func goodCountNaive(rows []*bitset.Set, paths *bitset.Set) int {
+	n := 0
+	for _, row := range rows {
+		if !paths.Intersects(row) {
+			n++
+		}
+	}
+	return n
+}
+
+func allCongestedCountNaive(rows []*bitset.Set, paths *bitset.Set) int {
+	n := 0
+	for _, row := range rows {
+		if paths.SubsetOf(row) {
+			n++
+		}
+	}
+	return n
+}
+
+func alwaysGoodPathsNaive(numPaths int, rows []*bitset.Set, tol float64) *bitset.Set {
+	out := bitset.New(numPaths)
+	for p := 0; p < numPaths; p++ {
+		if congestedFractionNaive(rows, p) <= tol {
+			out.Add(p)
+		}
+	}
+	return out
+}
+
+// checkAgainst asserts that every query of w matches the row scans over
+// live, the rows w should hold.
+func checkAgainst(t *testing.T, rng *rand.Rand, w *Window, numPaths int, live []*bitset.Set) bool {
+	t.Helper()
+	if w.T() != len(live) {
+		t.Logf("T = %d, want %d", w.T(), len(live))
 		return false
 	}
 	for p := 0; p < numPaths; p++ {
-		if w.CongestedFraction(p) != ref.CongestedFraction(p) {
-			t.Logf("CongestedFraction(%d) = %v, want %v", p, w.CongestedFraction(p), ref.CongestedFraction(p))
+		if got, want := w.CongestedFraction(p), congestedFractionNaive(live, p); got != want {
+			t.Logf("CongestedFraction(%d) = %v, want %v", p, got, want)
 			return false
 		}
 	}
 	for q := 0; q < 15; q++ {
 		// Query sets include out-of-universe indices to exercise the
-		// clamping, exactly like the Recorder's own property test.
+		// clamping: such a path is always good, never congested.
 		paths := bitset.New(numPaths + 3)
 		for p := 0; p < numPaths+3; p++ {
 			if rng.Intn(5) == 0 {
 				paths.Add(p)
 			}
 		}
-		if got, want := w.GoodCount(paths), ref.GoodCount(paths); got != want {
+		if got, want := w.GoodCount(paths), goodCountNaive(live, paths); got != want {
 			t.Logf("GoodCount(%s) = %d, want %d (T=%d cap=%d)", paths, got, want, w.T(), w.Cap())
 			return false
 		}
-		if got, want := w.AllCongestedCount(paths), ref.AllCongestedCount(paths); got != want {
+		if got, want := w.AllCongestedCount(paths), allCongestedCountNaive(live, paths); got != want {
 			t.Logf("AllCongestedCount(%s) = %d, want %d (T=%d cap=%d)", paths, got, want, w.T(), w.Cap())
 			return false
 		}
 	}
 	for _, tol := range []float64{0, 0.05, 0.3, 1} {
-		if !w.AlwaysGoodPaths(tol).Equal(ref.AlwaysGoodPaths(tol)) {
-			t.Logf("AlwaysGoodPaths(%v) = %s, want %s", tol, w.AlwaysGoodPaths(tol), ref.AlwaysGoodPaths(tol))
+		if got, want := w.AlwaysGoodPaths(tol), alwaysGoodPathsNaive(numPaths, live, tol); !got.Equal(want) {
+			t.Logf("AlwaysGoodPaths(%v) = %s, want %s", tol, got, want)
 			return false
 		}
 	}
 	return true
 }
 
-// The sliding window after N adds (and however many evictions those
-// imply) must be indistinguishable from a Recorder rebuilt from scratch
-// over the surviving intervals, across randomized window sizes, path
-// counts, and interval counts that straddle word boundaries and ring
-// wrap-around.
+// A window after N adds (and however many evictions those imply) must
+// answer every query exactly like the row scans over its live suffix,
+// across randomized path counts and interval counts that straddle word
+// boundaries and ring wrap-around. Every stream runs through two
+// windows: one smaller than the stream, which evicts, and one at least
+// as large, which holds every interval — the size offline runs give
+// their window.
 func TestQuickWindowMatchesFreshRecorder(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		numPaths := 1 + rng.Intn(70)
-		capacity := 1 + rng.Intn(140)
-		steps := rng.Intn(3*capacity + 20)
-		w := NewWindow(numPaths, capacity)
+		steps := 2 + rng.Intn(300)
+		windows := []*Window{
+			NewWindow(numPaths, 1+rng.Intn(steps-1)), // evicts
+			NewWindow(numPaths, steps+rng.Intn(70)),  // holds the whole stream
+		}
 		var history []*bitset.Set
 		for i := 0; i < steps; i++ {
 			s := bitset.New(numPaths + 3)
@@ -85,19 +136,128 @@ func TestQuickWindowMatchesFreshRecorder(t *testing.T) {
 					s.Add(p) // indices ≥ numPaths exercise the universe clamp
 				}
 			}
-			w.Add(s)
-			history = append(history, s)
+			history = append(history, inUniverse(numPaths, s))
 			// Spot-check a few intermediate states, always the final one.
-			if i == steps-1 || rng.Intn(40) == 0 {
-				if !checkAgainst(t, rng, w, numPaths, history) {
-					t.Logf("seed %d: mismatch after %d adds (cap %d, paths %d)", seed, i+1, capacity, numPaths)
+			check := i == steps-1 || rng.Intn(40) == 0
+			for _, w := range windows {
+				w.Add(s)
+				live := history[max(len(history)-w.Cap(), 0):]
+				if check && !checkAgainst(t, rng, w, numPaths, live) {
+					t.Logf("seed %d: mismatch after %d adds (cap %d, paths %d)", seed, i+1, w.Cap(), numPaths)
 					return false
 				}
 			}
 		}
-		return true
+		return windows[1].T() == steps
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// record builds a window for 3 paths holding exactly the given
+// intervals.
+func record(intervals ...[]int) *Window {
+	w := NewWindow(3, len(intervals))
+	for _, iv := range intervals {
+		w.Add(bitset.FromIndices(3, iv...))
+	}
+	return w
+}
+
+func TestCountsAndFrequencies(t *testing.T) {
+	w := record([]int{0}, []int{0, 1}, nil, []int{2})
+	if w.T() != 4 || w.NumPaths() != 3 {
+		t.Fatal("T/NumPaths wrong")
+	}
+	if got := w.CongestedFraction(0); got != 0.5 {
+		t.Fatalf("CongestedFraction(0) = %v", got)
+	}
+	// Path set {0}: good in intervals 3, 4 -> 2/4.
+	if got := w.GoodFreq(bitset.FromIndices(3, 0)); got != 0.5 {
+		t.Fatalf("GoodFreq({0}) = %v", got)
+	}
+	// Path set {0,1}: good in intervals 3, 4 -> 2/4.
+	if got := w.GoodFreq(bitset.FromIndices(3, 0, 1)); got != 0.5 {
+		t.Fatalf("GoodFreq({0,1}) = %v", got)
+	}
+	// Path set {0,2}: good only in interval 3 -> 1/4.
+	if got := w.GoodFreq(bitset.FromIndices(3, 0, 2)); got != 0.25 {
+		t.Fatalf("GoodFreq({0,2}) = %v", got)
+	}
+	// All congested: {0,1} simultaneously congested only in interval 2.
+	if got := w.AllCongestedFreq(bitset.FromIndices(3, 0, 1)); got != 0.25 {
+		t.Fatalf("AllCongestedFreq = %v", got)
+	}
+	if got := w.AllCongestedCount(bitset.New(3)); got != 4 {
+		t.Fatalf("AllCongestedCount(empty) = %v", got)
+	}
+}
+
+func TestLogGoodFreqClamping(t *testing.T) {
+	w := record([]int{0}, []int{0})
+	lp, clamped := w.LogGoodFreq(bitset.FromIndices(3, 0))
+	if !clamped {
+		t.Fatal("expected clamping for a never-good path")
+	}
+	if want := math.Log(0.5 / 2); lp != want {
+		t.Fatalf("clamped log = %v, want %v", lp, want)
+	}
+	lp, clamped = w.LogGoodFreq(bitset.FromIndices(3, 1))
+	if clamped || lp != 0 {
+		t.Fatalf("always-good path: log = %v clamped=%v", lp, clamped)
+	}
+}
+
+func TestAlwaysGoodPaths(t *testing.T) {
+	w := record([]int{0}, []int{0}, []int{1}, nil)
+	if got := w.AlwaysGoodPaths(0).String(); got != "{2}" {
+		t.Fatalf("strict always-good = %s", got)
+	}
+	// Path 1 congested 25% of the time: tolerance 0.3 admits it.
+	if got := w.AlwaysGoodPaths(0.3).String(); got != "{1, 2}" {
+		t.Fatalf("tolerant always-good = %s", got)
+	}
+}
+
+// Monotonicity: adding paths to a set can only reduce its good
+// frequency, and GoodFreq(P) ≥ 1 − Σ congested fractions (union bound).
+func TestQuickGoodFreqMonotoneAndBounded(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		nPaths := 2 + rng.Intn(6)
+		T := 1 + rng.Intn(40)
+		w := NewWindow(nPaths, T)
+		for i := 0; i < T; i++ {
+			s := bitset.New(nPaths)
+			for p := 0; p < nPaths; p++ {
+				if rng.Intn(3) == 0 {
+					s.Add(p)
+				}
+			}
+			w.Add(s)
+		}
+		small := bitset.New(nPaths)
+		big := bitset.New(nPaths)
+		for p := 0; p < nPaths; p++ {
+			if rng.Intn(2) == 0 {
+				big.Add(p)
+				if rng.Intn(2) == 0 {
+					small.Add(p)
+				}
+			}
+		}
+		if w.GoodFreq(small) < w.GoodFreq(big) {
+			return false
+		}
+		sum := 0.0
+		big.ForEach(func(p int) bool {
+			sum += w.CongestedFraction(p)
+			return true
+		})
+		return w.GoodFreq(big) >= 1-sum-1e-12
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -144,6 +304,9 @@ func TestWindowEmpty(t *testing.T) {
 	w := NewWindow(2, 5)
 	if w.GoodFreq(bitset.FromIndices(2, 0)) != 1 {
 		t.Fatal("empty window GoodFreq should be 1")
+	}
+	if w.CongestedFraction(0) != 0 {
+		t.Fatal("empty window CongestedFraction should be 0")
 	}
 	if w.AllCongestedFreq(bitset.FromIndices(2, 0)) != 0 {
 		t.Fatal("empty window AllCongestedFreq should be 0")

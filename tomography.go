@@ -26,7 +26,7 @@
 // observations:
 //
 //	top := tomography.Fig1Case1() // or your own topology
-//	rec := tomography.NewRecorder(top.NumPaths())
+//	rec := tomography.NewSlidingWindow(top.NumPaths(), T) // T ≥ the intervals you add
 //	for each interval {
 //	    rec.Add(congestedPaths) // a bitset of path IDs
 //	}
@@ -36,11 +36,13 @@
 //	    tomography.WithAlwaysGoodTol(0.02))
 //	p, exact := res.LinkCongestProb(linkID)
 //
-// Every estimator accepts any ObservationStore — a full-period Recorder
-// or a live SlidingWindow — and the same functional options; the
-// context cancels a long solve. tomography.Estimators() lists the
-// registry. Joint subset probabilities (the paper's primary output) are
-// on res.Subsets and, for Correlation-complete, res.Detail.
+// Every estimator accepts any ObservationStore and the same functional
+// options; the context cancels a long solve. A SlidingWindow whose
+// capacity covers the run holds every interval, as a full monitoring
+// period; a smaller one keeps only the most recent intervals, as the
+// streaming daemon does. tomography.Estimators() lists the registry.
+// Joint subset probabilities (the paper's primary output) are on
+// res.Subsets and, for Correlation-complete, res.Detail.
 //
 // See examples/ for complete programs, cmd/tomo for the harness that
 // regenerates every figure and table of the paper, and cmd/tomod for
@@ -117,19 +119,14 @@ func Fig1Case2() *Topology { return topology.Fig1Case2() }
 // Observation
 // ---------------------------------------------------------------------
 
-// Recorder accumulates per-interval path observations (Assumption 2).
-type Recorder = observe.Recorder
-
-// NewRecorder returns an empty recorder for numPaths paths.
-func NewRecorder(numPaths int) *Recorder { return observe.NewRecorder(numPaths) }
-
-// ObservationStore is the read side shared by Recorder and
-// SlidingWindow; every estimator accepts it.
+// ObservationStore is the read side of the per-interval path
+// observations (Assumption 2); every estimator accepts it.
 type ObservationStore = observe.Store
 
-// SlidingWindow is a bounded observation store retaining only the most
-// recent intervals, the substrate of the streaming service (cmd/tomod).
-// Adding an interval past capacity evicts the oldest in O(words).
+// SlidingWindow is the observation store: it retains the most recent
+// capacity intervals, evicting the oldest in O(words) once full. Sized
+// to a whole run it never evicts; it is also the substrate of the
+// streaming service (cmd/tomod).
 type SlidingWindow = stream.Window
 
 // NewSlidingWindow returns an empty window over numPaths paths

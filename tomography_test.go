@@ -11,7 +11,7 @@ import (
 // advertises it: build, record, compute.
 func TestFacadeEndToEnd(t *testing.T) {
 	top := Fig1Case1()
-	rec := NewRecorder(top.NumPaths())
+	rec := NewSlidingWindow(top.NumPaths(), 20000)
 	rng := rand.New(rand.NewSource(1))
 	const p23 = 0.4
 	for i := 0; i < 20000; i++ {
@@ -84,7 +84,7 @@ func TestFacadeSimulationAndInference(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec := NewRecorder(top.NumPaths())
+	rec := NewSlidingWindow(top.NumPaths(), 100)
 	var lastObs Observation
 	for i := 0; i < 100; i++ {
 		lastObs = sim.Interval(i, rng)
@@ -114,7 +114,7 @@ func TestFacadeSimulationAndInference(t *testing.T) {
 // facade, honoring options and context.
 func TestFacadeEstimatorRegistry(t *testing.T) {
 	top := Fig1Case1()
-	rec := NewRecorder(top.NumPaths())
+	rec := NewSlidingWindow(top.NumPaths(), 1000)
 	rng := rand.New(rand.NewSource(4))
 	for i := 0; i < 1000; i++ {
 		cong := NewSet(top.NumLinks())
