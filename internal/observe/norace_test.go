@@ -1,5 +1,5 @@
 //go:build !race
 
-package observe
+package observe_test
 
 const raceEnabled = false

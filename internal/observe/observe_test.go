@@ -1,7 +1,6 @@
-package observe
+package observe_test
 
 import (
-	"math"
 	"math/rand"
 	"sync"
 	"sync/atomic"
@@ -9,74 +8,27 @@ import (
 	"testing/quick"
 
 	"repro/internal/bitset"
+	"repro/internal/observe"
+	"repro/internal/stream"
 )
 
-// record builds a recorder for 3 paths from per-interval congested sets.
-func record(intervals ...[]int) *Recorder {
-	r := NewRecorder(3)
-	for _, iv := range intervals {
-		r.Add(bitset.FromIndices(3, iv...))
-	}
-	return r
+// The Store contract, checked through the store offline runs record
+// into: a stream.Window sized to hold every interval of the run, so it
+// never evicts.
+
+// recorder returns an empty run-sized store for numPaths paths and
+// room for intervals observations.
+func recorder(numPaths, intervals int) *stream.Window {
+	return stream.NewWindow(numPaths, max(intervals, 1))
 }
 
-func TestCountsAndFrequencies(t *testing.T) {
-	r := record([]int{0}, []int{0, 1}, nil, []int{2})
-	if r.T() != 4 || r.NumPaths() != 3 {
-		t.Fatal("T/NumPaths wrong")
-	}
-	if got := r.CongestedFraction(0); got != 0.5 {
-		t.Fatalf("CongestedFraction(0) = %v", got)
-	}
-	// Path set {0}: good in intervals 3, 4 -> 2/4.
-	if got := r.GoodFreq(bitset.FromIndices(3, 0)); got != 0.5 {
-		t.Fatalf("GoodFreq({0}) = %v", got)
-	}
-	// Path set {0,1}: good in intervals 3, 4 -> 2/4.
-	if got := r.GoodFreq(bitset.FromIndices(3, 0, 1)); got != 0.5 {
-		t.Fatalf("GoodFreq({0,1}) = %v", got)
-	}
-	// Path set {0,2}: good only in interval 3 -> 1/4.
-	if got := r.GoodFreq(bitset.FromIndices(3, 0, 2)); got != 0.25 {
-		t.Fatalf("GoodFreq({0,2}) = %v", got)
-	}
-	// All congested: {0,1} simultaneously congested only in interval 2.
-	if got := r.AllCongestedFreq(bitset.FromIndices(3, 0, 1)); got != 0.25 {
-		t.Fatalf("AllCongestedFreq = %v", got)
-	}
-	if got := r.AllCongestedCount(bitset.New(3)); got != 4 {
-		t.Fatalf("AllCongestedCount(empty) = %v", got)
-	}
-}
-
-func TestLogGoodFreqClamping(t *testing.T) {
-	r := record([]int{0}, []int{0})
-	lp, clamped := r.LogGoodFreq(bitset.FromIndices(3, 0))
-	if !clamped {
-		t.Fatal("expected clamping for a never-good path")
-	}
-	if want := math.Log(0.5 / 2); lp != want {
-		t.Fatalf("clamped log = %v, want %v", lp, want)
-	}
-	lp, clamped = r.LogGoodFreq(bitset.FromIndices(3, 1))
-	if clamped || lp != 0 {
-		t.Fatalf("always-good path: log = %v clamped=%v", lp, clamped)
-	}
-}
-
-func TestAlwaysGoodPaths(t *testing.T) {
-	r := record([]int{0}, []int{0}, []int{1}, nil)
-	if got := r.AlwaysGoodPaths(0).String(); got != "{2}" {
-		t.Fatalf("strict always-good = %s", got)
-	}
-	// Path 1 congested 25% of the time: tolerance 0.3 admits it.
-	if got := r.AlwaysGoodPaths(0.3).String(); got != "{1, 2}" {
-		t.Fatalf("tolerant always-good = %s", got)
-	}
-}
+var (
+	_ observe.Store          = (*stream.Window)(nil)
+	_ observe.IntervalSource = (*stream.Window)(nil)
+)
 
 func TestEmptyRecorder(t *testing.T) {
-	r := NewRecorder(2)
+	var r observe.Store = recorder(2, 1)
 	if r.GoodFreq(bitset.FromIndices(2, 0)) != 1 {
 		t.Fatal("empty recorder GoodFreq should be 1")
 	}
@@ -92,7 +44,7 @@ func TestEmptyRecorder(t *testing.T) {
 }
 
 func TestAddClonesInput(t *testing.T) {
-	r := NewRecorder(3)
+	r := recorder(3, 1)
 	s := bitset.FromIndices(3, 0)
 	r.Add(s)
 	s.Add(1) // mutating the caller's set must not affect the record
@@ -101,25 +53,74 @@ func TestAddClonesInput(t *testing.T) {
 	}
 }
 
+// goodCountNaive, allCongestedCountNaive and alwaysGoodPathsNaive scan
+// the test's own rows (congested sets inside the universe), sharing
+// nothing with the columnar masks they check.
+func goodCountNaive(rows []*bitset.Set, paths *bitset.Set) int {
+	n := 0
+	for _, row := range rows {
+		if !paths.Intersects(row) {
+			n++
+		}
+	}
+	return n
+}
+
+func allCongestedCountNaive(rows []*bitset.Set, paths *bitset.Set) int {
+	n := 0
+	for _, row := range rows {
+		if paths.SubsetOf(row) {
+			n++
+		}
+	}
+	return n
+}
+
+func alwaysGoodPathsNaive(numPaths int, rows []*bitset.Set, tol float64) *bitset.Set {
+	out := bitset.New(numPaths)
+	for p := 0; p < numPaths; p++ {
+		n := 0
+		for _, row := range rows {
+			if row.Contains(p) {
+				n++
+			}
+		}
+		if len(rows) == 0 || float64(n)/float64(len(rows)) <= tol {
+			out.Add(p)
+		}
+	}
+	return out
+}
+
 // Property test for the columnar store: on random recorders, the
 // mask-based GoodCount / AllCongestedCount / AlwaysGoodPaths must
-// exactly match the retained naive row-scan reference, including for
-// query sets with out-of-universe indices and for interval counts that
-// straddle the 64-bit word boundary.
+// exactly match the naive row scans, including for query sets with
+// out-of-universe indices and for interval counts that straddle the
+// 64-bit word boundary.
 func TestQuickColumnarMatchesNaive(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		nPaths := 1 + rng.Intn(100)
-		r := NewRecorder(nPaths)
 		T := rng.Intn(200)
+		r := recorder(nPaths, T)
+		var rows []*bitset.Set
 		for i := 0; i < T; i++ {
 			s := bitset.New(nPaths + 4)
+			row := bitset.New(nPaths)
 			for p := 0; p < nPaths+4; p++ {
 				if rng.Intn(4) == 0 {
 					s.Add(p) // indices ≥ nPaths exercise the clamping
+					if p < nPaths {
+						row.Add(p)
+					}
 				}
 			}
 			r.Add(s)
+			rows = append(rows, row)
+		}
+		if r.T() != T {
+			t.Logf("seed %d: T = %d, want %d", seed, r.T(), T)
+			return false
 		}
 		for q := 0; q < 20; q++ {
 			paths := bitset.New(nPaths + 4)
@@ -128,19 +129,17 @@ func TestQuickColumnarMatchesNaive(t *testing.T) {
 					paths.Add(p)
 				}
 			}
-			if r.GoodCount(paths) != r.GoodCountNaive(paths) {
-				t.Logf("seed %d: GoodCount %d != naive %d for %s",
-					seed, r.GoodCount(paths), r.GoodCountNaive(paths), paths)
+			if got, want := r.GoodCount(paths), goodCountNaive(rows, paths); got != want {
+				t.Logf("seed %d: GoodCount %d != naive %d for %s", seed, got, want, paths)
 				return false
 			}
-			if r.AllCongestedCount(paths) != r.AllCongestedCountNaive(paths) {
-				t.Logf("seed %d: AllCongestedCount %d != naive %d for %s",
-					seed, r.AllCongestedCount(paths), r.AllCongestedCountNaive(paths), paths)
+			if got, want := r.AllCongestedCount(paths), allCongestedCountNaive(rows, paths); got != want {
+				t.Logf("seed %d: AllCongestedCount %d != naive %d for %s", seed, got, want, paths)
 				return false
 			}
 		}
 		for _, tol := range []float64{0, 0.05, 0.3, 1} {
-			if !r.AlwaysGoodPaths(tol).Equal(r.AlwaysGoodPathsNaive(tol)) {
+			if !r.AlwaysGoodPaths(tol).Equal(alwaysGoodPathsNaive(nPaths, rows, tol)) {
 				t.Logf("seed %d: AlwaysGoodPaths(%v) mismatch", seed, tol)
 				return false
 			}
@@ -152,23 +151,30 @@ func TestQuickColumnarMatchesNaive(t *testing.T) {
 	}
 }
 
+// randomRecorder fills a run-sized store with intervals random
+// congested sets over numPaths paths, each path congested with
+// probability 1/every.
+func randomRecorder(rng *rand.Rand, numPaths, intervals, every int) *stream.Window {
+	r := recorder(numPaths, intervals)
+	for i := 0; i < intervals; i++ {
+		s := bitset.New(numPaths)
+		for p := 0; p < numPaths; p++ {
+			if rng.Intn(every) == 0 {
+				s.Add(p)
+			}
+		}
+		r.Add(s)
+	}
+	return r
+}
+
 // The columnar queries must stay allocation-free once the shared
 // scratch pool is warm (the hot-path contract the solver relies on).
 func TestColumnarQueriesAllocationFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items at random under -race")
 	}
-	rng := rand.New(rand.NewSource(7))
-	r := NewRecorder(64)
-	for i := 0; i < 130; i++ {
-		s := bitset.New(64)
-		for p := 0; p < 64; p++ {
-			if rng.Intn(5) == 0 {
-				s.Add(p)
-			}
-		}
-		r.Add(s)
-	}
+	r := randomRecorder(rand.New(rand.NewSource(7)), 64, 130, 5)
 	paths := bitset.FromIndices(64, 3, 17, 40, 63)
 	r.GoodCount(paths) // warm the scratch buffer
 	if avg := testing.AllocsPerRun(50, func() {
@@ -179,20 +185,11 @@ func TestColumnarQueriesAllocationFree(t *testing.T) {
 	}
 }
 
-// A recorder must serve many concurrent readers: the streaming
-// server's snapshot queries rely on this (run under -race in CI).
+// A store must serve many concurrent readers: the streaming server's
+// snapshot queries rely on this (run under -race in CI).
 func TestConcurrentReaders(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
-	r := NewRecorder(80)
-	for i := 0; i < 150; i++ {
-		s := bitset.New(80)
-		for p := 0; p < 80; p++ {
-			if rng.Intn(4) == 0 {
-				s.Add(p)
-			}
-		}
-		r.Add(s)
-	}
+	var r observe.Store = randomRecorder(rng, 80, 150, 4)
 	queries := make([]*bitset.Set, 6)
 	wantGood := make([]int, len(queries))
 	wantAll := make([]int, len(queries))
@@ -225,47 +222,5 @@ func TestConcurrentReaders(t *testing.T) {
 	wg.Wait()
 	if failed.Load() {
 		t.Fatal("concurrent readers observed inconsistent counts")
-	}
-}
-
-// Monotonicity: adding paths to a set can only reduce its good
-// frequency, and GoodFreq(P) ≥ 1 − Σ congested fractions (union bound).
-func TestQuickGoodFreqMonotoneAndBounded(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		nPaths := 2 + rng.Intn(6)
-		r := NewRecorder(nPaths)
-		T := 1 + rng.Intn(40)
-		for i := 0; i < T; i++ {
-			s := bitset.New(nPaths)
-			for p := 0; p < nPaths; p++ {
-				if rng.Intn(3) == 0 {
-					s.Add(p)
-				}
-			}
-			r.Add(s)
-		}
-		small := bitset.New(nPaths)
-		big := bitset.New(nPaths)
-		for p := 0; p < nPaths; p++ {
-			if rng.Intn(2) == 0 {
-				big.Add(p)
-				if rng.Intn(2) == 0 {
-					small.Add(p)
-				}
-			}
-		}
-		if r.GoodFreq(small) < r.GoodFreq(big) {
-			return false
-		}
-		sum := 0.0
-		big.ForEach(func(p int) bool {
-			sum += r.CongestedFraction(p)
-			return true
-		})
-		return r.GoodFreq(big) >= 1-sum-1e-12
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
-		t.Fatal(err)
 	}
 }
